@@ -38,6 +38,13 @@ _OUT_FLAGS = {"--out", "--csv"}
 _JOBS_COMMANDS = {"covering-constant", "support-cover", "eq-solve"}
 
 
+def _positive_int(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="groupapprox",
@@ -81,11 +88,11 @@ def _build_parser():
     p = add("support-cover", "fourth class power against the support of x")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x", help="one element; default sweeps all class representatives")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("covering-constant", "empirical covering ratios over class pairs")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--csv", help="also write the table as CSV")
 
     p = add("axioms-check", "verify the three length-function axioms exhaustively")
@@ -119,7 +126,7 @@ def _build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--budget", type=int, default=equations.DEFAULT_EQ_BUDGET)
     p.add_argument("--witnesses", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
         "--reduce-constants",
         action="store_true",
@@ -149,7 +156,7 @@ def _build_parser():
     p = add("manifest-replay", "re-run a pinned list of subcommands")
     p.add_argument("manifest")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None)
 
     return parser
 
@@ -401,7 +408,7 @@ def _cmd_approx_check(args):
     data_in = load_report(_read(args.certificate), source=args.certificate)
     kind = data_in.get("kind")
     if kind == "approximation-certificate":
-        cert = certificate_from_data(data_in)
+        cert = certificate_from_data(data_in, source=args.certificate)
         if data_in["mode"]["type"] == "consequence":
             result = approx.check_consequence_instance(cert)
         else:
@@ -467,7 +474,7 @@ def _cmd_sofic_search(args):
     p = approx.parse_presentation(_read(args.presentation), source=args.presentation)
     catalogs = _load_catalogs(args.catalog)
     groups = [g for cat in catalogs for g in cat.values()]
-    eps = parse_rational(args.eps)
+    eps = parse_rational(args.eps, source="--eps")
     outcome = approx.search_sofic_instance(p, eps, groups, budget=args.budget)
     params = {
         "presentation": os.path.basename(args.presentation),
@@ -592,7 +599,11 @@ def _cmd_manifest_replay(args):
     head = lines[0].split()
     if len(head) != 2 or head[0] != MANIFEST_HEADER:
         raise ParseError("not a manifest file", line=1, source=args.manifest)
-    if int(head[1]) != MANIFEST_VERSION:
+    try:
+        version = int(head[1])
+    except ValueError:
+        raise ParseError("bad manifest version", line=1, source=args.manifest) from None
+    if version != MANIFEST_VERSION:
         sys.stderr.write(
             f"manifest version mismatch: file says {head[1]}, tool speaks "
             f"{MANIFEST_VERSION}; replay aborted\n"

@@ -17,7 +17,6 @@ schedule.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +27,7 @@ from .groups import (
     consequences,
     iter_consequence_class_layers,
 )
+from .parallel import map_tasks
 from .perm import Permutation, cycle_string, hamming_length, is_even
 
 
@@ -75,15 +75,9 @@ def _class_power_indices(G: FiniteGroup, class_index: int, power: int) -> frozen
     """Class indices of the exact k-fold product set of one conjugacy class."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    classes = G.conjugacy_classes()
-    rep = G.class_representative(class_index)
     layer = frozenset((class_index,))
     for _ in range(power - 1):
-        nxt = set()
-        for ci in layer:
-            for y in classes[ci]:
-                nxt.add(G.class_index_of(rep * y))
-        layer = frozenset(nxt)
+        layer = frozenset().union(*(G.class_product(class_index, c) for c in layer))
     return layer
 
 
@@ -219,10 +213,7 @@ class CoveringTable:
 
 
 def nontrivial_class_representatives(G: FiniteGroup) -> tuple[Permutation, ...]:
-    reps = [
-        G.class_representative(i)
-        for i in range(len(G.conjugacy_classes()))
-    ]
+    reps = map(G.class_representative, range(len(G.conjugacy_classes())))
     return tuple(r for r in reps if not r.is_identity())
 
 
@@ -250,12 +241,7 @@ def empirical_covering_constant(m: int, jobs: int = 1) -> CoveringTable:
         raise ValueError("coverage sweeps require degree >= 5")
     G = _alternating(m)
     reps = nontrivial_class_representatives(G)
-    tasks = [(m, tuple(x)) for x in reps]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_covering_rows_task, tasks))
-    else:
-        chunks = [_covering_rows_task(t) for t in tasks]
+    chunks = map_tasks(_covering_rows_task, [(m, tuple(x)) for x in reps], jobs)
     rows = []
     for chunk in chunks:
         for x_imgs, y_imgs, depth, steps, ratio in chunk:
@@ -308,11 +294,7 @@ def support_cover_sweep(m: int, jobs: int = 1) -> tuple[SupportCoverReport, ...]
     """Run verify_support_cover for every nontrivial class representative."""
     G = _alternating(m)
     reps = nontrivial_class_representatives(G)
-    tasks = [(m, tuple(x)) for x in reps]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(_support_cover_task, tasks))
-    return tuple(_support_cover_task(t) for t in tasks)
+    return tuple(map_tasks(_support_cover_task, [(m, tuple(x)) for x in reps], jobs))
 
 
 def _support_cover_task(task):

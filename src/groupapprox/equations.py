@@ -23,6 +23,7 @@ from itertools import product as iter_product
 
 from .errors import ParseError
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
+from .parallel import map_tasks, worker_count
 from .perm import Permutation, direct_sum
 from .words import Word, evaluate_word, max_symbol, parse_word, reduce_word
 
@@ -161,8 +162,9 @@ def solvable_in(
             t for t in constant_tuples if _tuple_is_conjugation_canonical(t, els)
         ]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
-    if jobs > 1 and len(constant_tuples) > 1:
-        failing, witnesses = _scan_parallel(G, system, constant_tuples, want_witnesses, jobs)
+    workers = worker_count(jobs, len(constant_tuples))
+    if workers > 1:
+        failing, witnesses = _scan_parallel(G, system, constant_tuples, want_witnesses, workers)
     else:
         failing, witnesses = _scan_constants(
             system, constant_tuples, els, degree, want_witnesses
@@ -211,18 +213,14 @@ def _scan_constants(system, constant_tuples, els, degree, want_witnesses):
     return None, witnesses
 
 
-def _scan_parallel(G, system, constant_tuples, want_witnesses, jobs):
+def _scan_parallel(G, system, constant_tuples, want_witnesses, workers):
     """Partition the constant tuples; least failing index wins deterministically."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [constant_tuples[i::jobs] for i in range(jobs)]
+    gens = tuple(tuple(g) for g in G.generators)
     tasks = [
-        (G.kind, G.degree, tuple(tuple(g) for g in G.generators), system, chunk, want_witnesses)
-        for chunk in chunks
-        if chunk
+        (G.kind, G.degree, gens, system, constant_tuples[i::workers], want_witnesses)
+        for i in range(workers)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_scan_task, tasks))
+    results = map_tasks(_scan_task, tasks, workers)
     failing = [r[0] for r in results if r[0] is not None]
     if failing:
         least = min(failing, key=lambda t: tuple(p.sort_key() for p in t))

@@ -12,9 +12,9 @@ The consequence-set engine computes the exact-depth product sets
                   x^-1 with x in X }
 
 working at conjugacy-class granularity: every layer is a union of classes,
-and the product of a class K with a class-closed set L is the union of the
-classes of rep(K) * l over l in L.  That keeps sweeps over A_6 in the
-seconds range instead of minutes.
+so a layer step is the union of the class products K_a K_c over letter
+classes a and layer classes c.  Each group memoizes them lazily, forming
+a pair once, from its smaller class (``FiniteGroup.class_product``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class FiniteGroup:
         self._element_set = None
         self._classes = None
         self._class_index = None
+        self._class_reps = None
+        self._class_products = {}  # (i, j) with i <= j -> frozenset of class indices
 
     # -- constructors ---------------------------------------------------
 
@@ -176,6 +178,7 @@ class FiniteGroup:
             gens = self.generators or (self.identity(),)
             index = {}
             classes = []
+            reps = []
             for x in els:  # canonical order, so reps are canonical minima
                 if x in index:
                     continue
@@ -192,10 +195,12 @@ class FiniteGroup:
                     frontier = nxt
                 ci = len(classes)
                 classes.append(frozenset(orbit))
+                reps.append(x)
                 for y in orbit:
                     index[y] = ci
             self._classes = tuple(classes)
             self._class_index = index
+            self._class_reps = tuple(reps)
         return self._classes
 
     def class_of(self, x: Permutation, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:
@@ -210,8 +215,26 @@ class FiniteGroup:
         return self._class_index[x]
 
     def class_representative(self, index: int) -> Permutation:
-        cls = self.conjugacy_classes()[index]
-        return min(cls, key=lambda p: p.sort_key())
+        self.conjugacy_classes()
+        return self._class_reps[index]
+
+    def class_product(self, i: int, j: int) -> frozenset:
+        """Class indices of K_i K_j (= K_j K_i: class sums are central), memoized.
+
+        Each class of the product holds some x * rep(K_j) with x in K_i, and
+        some rep(K_i) * y with y in K_j; the smaller class is iterated.
+        """
+        key = (i, j) if i <= j else (j, i)
+        out = self._class_products.get(key)
+        if out is None:
+            classes = self.conjugacy_classes()
+            index, reps = self._class_index, self._class_reps
+            if len(classes[i]) <= len(classes[j]):
+                out = frozenset(index[x * reps[j]] for x in classes[i])
+            else:
+                out = frozenset(index[reps[i] * y] for y in classes[j])
+            self._class_products[key] = out
+        return out
 
     # -- direct-product projections -----------------------------------------
 
@@ -341,20 +364,13 @@ def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_
     if not letters:
         return
     classes = G.conjugacy_classes(cap)
-    index = G._class_index
-    reps = [G.class_representative(i) for i in letters]
     layer = frozenset(letters)
     prev = None  # layer two steps back
     depth = 0
     while True:
         depth += 1
         yield depth, layer
-        nxt = set()
-        for rep in reps:
-            for ci in layer:
-                for y in classes[ci]:
-                    nxt.add(index[rep * y])
-        nxt = frozenset(nxt)
+        nxt = frozenset().union(*(G.class_product(a, c) for a in letters for c in layer))
         if sum(len(classes[ci]) for ci in nxt) > cap:
             raise CapExceeded(
                 f"consequence layer at depth {depth + 1} passed the cap {cap}"

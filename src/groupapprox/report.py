@@ -35,12 +35,13 @@ def format_rational(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def parse_rational(text: str, line=None, source=None) -> Fraction:
+    """Exact rational from "p/q" or "p"; anything else is a ParseError."""
+    num, sep, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if sep else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational {text!r}", line=line, source=source) from None
 
 
 def _scalar_str(value) -> str:
@@ -84,11 +85,11 @@ def _looks_typed(text: str) -> bool:
     return t.startswith('"')
 
 
-def _parse_scalar(text: str):
+def _parse_scalar(text: str, line, source):
     t = text.strip()
     if t.startswith('"'):
         if not t.endswith('"') or len(t) < 2:
-            raise ParseError(f"unterminated string {t!r}")
+            raise ParseError(f"unterminated string {t!r}", line=line, source=source)
         body = t[1:-1]
         return body.replace('\\"', '"').replace("\\\\", "\\")
     if t == "none":
@@ -105,12 +106,8 @@ def _parse_scalar(text: str):
         return int(t)
     except ValueError:
         pass
-    if "/" in t:
-        num, _, den = t.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except ValueError:
-            pass
+    if "/" in t and _looks_typed(t):  # "p/q" with integer parts, so q = 0 is an error
+        return parse_rational(t, line=line, source=source)
     return t
 
 
@@ -187,7 +184,7 @@ def _parse_block(items, pos, level, source):
         key = key.strip()
         rest = rest.strip()
         if rest:
-            out[key] = _parse_scalar(rest)
+            out[key] = _parse_scalar(rest, ln, source)
             pos += 1
             continue
         # nested block: list when the first child is a dash
@@ -214,7 +211,7 @@ def _parse_list(items, pos, level, source):
             sub, pos = _parse_block(items, pos + 1, level + 1, source)
             out.append(sub)
         elif content.startswith("- "):
-            out.append(_parse_scalar(content[2:]))
+            out.append(_parse_scalar(content[2:], ln, source))
             pos += 1
         else:
             break
@@ -316,7 +313,15 @@ def certificate_to_data(cert, verdict=None) -> dict:
     return data
 
 
-def certificate_from_data(data: dict):
+def certificate_from_data(data: dict, source=None):
+    """Decode a loaded certificate report; a missing field is a ParseError."""
+    try:
+        return _certificate_from_data(data)
+    except KeyError as exc:
+        raise ParseError(f"certificate has no {exc.args[0]!r} field", source=source) from None
+
+
+def _certificate_from_data(data):
     from .approximation import Certificate, ConsequenceMode, MetricMode, window_from_texts
     from .lengths import cayley_conjugation_length, from_table, hamming
 

@@ -3,6 +3,8 @@ class-level machinery: everything here works element by element."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def brute_letters(G, X):
     """All conjugates of members of X or their inverses, by double loop."""
@@ -58,3 +60,59 @@ def brute_cayley_distances(G, X):
                     nxt.append(t)
         frontier = nxt
     return dist
+
+
+def element_class_product(G, a, c):
+    """The element-loop layer kernel: classes of rep(K_a) * y over y in K_c.
+
+    This is the product loop the consequence engine ran for every letter
+    class a and layer class c before class products were memoized; the
+    representative is recomputed as the least element by sort key.
+    """
+    classes = G.conjugacy_classes()
+    rep = _least_in_class(G, a)
+    return frozenset(G.class_index_of(rep * y) for y in classes[c])
+
+
+@lru_cache(maxsize=None)
+def _least_in_class(G, a):
+    return min(G.conjugacy_classes()[a], key=lambda p: p.sort_key())
+
+
+def element_consequence_class_layers(G, X, product=None):
+    """Element-loop consequence layers: (depth, class indices) until period two.
+
+    ``product(a, c)`` defaults to ``element_class_product``; pass a cached
+    one to reuse pair results across calls on a large group.
+    """
+    if product is None:
+        product = lambda a, c: element_class_product(G, a, c)  # noqa: E731
+    letters = sorted({G.class_index_of(x) for x in X} | {G.class_index_of(x.inverse()) for x in X})
+    if not letters:
+        return
+    layer = frozenset(letters)
+    prev = None
+    depth = 0
+    while True:
+        depth += 1
+        yield depth, layer
+        nxt = set()
+        for a in letters:
+            for c in layer:
+                nxt |= product(a, c)
+        nxt = frozenset(nxt)
+        if prev is not None and nxt == prev:
+            yield depth + 1, nxt
+            return
+        prev = layer
+        layer = nxt
+
+
+def element_class_power(G, class_index, power, product=None):
+    """Class indices of the exact power-fold product of one class, element loop."""
+    if product is None:
+        product = lambda a, c: element_class_product(G, a, c)  # noqa: E731
+    layer = frozenset((class_index,))
+    for _ in range(power - 1):
+        layer = frozenset().union(*(product(class_index, c) for c in layer))
+    return layer

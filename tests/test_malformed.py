@@ -1,0 +1,125 @@
+"""Malformed input exits 1 with a positioned message, never a traceback."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from groupapprox import cli
+from groupapprox.approximation import Certificate, MetricMode, window_from_texts
+from groupapprox.errors import ParseError
+from groupapprox.groups import FiniteGroup
+from groupapprox.lengths import hamming
+from groupapprox.parallel import map_tasks, worker_count
+from groupapprox.perm import identity, parse_cycles
+from groupapprox.report import certificate_to_data, dump_report, load_report, parse_rational
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def _metric_certificate_text():
+    A4 = FiniteGroup.alternating(4)
+    c = parse_cycles("(1 2 3)", 4)
+    mode = MetricMode(
+        length=hamming(A4),
+        alpha=(Fraction(0), Fraction(3, 4), Fraction(3, 4)),
+        epsilon=Fraction(1, 8),
+    )
+    w = window_from_texts(["a"], ["1", "a", "a^2"])
+    cert = Certificate(window=w, target=A4, images=(identity(4), c, c * c), mode=mode)
+    return dump_report(certificate_to_data(cert, verdict=True))
+
+
+def _run(capsys, *argv):
+    code = cli.run(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "a/2", "1/b", "1.5", "", "/"])
+def test_parse_rational_rejects_with_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
+
+
+def test_report_rational_with_zero_denominator_is_positioned():
+    text = "groupapprox-report 1\nresult:\n  epsilon: 1/0\n"
+    with pytest.raises(ParseError) as info:
+        load_report(text, source="r.report")
+    assert info.value.line == 3 and info.value.source == "r.report"
+
+
+def test_certificate_with_zero_denominator_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad_rational.report"
+    path.write_text(_metric_certificate_text().replace("epsilon: 1/8", "epsilon: 1/0"))
+    code, err = _run(capsys, "approx-check", "--certificate", str(path))
+    assert code == 1
+    assert f"{path}:" in err and "1/0" in err
+
+
+def test_certificate_without_mode_exits_1(tmp_path, capsys):
+    text = _metric_certificate_text()
+    path = tmp_path / "bad_truncated.report"
+    path.write_text(text[: text.index("mode:")])
+    code, err = _run(capsys, "approx-check", "--certificate", str(path))
+    assert code == 1
+    assert str(path) in err and "'mode'" in err
+
+
+def test_sofic_search_eps_with_zero_denominator_exits_1(capsys):
+    code, err = _run(
+        capsys,
+        "sofic-search",
+        "--presentation", str(MANIFESTS / "free1.pres"),
+        "--eps", "7/0",
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+    )
+    assert code == 1
+    assert "--eps" in err and "7/0" in err
+
+
+def test_manifest_with_non_integer_version_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("groupapprox-manifest x\n")
+    code, err = _run(capsys, "manifest-replay", str(manifest), "--out-dir", str(tmp_path / "o"))
+    assert code == 1
+    assert f"{manifest}:1: bad manifest version" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["covering-constant", "--m", "5"],
+    ["support-cover", "--m", "5"],
+    ["eq-solve", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn")],
+])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_exits_1(command, jobs, tmp_path, capsys):
+    code, err = _run(capsys, *command, "--jobs", jobs, "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert "--jobs" in err
+    assert not (tmp_path / "r").exists()
+
+
+class TestWorkerCount:
+    def test_clamps_to_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert worker_count(1, 10) == 1
+        assert worker_count(3, 10) == 3
+        assert worker_count(64, 10) == 4
+        assert worker_count(64, 2) == 2
+        assert worker_count(8, 0) == 1
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert worker_count(8, 8) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="--jobs"):
+            worker_count(jobs, 5)
+
+    def test_one_worker_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("groupapprox.parallel.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        assert map_tasks(abs, [-1, 2, -3], 8) == [1, 2, 3]

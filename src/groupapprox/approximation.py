@@ -23,7 +23,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import BudgetExceeded, ParseError
-from .groups import FiniteGroup, SeparationReport, is_n_separated
+from .groups import (
+    FiniteGroup,
+    SeparationReport,
+    is_conjugation_canonical,
+    is_n_separated,
+)
 from .lengths import LengthFunction
 from .perm import (
     Permutation,
@@ -304,16 +309,6 @@ class Exhausted:
     stats: SearchStats
 
 
-def _tuple_is_conjugacy_canonical(images, H) -> bool:
-    for g in H.elements():
-        conj = tuple(
-            (g.inverse() * x) * g for x in images
-        )
-        if tuple(p.sort_key() for p in conj) < tuple(p.sort_key() for p in images):
-            return False
-    return True
-
-
 def search_separating_hom(
     p: Presentation,
     n: int,
@@ -343,7 +338,7 @@ def search_separating_hom(
                     f"assignment budget {budget} exhausted",
                     stats={"assignments": count - 1, "group": H.name},
                 )
-            if prune_conjugates and not _tuple_is_conjugacy_canonical(assignment, H):
+            if prune_conjugates and not is_conjugation_canonical(assignment, els):
                 continue
             y_images = frozenset(
                 evaluate_word(w, assignment, H.degree) for w in p.outside

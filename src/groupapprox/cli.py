@@ -419,7 +419,7 @@ def _cmd_approx_check(args):
             body["stored-verdict"] = stored
             body["matches-stored"] = stored == ("holds" if result.holds else "fails")
     elif kind == "sofic-certificate":
-        cert = sofic_certificate_from_data(data_in)
+        cert = sofic_certificate_from_data(data_in, source=args.certificate)
         ok = approx.verify_sofic_certificate(cert)
         body = {"holds": ok, "reason": "recomputed all certificate quantities"}
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .errors import ParseError
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, is_conjugation_canonical
 from .parallel import map_tasks, worker_count
 from .perm import Permutation, direct_sum
 from .words import Word, evaluate_word, max_symbol, parse_word, reduce_word
@@ -159,7 +159,7 @@ def solvable_in(
     reason = ""
     if constants_up_to_conjugacy:
         constant_tuples = [
-            t for t in constant_tuples if _tuple_is_conjugation_canonical(t, els)
+            t for t in constant_tuples if is_conjugation_canonical(t, els)
         ]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
     workers = worker_count(jobs, len(constant_tuples))
@@ -186,16 +186,6 @@ def solvable_in(
         variables_domain=size ** system.variables,
         budget=budget,
     )
-
-
-def _tuple_is_conjugation_canonical(constants, els) -> bool:
-    keys = tuple(c.sort_key() for c in constants)
-    for g in els:
-        gi = g.inverse()
-        conj = tuple(((gi * c) * g).sort_key() for c in constants)
-        if conj < keys:
-            return False
-    return True
 
 
 def _scan_constants(system, constant_tuples, els, degree, want_witnesses):

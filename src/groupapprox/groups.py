@@ -308,6 +308,16 @@ def cyclic(k: int, name=None) -> FiniteGroup:
     return FiniteGroup.generated(k, [gen], name=name or f"Z{k}")
 
 
+def is_conjugation_canonical(items, elements) -> bool:
+    """True when no simultaneous conjugate (g^-1 x g for each x, g in
+    elements) of the tuple has a smaller tuple of sort keys."""
+    keys = tuple(x.sort_key() for x in items)
+    for g in elements:
+        if tuple(conjugate(x, g).sort_key() for x in items) < keys:
+            return False
+    return True
+
+
 # --- consequence sets --------------------------------------------------------
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, _letter_class_indices
-from .perm import Permutation, hamming_length
+from .perm import Permutation, conjugate, hamming_length
 
 
 class LengthFunction:
@@ -127,10 +129,27 @@ def verify_axioms(
     and conjugation invariance over all ordered pairs.  Collects at most
     max_violations witnesses per axiom but counts every failure toward
     the verdict.
+
+    Every ordered pair (g, h) is evaluated, through element indices rather
+    than permutation products: the elements are numbered in canonical
+    order, and a parent-first spanning tree of the right Cayley graph
+    gives g*h and h^-1 g h from the parent of h by one generator lookup.
+    ``pairs_checked`` counts the 2*|G|^2 evaluated pairs.  Values are
+    compared as integers over their common denominator, so the check stays
+    exact; memory beyond the enumeration is O(|G|).
     """
     G = ell.group
     els = G.elements(cap)
-    values = {x: ell(x) for x in els}
+    n = len(els)
+    index = {x: i for i, x in enumerate(els)}
+    values = [ell(x) for x in els]
+    denominator = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (denominator // v.denominator) for v in values]
+    gens = G.generators or (G.identity(),)
+    rmul = [[index[x * s] for x in els] for s in gens]  # idx(x s)
+    cmap = [[index[conjugate(x, s)] for x in els] for s in gens]  # idx(s^-1 x s)
+    root = index[G.identity()]
+    tree = _spanning_tree(rmul, root, n)
     violations = []
     total = 0
     per_axiom = {}
@@ -143,35 +162,63 @@ def verify_axioms(
             per_axiom[axiom] = seen + 1
             violations.append(AxiomViolation(axiom, witness, detail))
 
-    e = G.identity()
-    if values[e] != 0:
-        add("identity", (e,), f"||1|| = {values[e]} != 0")
-    for x, v in values.items():
+    if values[root] != 0:
+        add("identity", (els[root],), f"||1|| = {values[root]} != 0")
+    for x, v in zip(els, values):
         if v < 0:
             add("nonnegative", (x,), f"||{x!r}|| = {v} < 0")
-    pairs = 0
-    for g in els:
-        vg = values[g]
-        for h in els:
-            pairs += 1
-            if values[g * h] > vg + values[h]:
-                add(
-                    "subadditive",
-                    (g, h),
-                    f"||gh|| = {values[g * h]} > {vg} + {values[h]}",
-                )
-    for g in els:
-        vg = values[g]
-        for h in els:
-            pairs += 1
-            c = (h.inverse() * g) * h
-            if values[c] != vg:
-                add(
-                    "invariant",
-                    (g, h),
-                    f"||h^-1 g h|| = {values[c]} != {vg}",
-                )
-    return AxiomReport(valid=total == 0, violations=tuple(violations), pairs_checked=pairs)
+    row = [0] * n
+    for g in range(n):
+        _walk(row, root, g, tree, rmul)  # row[h] = idx(g h)
+        sg = scaled[g]
+        if max(map(sub, map(scaled.__getitem__, row), scaled)) > sg:
+            for h, gh in enumerate(row):
+                if scaled[gh] > sg + scaled[h]:
+                    add(
+                        "subadditive",
+                        (els[g], els[h]),
+                        f"||gh|| = {values[gh]} > {values[g]} + {values[h]}",
+                    )
+    for g in range(n):
+        _walk(row, root, g, tree, cmap)  # row[h] = idx(h^-1 g h)
+        sg = scaled[g]
+        if any(map(sg.__ne__, map(scaled.__getitem__, row))):
+            for h, c in enumerate(row):
+                if scaled[c] != sg:
+                    add(
+                        "invariant",
+                        (els[g], els[h]),
+                        f"||h^-1 g h|| = {values[c]} != {values[g]}",
+                    )
+    return AxiomReport(valid=total == 0, violations=tuple(violations), pairs_checked=2 * n * n)
+
+
+def _spanning_tree(rmul, root, n):
+    """Parent-first (child, parent, generator) triples of a BFS over rmul."""
+    reached = [False] * n
+    reached[root] = True
+    tree = []
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for k, step in enumerate(rmul):
+                h = step[p]
+                if not reached[h]:
+                    reached[h] = True
+                    tree.append((h, p, k))
+                    nxt.append(h)
+        frontier = nxt
+    if len(tree) + 1 != n:
+        raise RuntimeError(f"generators reach {len(tree) + 1} of {n} elements")
+    return tree
+
+
+def _walk(row, root, g, tree, maps):
+    """row[h] = maps[k][row[p]] down the tree (h = p s_k), from row[root] = g."""
+    row[root] = g
+    for h, p, k in tree:
+        row[h] = maps[k][row[p]]
 
 
 def ball(ell: LengthFunction, radius, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:

@@ -74,7 +74,7 @@ class Permutation(tuple):
         return self[point]
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self))
+        return self == tuple(range(len(self)))
 
     def support(self) -> tuple[int, ...]:
         """Moved points, ascending, 0-based."""

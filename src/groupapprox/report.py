@@ -150,7 +150,11 @@ def load_report(text: str, source=None) -> dict:
     head = lines[0].split()
     if len(head) != 2 or head[0] != FORMAT_HEADER:
         raise ParseError("not a report file", line=1, source=source)
-    if int(head[1]) != FORMAT_VERSION:
+    try:
+        version = int(head[1])
+    except ValueError:
+        raise ParseError("bad report version", line=1, source=source) from None
+    if version != FORMAT_VERSION:
         raise ParseError(
             f"report format version {head[1]} unsupported", line=1, source=source
         )
@@ -379,7 +383,17 @@ def sofic_certificate_to_data(cert) -> dict:
     }
 
 
-def sofic_certificate_from_data(data: dict):
+def sofic_certificate_from_data(data: dict, source=None):
+    """Decode a loaded sofic certificate report; a missing field is a ParseError."""
+    try:
+        return _sofic_certificate_from_data(data)
+    except KeyError as exc:
+        raise ParseError(
+            f"sofic certificate has no {exc.args[0]!r} field", source=source
+        ) from None
+
+
+def _sofic_certificate_from_data(data):
     from .approximation import SoficCertificate, SearchStats
     from .words import parse_word
 

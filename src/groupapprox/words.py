@@ -43,7 +43,7 @@ def conjugate_word(w, by) -> Word:
 
 def evaluate_word(word, images, degree: int) -> Permutation:
     """Image of a word under symbol i -> images[i-1] (right-action product)."""
-    result = identity(degree)
+    result = None
     for s in word:
         i = abs(s) - 1
         if i >= len(images):
@@ -51,8 +51,10 @@ def evaluate_word(word, images, degree: int) -> Permutation:
         g = images[i]
         if len(g) != degree:
             raise ValueError(f"image degree {len(g)} does not match carrier degree {degree}")
-        result = result * (g if s > 0 else g.inverse())
-    return result
+        if s < 0:
+            g = g.inverse()
+        result = g if result is None else result * g
+    return identity(degree) if result is None else result
 
 
 def max_symbol(word) -> int:

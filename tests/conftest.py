@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from groupapprox.lengths import AxiomReport, AxiomViolation
+
 
 def brute_letters(G, X):
     """All conjugates of members of X or their inverses, by double loop."""
@@ -116,3 +118,55 @@ def element_class_power(G, class_index, power, product=None):
     for _ in range(power - 1):
         layer = frozenset().union(*(product(class_index, c) for c in layer))
     return layer
+
+
+def element_verify_axioms(ell, max_violations=20):
+    """The element double loop ``verify_axioms`` ran before its index kernel.
+
+    Forms g*h and h^-1 g h as permutation products for every ordered pair
+    and compares the Fraction values directly.
+    """
+    G = ell.group
+    els = G.elements()
+    values = {x: ell(x) for x in els}
+    violations = []
+    total = 0
+    per_axiom = {}
+
+    def add(axiom, witness, detail):
+        nonlocal total
+        total += 1
+        seen = per_axiom.get(axiom, 0)
+        if seen < max_violations:
+            per_axiom[axiom] = seen + 1
+            violations.append(AxiomViolation(axiom, witness, detail))
+
+    e = G.identity()
+    if values[e] != 0:
+        add("identity", (e,), f"||1|| = {values[e]} != 0")
+    for x, v in values.items():
+        if v < 0:
+            add("nonnegative", (x,), f"||{x!r}|| = {v} < 0")
+    pairs = 0
+    for g in els:
+        vg = values[g]
+        for h in els:
+            pairs += 1
+            if values[g * h] > vg + values[h]:
+                add(
+                    "subadditive",
+                    (g, h),
+                    f"||gh|| = {values[g * h]} > {vg} + {values[h]}",
+                )
+    for g in els:
+        vg = values[g]
+        for h in els:
+            pairs += 1
+            c = (h.inverse() * g) * h
+            if values[c] != vg:
+                add(
+                    "invariant",
+                    (g, h),
+                    f"||h^-1 g h|| = {values[c]} != {vg}",
+                )
+    return AxiomReport(valid=total == 0, violations=tuple(violations), pairs_checked=pairs)

@@ -6,13 +6,25 @@ from pathlib import Path
 import pytest
 
 from groupapprox import cli
-from groupapprox.approximation import Certificate, MetricMode, window_from_texts
+from groupapprox.approximation import (
+    Certificate,
+    MetricMode,
+    parse_presentation,
+    search_sofic_instance,
+    window_from_texts,
+)
 from groupapprox.errors import ParseError
 from groupapprox.groups import FiniteGroup
 from groupapprox.lengths import hamming
 from groupapprox.parallel import map_tasks, worker_count
 from groupapprox.perm import identity, parse_cycles
-from groupapprox.report import certificate_to_data, dump_report, load_report, parse_rational
+from groupapprox.report import (
+    certificate_to_data,
+    dump_report,
+    load_report,
+    parse_rational,
+    sofic_certificate_to_data,
+)
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -28,6 +40,15 @@ def _metric_certificate_text():
     w = window_from_texts(["a"], ["1", "a", "a^2"])
     cert = Certificate(window=w, target=A4, images=(identity(4), c, c * c), mode=mode)
     return dump_report(certificate_to_data(cert, verdict=True))
+
+
+def _sofic_certificate_data():
+    p = parse_presentation("generators a\noutside a\n")
+    cert = search_sofic_instance(p, Fraction(1, 4), [FiniteGroup.alternating(4)])
+    return sofic_certificate_to_data(cert)
+
+
+SOFIC_FIELDS = [key for key in _sofic_certificate_data() if key != "kind"]
 
 
 def _run(capsys, *argv):
@@ -63,6 +84,26 @@ def test_certificate_without_mode_exits_1(tmp_path, capsys):
     code, err = _run(capsys, "approx-check", "--certificate", str(path))
     assert code == 1
     assert str(path) in err and "'mode'" in err
+
+
+@pytest.mark.parametrize("field", SOFIC_FIELDS)
+def test_sofic_certificate_without_field_exits_1(field, tmp_path, capsys):
+    data = _sofic_certificate_data()
+    del data[field]
+    path = tmp_path / "sofic.report"
+    path.write_text(dump_report(data))
+    code, err = _run(capsys, "approx-check", "--certificate", str(path))
+    assert code == 1
+    assert f"{path}: sofic certificate has no {field!r} field" in err
+
+
+def test_report_with_non_integer_version_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad_version.report"
+    text = _metric_certificate_text().replace("groupapprox-report 1", "groupapprox-report x")
+    path.write_text(text)
+    code, err = _run(capsys, "approx-check", "--certificate", str(path))
+    assert code == 1
+    assert f"{path}:1: bad report version" in err
 
 
 def test_sofic_search_eps_with_zero_denominator_exits_1(capsys):

@@ -1,0 +1,78 @@
+"""Differential tests: the index kernel of ``verify_axioms`` against the
+element double loop it replaced (the oracle in conftest.py)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from conftest import element_verify_axioms
+
+from groupapprox.groups import FiniteGroup, cyclic
+from groupapprox.lengths import cayley_conjugation_length, from_table, hamming, verify_axioms
+from groupapprox.perm import parse_cycles
+
+S4 = FiniteGroup.symmetric(4)
+A5 = FiniteGroup.alternating(5)
+
+
+def _z3_x_k4():
+    k4 = FiniteGroup.generated(
+        4, [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)], name="K4"
+    )
+    return FiniteGroup.direct_product([cyclic(3), k4])
+
+
+def _table(seed, edit):
+    """Hamming length on S4 with seeded edits applied to its table."""
+    rng = random.Random(seed)
+    values = hamming(S4).table()
+    edit(values, rng, S4.elements())
+    return from_table(S4, values)
+
+
+def _spike(values, rng, els):
+    values[rng.choice(els[1:])] = Fraction(1)
+
+
+def _negative(values, rng, els):
+    values[rng.choice(els[1:])] = Fraction(-rng.randint(1, 3), rng.randint(1, 4))
+
+
+def _nonzero_identity(values, rng, els):
+    values[els[0]] = Fraction(rng.randint(1, 3), 4)
+
+
+def _scrambled(values, rng, els):
+    for x in els:
+        values[x] = Fraction(rng.randint(-1, 6), rng.choice((1, 2, 3, 5)))
+
+
+CASES = {
+    "hamming-S1": lambda: hamming(FiniteGroup.symmetric(1)),
+    "hamming-S4": lambda: hamming(S4),
+    "hamming-A5": lambda: hamming(A5),
+    "hamming-Z3xK4": lambda: hamming(_z3_x_k4()),
+    "cayley-S4": lambda: cayley_conjugation_length(S4, [parse_cycles("(1 2 3)", 4)], 3),
+    "cayley-A5": lambda: cayley_conjugation_length(A5, [parse_cycles("(1 2)(3 4)", 5)], 2),
+    **{f"spike-{seed}": (lambda seed=seed: _table(seed, _spike)) for seed in (1, 2)},
+    **{f"negative-{seed}": (lambda seed=seed: _table(seed, _negative)) for seed in (3, 4)},
+    **{f"identity-{seed}": (lambda seed=seed: _table(seed, _nonzero_identity)) for seed in (5, 6)},
+    **{f"scrambled-{seed}": (lambda seed=seed: _table(seed, _scrambled)) for seed in (7, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("max_violations", [3, 20])
+def test_report_matches_element_loop(name, max_violations):
+    ell = CASES[name]()
+    assert verify_axioms(ell, max_violations=max_violations) == element_verify_axioms(
+        ell, max_violations=max_violations
+    )
+
+
+@pytest.mark.parametrize("name", ["spike-1", "scrambled-7"])
+def test_truncation_is_exercised(name):
+    """These tables fail more pairs than the report keeps, per axiom."""
+    rep = verify_axioms(CASES[name](), max_violations=3)
+    kept = [v.axiom for v in rep.violations]
+    assert not rep.valid and kept.count("invariant") == 3

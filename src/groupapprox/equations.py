@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from itertools import product as iter_product
 
 from .errors import ParseError
@@ -112,14 +113,6 @@ class SolvabilityReport:
         return self.verdict == "solvable"
 
 
-def _satisfies(system, constants, variables, degree) -> bool:
-    assignment = tuple(constants) + tuple(variables)
-    for w in system.words:
-        if not evaluate_word(w, assignment, degree).is_identity():
-            return False
-    return True
-
-
 def solvable_in(
     G: FiniteGroup,
     system: EquationSystem,
@@ -188,19 +181,108 @@ def solvable_in(
     )
 
 
-def _scan_constants(system, constant_tuples, els, degree, want_witnesses):
+def _scan_constants(system, constant_tuples, domain, degree, want_witnesses):
+    """The assignment scan behind ``solvable_in`` and ``solvable_over_bounded``.
+
+    Returns the first constant tuple that no variable tuple over ``domain``
+    (in ``iter_product`` order) satisfies, or None and the first solution
+    of every tuple.  The words are bound once per constant tuple
+    (``_bind_words``), and each assignment is tested by composing raw image
+    tuples with ``map``.  When some variable appears inverted, the domain
+    is paired with its inverses once and an assignment is the flattened
+    pairs.
+    """
+    paired = any(s < -system.constants for w in system.words for s in w)
+    items = [(x, x.inverse()) for x in domain] if paired else domain
     witnesses = []
     for constants in constant_tuples:
-        found = None
-        for variables in iter_product(els, repeat=system.variables):
-            if _satisfies(system, constants, variables, degree):
-                found = variables
-                break
+        bound = _bind_words(system, constants, paired, degree)
+        found = None if bound is None else _first_solution(*bound, items, system.variables, paired)
         if found is None:
             return constants, []
         if want_witnesses:
             witnesses.append((constants, found))
     return None, witnesses
+
+
+def _bind_words(system, constants, paired, degree):
+    """Compile the words under one constant tuple, or None if one can never hold.
+
+    A word becomes (first slot, step slots, target): it holds when the
+    image tuple at the first slot, composed with those at the step slots,
+    equals the target.  Slots index the assignment (variable j at j, or at
+    2j and its inverse at 2j + 1 when ``paired``) followed by the returned
+    constant blocks.  Each inverted constant is inverted once, adjacent
+    constant letters fold into one block, and a leading block is rotated
+    to the end (a conjugate of a word is trivial iff the word is), so the
+    trailing block moves into the target.  A word without variables is
+    decided here: dropped if trivial, otherwise the tuple is unsolvable.
+    """
+    if degree == 0:
+        return (), ()  # the only permutation of no points is the identity
+    r = system.constants
+    width = system.variables * (2 if paired else 1)
+    inverses = {}
+    blocks = []
+    words = []
+    for w in system.words:
+        factors = []  # variable slots (int) and constant blocks (Permutation)
+        for s in w:
+            if abs(s) > r:
+                j = abs(s) - r - 1
+                factors.append(2 * j + (s < 0) if paired else j)
+                continue
+            c = constants[abs(s) - 1]
+            if s < 0:
+                if s not in inverses:
+                    inverses[s] = c.inverse()
+                c = inverses[s]
+            if factors and isinstance(factors[-1], Permutation):
+                factors[-1] = factors[-1] * c
+            else:
+                factors.append(c)
+        if all(isinstance(f, Permutation) for f in factors):  # no variables
+            if factors and not factors[0].is_identity():
+                return None
+            continue
+        if isinstance(factors[0], Permutation):
+            lead = factors.pop(0)
+            if isinstance(factors[-1], Permutation):
+                factors[-1] = factors[-1] * lead
+            else:
+                factors.append(lead)
+        target = tuple(range(degree))
+        if isinstance(factors[-1], Permutation):
+            target = tuple(factors.pop().inverse())
+        steps = []
+        for f in factors[1:]:
+            if isinstance(f, Permutation):
+                steps.append(width + len(blocks))
+                blocks.append(f)
+            else:
+                steps.append(f)
+        words.append((factors[0], tuple(steps), target))
+    return tuple(words), tuple(blocks)
+
+
+def _first_solution(words, blocks, items, variables, paired):
+    """First variable tuple over ``items`` satisfying every bound word, or None."""
+    for combo in iter_product(items, repeat=variables):
+        vals = (tuple(chain.from_iterable(combo)) if paired else combo) + blocks
+        for first, steps, target in words:
+            image = vals[first]
+            point = image[0]  # most assignments already fail at point 0
+            for slot in steps:
+                point = vals[slot][point]
+            if point != target[0]:
+                break
+            for slot in steps:
+                image = map(vals[slot].__getitem__, image)
+            if tuple(image) != target:
+                break
+        else:
+            return tuple(pair[0] for pair in combo) if paired else combo
+    return None
 
 
 def _scan_parallel(G, system, constant_tuples, want_witnesses, workers):
@@ -284,6 +366,14 @@ class Embedding:
         return dict(self.pairs)
 
     def check(self, cap: int = DEFAULT_ELEMENT_CAP) -> None:
+        """Raise ValueError unless the pairs are an injective homomorphism into the target.
+
+        ``cap`` bounds the enumeration of the source.  Membership in a
+        symmetric or alternating target is structural, so such a target is
+        not enumerated here; its element cap applies where a scan first
+        enumerates it (``solvable_over_bounded``).  Any other target is
+        enumerated under the default cap by its membership test.
+        """
         mapping = self.mapping()
         els = self.source.elements(cap)
         if set(mapping) != set(els):
@@ -291,9 +381,8 @@ class Embedding:
         images = list(mapping.values())
         if len(set(images)) != len(images):
             raise ValueError("embedding is not injective")
-        target_set = self.target.element_set(cap)
         for img in images:
-            if img not in target_set:
+            if img not in self.target:
                 raise ValueError("embedding image leaves the target group")
         for g in els:
             for h in els:
@@ -340,21 +429,14 @@ def solvable_over_bounded(
         if worst > budget:
             skipped.append((H.name, worst))
             continue
-        witnesses = []
-        all_ok = True
-        for source_constants in iter_product(source_els, repeat=system.constants):
-            constants = tuple(mapping[c] for c in source_constants)
-            found = None
-            for variables in iter_product(h_els, repeat=system.variables):
-                if _satisfies(system, constants, variables, H.degree):
-                    found = variables
-                    break
-            if found is None:
-                all_ok = False
-                break
-            if want_witnesses:
-                witnesses.append((constants, found))
-        if all_ok:
+        constant_tuples = (
+            tuple(mapping[c] for c in source_constants)
+            for source_constants in iter_product(source_els, repeat=system.constants)
+        )
+        failing, witnesses = _scan_constants(
+            system, constant_tuples, h_els, H.degree, want_witnesses
+        )
+        if failing is None:
             return SolvabilityReport(
                 verdict="solvable",
                 witnesses=tuple(witnesses) if want_witnesses else (),

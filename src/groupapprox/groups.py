@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
+from operator import eq
 
 from .errors import CapExceeded
 from .perm import Permutation, conjugate, direct_sum, identity, is_even
@@ -127,9 +128,7 @@ class FiniteGroup:
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
         """All elements in canonical order; raises CapExceeded past the cap."""
         if self._elements is None:
-            els = self._enumerate(cap)
-            self._elements = tuple(sorted(els, key=lambda p: p.sort_key()))
-            self._element_set = frozenset(self._elements)
+            self._elements = _canonical_order(self._enumerate(cap), self.degree)
         elif len(self._elements) > cap:
             raise CapExceeded(
                 f"{self.name} has {len(self._elements)} elements, past cap {cap}"
@@ -137,7 +136,9 @@ class FiniteGroup:
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:
-        self.elements(cap)
+        els = self.elements(cap)
+        if self._element_set is None:
+            self._element_set = frozenset(els)
         return self._element_set
 
     def _enumerate(self, cap):
@@ -165,8 +166,13 @@ class FiniteGroup:
         return _closure(self.generators, m, cap, self.name)
 
     def __contains__(self, x) -> bool:
+        """Membership; structural for S_m and A_m, which are never enumerated here."""
         if not isinstance(x, Permutation) or len(x) != self.degree:
             return False
+        if self.kind == "symmetric":
+            return set(x) == set(range(self.degree))
+        if self.kind == "alternating":
+            return set(x) == set(range(self.degree)) and is_even(x)
         return x in self.element_set()
 
     # -- conjugacy classes -------------------------------------------------
@@ -267,6 +273,30 @@ def _cycle(m, points):
     for k, p in enumerate(points):
         images[p] = points[(k + 1) % len(points)]
     return Permutation(images)
+
+
+def _canonical_order(els, degree) -> tuple[Permutation, ...]:
+    """``sorted(els, key=Permutation.sort_key)`` without a key per element.
+
+    Elements with equal support share a fixed-point indicator (one byte per
+    point, 1 where fixed).  At equal support size, supports compare as the
+    indicators do: at the first point where they differ, the support that
+    moves it is the smaller one.  So the buckets are ordered by (support
+    size, indicator) and each bucket by its images.
+    """
+    points = range(degree)
+    buckets = {}
+    for p in els:
+        fixed = bytes(map(eq, p, points))
+        bucket = buckets.get(fixed)
+        if bucket is None:
+            buckets[fixed] = [p]
+        else:
+            bucket.append(p)
+    out = []
+    for fixed in sorted(buckets, key=lambda b: (degree - sum(b), b)):
+        out.extend(sorted(buckets[fixed]))
+    return tuple(out)
 
 
 def _check_factorial_cap(m, divisor, cap, name):

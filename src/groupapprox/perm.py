@@ -69,10 +69,6 @@ class Permutation(tuple):
             return result
         return NotImplemented
 
-    def apply(self, point: int) -> int:
-        """Image of a 0-based point."""
-        return self[point]
-
     def is_identity(self) -> bool:
         return self == tuple(range(len(self)))
 
@@ -137,12 +133,21 @@ def conjugate(x: Permutation, g: Permutation) -> Permutation:
 
 def parity(h: Permutation) -> str:
     """'even' or 'odd' (sign of the permutation)."""
-    transpositions = sum(len(c) - 1 for c in h.cycles())
-    return "even" if transpositions % 2 == 0 else "odd"
+    return "even" if is_even(h) else "odd"
 
 
 def is_even(h: Permutation) -> bool:
-    return parity(h) == "even"
+    """Sign +1: with c cycles, fixed points included, h is m - c transpositions."""
+    seen = [False] * len(h)
+    cycles = 0
+    for i in range(len(h)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = h[j]
+    return (len(h) - cycles) % 2 == 0
 
 
 def hamming_length(h: Permutation) -> Fraction:

@@ -4,8 +4,10 @@ class-level machinery: everything here works element by element."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product as iter_product
 
 from groupapprox.lengths import AxiomReport, AxiomViolation
+from groupapprox.words import evaluate_word
 
 
 def brute_letters(G, X):
@@ -170,3 +172,34 @@ def element_verify_axioms(ell, max_violations=20):
                     f"||h^-1 g h|| = {values[c]} != {vg}",
                 )
     return AxiomReport(valid=total == 0, violations=tuple(violations), pairs_checked=pairs)
+
+
+def satisfies(system, constants, variables, degree) -> bool:
+    """Every word of the system evaluates to the identity, by Permutation products."""
+    assignment = tuple(constants) + tuple(variables)
+    for w in system.words:
+        if not evaluate_word(w, assignment, degree).is_identity():
+            return False
+    return True
+
+
+def element_scan_constants(system, constant_tuples, els, degree, want_witnesses):
+    """The assignment scan ``equations`` ran before its compiled kernel.
+
+    Same contract as ``equations._scan_constants``: the first constant
+    tuple no variable tuple satisfies, or None and the first solution of
+    each tuple; every assignment is evaluated word by word with
+    ``evaluate_word``.
+    """
+    witnesses = []
+    for constants in constant_tuples:
+        found = None
+        for variables in iter_product(els, repeat=system.variables):
+            if satisfies(system, constants, variables, degree):
+                found = variables
+                break
+        if found is None:
+            return constants, []
+        if want_witnesses:
+            witnesses.append((constants, found))
+    return None, witnesses

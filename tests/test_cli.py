@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from groupapprox import cli, groups
 from groupapprox.report import load_report
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -165,6 +166,29 @@ class TestExitCodes:
     def test_not_enough_arguments(self):
         proc = run_cli("length")
         assert proc.returncode == 1
+
+    def test_eq_over_past_element_cap_is_exit_2(self):
+        proc = run_cli(
+            "eq-over", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn"), "--diagonal", "4"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "cap exceeded: S12 has more than 1000000 elements\n"
+        assert proc.stdout == ""
+
+    def test_eq_over_cap_trips_before_enumerating(self, monkeypatch, capsys):
+        # the factorial bound must refuse S12 before any of it is listed
+        listed = groups.iter_permutations
+
+        def small_only(points):
+            assert len(points) == 3, "the S12 target was enumerated"
+            return listed(points)
+
+        monkeypatch.setattr(groups, "iter_permutations", small_only)
+        code = cli.run(
+            ["eq-over", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn"), "--diagonal", "4"]
+        )
+        assert code == 2
+        assert "S12 has more than 1000000 elements" in capsys.readouterr().err
 
 
 class TestCertificates:

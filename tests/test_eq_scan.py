@@ -1,0 +1,126 @@
+"""Differential tests: the compiled assignment scan of ``equations`` against
+the word-by-word ``evaluate_word`` scan it replaced (conftest.py)."""
+
+import random
+
+import pytest
+from conftest import element_scan_constants
+
+from groupapprox import equations
+from groupapprox.equations import (
+    EquationSystem,
+    diagonal_embedding,
+    parse_equation_system,
+    solvable_in,
+    solvable_over_bounded,
+)
+from groupapprox.groups import FiniteGroup, cyclic
+from groupapprox.perm import parse_cycles
+from groupapprox.words import reduce_word
+
+
+def _z3_x_k4():
+    k4 = FiniteGroup.generated(
+        4, [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)], name="K4"
+    )
+    return FiniteGroup.direct_product([cyclic(3), k4])
+
+
+GROUPS = {
+    "degree 0": lambda: FiniteGroup.generated(0, []),
+    "S1": lambda: FiniteGroup.symmetric(1),
+    "S3": lambda: FiniteGroup.symmetric(3),
+    "S4": lambda: FiniteGroup.symmetric(4),
+    "A4": lambda: FiniteGroup.alternating(4),
+    "A5": lambda: FiniteGroup.alternating(5),
+    "Z3xK4": _z3_x_k4,
+}
+
+# Each key names the case its system covers; a system is scanned in every
+# group small enough for the oracle.
+FIXED = {
+    "square": "constants 1; variables 1;\nx1 x1 a1^-1\n",
+    "inverted variables": "constants 1; variables 2;\nx1 x2 x1^-1 x2^-1 a1^-1\n",
+    "adjacent and inverted constants": "constants 2; variables 1;\na2^-1 a1 x1 a1^-1 a2 a2 x1^-1\n",
+    "constants inside": "constants 2; variables 1;\nx1 a1 x1^-1 a2^-1\n",
+    "two inner blocks": "constants 2; variables 1;\nx1 a1 a2^-1 x1 a2 x1 a1\n",
+    "trivial word": "constants 1; variables 1;\n1\nx1 a1 x1^-1 a1^-1\n",
+    "no constants": "constants 0; variables 2;\nx1 x1 x2^-1\nx2 x2 x2\n",
+    "no variables": "constants 1; variables 0;\na1 a1 a1 a1 a1 a1\n",
+    "failing constant word": "constants 2; variables 1;\na1 a2 a1^-1 a2^-1\nx1 a1\n",
+    "nothing at all": "constants 0; variables 0;\n1\n",
+}
+
+
+def _seeded_system(seed, max_symbols):
+    """A random system over at most ``max_symbols`` constants plus variables."""
+    rng = random.Random(seed)
+    while True:
+        r = rng.randint(0, 2)
+        k = rng.randint(0, 2)
+        if 0 < r + k <= max_symbols:
+            break
+    words = []
+    for _ in range(rng.randint(1, 2)):
+        letters = [rng.choice((1, -1)) * rng.randint(1, r + k) for _ in range(rng.randint(0, 8))]
+        words.append(reduce_word(letters))
+    return EquationSystem(constants=r, variables=k, words=tuple(words))
+
+
+def _systems(G):
+    # keep the oracle's worst case |G|^(r + k) to a few thousand assignments
+    max_symbols = {1: 4, 6: 4, 12: 3, 24: 2, 60: 2}[G.order()]
+    out = []
+    for text in FIXED.values():
+        system = parse_equation_system(text)
+        if G.order() ** (system.constants + system.variables) <= 60**2:
+            out.append(system)
+    out += [_seeded_system(1000 * G.order() + i, max_symbols) for i in range(16)]
+    return out
+
+
+def _oracle(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(equations, "_scan_constants", element_scan_constants)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_solvable_in_matches_element_scan(name, monkeypatch):
+    G = GROUPS[name]()
+    verdicts = set()
+    for system in _systems(G):
+        for witnesses in (False, True):
+            for reduce in (False, True):
+                kw = dict(want_witnesses=witnesses, constants_up_to_conjugacy=reduce)
+                expected = _oracle(monkeypatch, solvable_in, G, system, **kw)
+                assert solvable_in(G, system, **kw) == expected, (system, kw)
+                verdicts.add(expected.verdict)
+    assert verdicts == {"solvable", "unsolvable"} or G.order() == 1
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "Z3xK4"])
+def test_parallel_scan_matches_element_scan(name, monkeypatch):
+    G = GROUPS[name]()
+    for text in ("square", "inverted variables", "adjacent and inverted constants"):
+        system = parse_equation_system(FIXED[text])
+        expected = _oracle(monkeypatch, solvable_in, G, system, want_witnesses=True)
+        assert solvable_in(G, system, want_witnesses=True, jobs=2) == expected
+
+
+@pytest.mark.parametrize("witnesses", [False, True])
+def test_solvable_over_diagonal_matches_element_scan(witnesses, monkeypatch):
+    G = GROUPS["S3"]()
+    embeddings = [diagonal_embedding(G, 2)]
+    texts = [t for t in FIXED.values() if "variables 2" not in t]
+    systems = [parse_equation_system(t) for t in texts]
+    systems += [s for s in (_seeded_system(7000 + i, 3) for i in range(40)) if s.variables < 2][:6]
+    verdicts = set()
+    for system in systems:
+        expected = _oracle(
+            monkeypatch, solvable_over_bounded, G, system, embeddings, want_witnesses=witnesses
+        )
+        got = solvable_over_bounded(G, system, embeddings, want_witnesses=witnesses)
+        assert got == expected, system
+        verdicts.add(expected.verdict)
+    assert verdicts == {"solvable", "unknown"}

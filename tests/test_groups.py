@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 from conftest import brute_consequences
 
@@ -9,7 +11,7 @@ from groupapprox.groups import (
     is_n_separated,
     quotient,
 )
-from groupapprox.perm import conjugate, cycle_string, identity, parse_cycles
+from groupapprox.perm import Permutation, conjugate, cycle_string, identity, parse_cycles
 
 
 def s(text, degree):
@@ -74,6 +76,53 @@ class TestEnumeration:
         assert s("(1 2 3)", 4) in A4
         assert s("(1 2)", 4) not in A4
         assert s("(1 2)", 3) not in A4
+
+
+class TestCanonicalOrderAndMembership:
+    @pytest.mark.parametrize(
+        "G",
+        [FiniteGroup.symmetric(m) for m in range(1, 9)]
+        + [FiniteGroup.alternating(m) for m in range(1, 9)]
+        + [
+            FiniteGroup.generated(6, [s("(1 2 3 4)(5 6)", 6), s("(1 3)", 6)]),
+            FiniteGroup.direct_product([S3, KLEIN, cyclic(2)]),
+        ],
+        ids=lambda G: G.name,
+    )
+    def test_elements_sorted_by_sort_key(self, G):
+        els = G.elements()
+        assert els == tuple(sorted(els, key=Permutation.sort_key))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_structural_membership_matches_element_set(self, m):
+        for kind in (FiniteGroup.symmetric, FiniteGroup.alternating):
+            G = kind(m)
+            els = G.element_set()
+            for images in iter_product(range(m), repeat=m):
+                x = Permutation(images)
+                assert (x in G) == (x in els), (G.name, images)
+
+    def test_membership_rejects_non_elements(self):
+        for G in (FiniteGroup.symmetric(4), FiniteGroup.alternating(4)):
+            assert Permutation((0, 0, 2, 3)) not in G
+            assert Permutation((0, 1, 2, 4)) not in G
+            assert s("(1 2 3)", 5) not in G
+            assert s("(1 2 3)", 3) not in G
+            assert (1, 2, 0, 3) not in G
+            assert [1, 2, 0, 3] not in G
+            assert "abcd" not in G
+            assert s("(1 2 3)", 4) in G
+
+    def test_symmetric_and_alternating_membership_does_not_enumerate(self):
+        for G in (FiniteGroup.symmetric(12), FiniteGroup.alternating(12)):
+            assert s("(1 2 3)(4 5 6 7 8)", 12) in G
+            assert G._elements is None
+
+    def test_element_set_is_built_on_demand(self):
+        G = FiniteGroup.symmetric(4)
+        G.elements()
+        assert G._element_set is None
+        assert G.element_set() == frozenset(G.elements())
 
 
 class TestConjugacyClasses:

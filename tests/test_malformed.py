@@ -1,9 +1,13 @@
 """Malformed input exits 1 with a positioned message, never a traceback."""
 
+import contextlib
+import io
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupapprox import cli
 from groupapprox.approximation import (
@@ -49,6 +53,23 @@ def _sofic_certificate_data():
 
 
 SOFIC_FIELDS = [key for key in _sofic_certificate_data() if key != "kind"]
+
+
+def _separate_report_text():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.run(["separate", "--group", "A4", "--X", "(1 2)(3 4)", "--Y", "(1 2 3)", "--n", "8"])
+    return out.getvalue()
+
+
+SEPARATE_REPORT = _separate_report_text()
+# the report's own characters plus ones its grammar gives meaning to
+_FUZZ_CHARS = st.sampled_from(sorted(set(SEPARATE_REPORT) | set("[]{}:-/#,.'\"\t\r0123456789"))) | st.characters()
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(("substitute", "delete", "insert")), st.integers(0, 10**4), _FUZZ_CHARS),
+    min_size=1,
+    max_size=6,
+)
 
 
 def _run(capsys, *argv):
@@ -164,3 +185,22 @@ class TestWorkerCount:
         monkeypatch.setattr("groupapprox.parallel.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         assert map_tasks(abs, [-1, 2, -3], 8) == [1, 2, 3]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EDITS)
+def test_mutated_separate_report_loads_or_raises_parse_error(edits):
+    chars = list(SEPARATE_REPORT)
+    for kind, pos, ch in edits:
+        pos %= len(chars) + 1
+        if kind == "insert":
+            chars.insert(pos, ch)
+        elif pos < len(chars):
+            if kind == "delete":
+                del chars[pos]
+            else:
+                chars[pos] = ch
+    try:
+        load_report("".join(chars))
+    except ParseError:
+        pass

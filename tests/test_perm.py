@@ -48,7 +48,7 @@ class TestCompose:
     def test_right_action_convention(self):
         # the one convention test: a acts first, so 1 -> 2 -> 3
         ab = s("(1 2)", 3) * s("(2 3)", 3)
-        assert ab.apply(0) == 2
+        assert ab[0] == 2
         assert ab == s("(1 3 2)", 3)
 
     def test_degree_mismatch(self):

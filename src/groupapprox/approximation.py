@@ -12,7 +12,9 @@ finite permutation group and one of two acceptance modes:
 
 Searches enumerate generator assignments into catalog groups in canonical
 order (so "first found" is reproducible), with the budget counted in
-candidate assignments, never wall time.
+candidate assignments, never wall time.  They test each assignment on raw
+image tuples (``words.compile_word``) and build permutations, exact
+lengths and reports for the one they return.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iter_product
+from operator import ne
 
 from .errors import BudgetExceeded, ParseError
 from .groups import (
     FiniteGroup,
     SeparationReport,
-    is_conjugation_canonical,
+    consequence_class_layers,
     is_n_separated,
 )
 from .lengths import LengthFunction
@@ -40,11 +44,14 @@ from .perm import (
 )
 from .words import (
     Word,
+    compile_word,
     concat,
     conjugate_word,
+    evaluate_compiled,
     evaluate_word,
     invert_word,
     max_symbol,
+    paired_images,
     parse_word,
     reduce_word,
 )
@@ -323,14 +330,22 @@ def search_separating_hom(
     homomorphism of the free group, so only the separation verdict is
     checked.  Raises BudgetExceeded when the assignment budget runs out
     before the space is exhausted.
+
+    The depth-n consequence layer of the inside images is a union of
+    classes that depends only on their classes, so it is formed once per
+    class set, and an outside image is tested by its class.
     """
     rank = len(p.generators)
+    inside = [compile_word(w) for w in p.inside]
+    outside = [compile_word(w) for w in p.outside]
     count = 0
     per_group = []
     for H in catalog:
         group_count = 0
-        els = H.elements()
-        for assignment in iter_product(els, repeat=rank):
+        points = tuple(range(H.degree))
+        class_of = None  # partition H only once its first assignment is in budget
+        layers = {}  # classes of the inside images -> classes of the depth-n layer
+        for combo in iter_product(paired_images(H.elements()), repeat=rank):
             count += 1
             group_count += 1
             if count > budget:
@@ -338,21 +353,32 @@ def search_separating_hom(
                     f"assignment budget {budget} exhausted",
                     stats={"assignments": count - 1, "group": H.name},
                 )
-            if prune_conjugates and not is_conjugation_canonical(assignment, els):
+            if class_of is None:
+                class_of = H.class_map()
+            if prune_conjugates and not H.is_conjugation_canonical([x for x, _ in combo]):
                 continue
-            y_images = frozenset(
-                evaluate_word(w, assignment, H.degree) for w in p.outside
-            )
-            phi_images = frozenset(
-                evaluate_word(w, assignment, H.degree) for w in p.inside
-            )
-            sep = is_n_separated(H, y_images, phi_images, n)
-            if sep.separated:
+            vals = tuple(chain.from_iterable(combo))
+            key = frozenset([class_of[evaluate_compiled(w, vals, points)] for w in inside])
+            layer = layers.get(key)
+            if layer is None:
+                reps = [H.class_representative(ci) for ci in key]
+                layer = layers[key] = consequence_class_layers(H, reps, n)[-1]
+            for w in outside:
+                if class_of[evaluate_compiled(w, vals, points)] in layer:
+                    break
+            else:
                 per_group.append((H.name, group_count))
+                assignment = tuple(x for x, _ in combo)
+                y_images = frozenset(
+                    evaluate_word(w, assignment, H.degree) for w in p.outside
+                )
+                phi_images = frozenset(
+                    evaluate_word(w, assignment, H.degree) for w in p.inside
+                )
                 return FoundHomomorphism(
                     group=H,
-                    images=tuple(assignment),
-                    separation=sep,
+                    images=assignment,
+                    separation=is_n_separated(H, y_images, phi_images, n),
                     stats=SearchStats(assignments=count, per_group=tuple(per_group)),
                 )
         per_group.append((H.name, group_count))
@@ -411,12 +437,19 @@ def search_sofic_instance(
     are amplified coordinatewise until they clear 1/2, provided every
     inside word still lands strictly below epsilon after the same
     amplification.
+
+    Lengths are tested as moved-point counts on the candidate's own
+    degree: doubling a symmetric candidate into the alternating group
+    moves twice the points of twice the degree, which leaves every
+    normalized length as it is.  The exact work is done once per distinct
+    count, and the images are doubled for the map returned.
     """
     epsilon = Fraction(epsilon)
     if len(p.outside) != 1:
         raise ValueError("sofic search needs exactly one outside word")
-    y_word = p.outside[0]
     rank = len(p.generators)
+    outside = compile_word(p.outside[0])
+    inside = [compile_word(w) for w in p.inside]
     count = 0
     per_group = []
     for H in catalog:
@@ -425,9 +458,11 @@ def search_sofic_instance(
                 f"sofic search catalogs hold symmetric or alternating groups, not {H.kind}"
             )
         group_count = 0
-        els = H.elements()
-        embed = H.kind == "symmetric"
-        for assignment in iter_product(els, repeat=rank):
+        m = H.degree
+        points = tuple(range(m))
+        exponents = {}  # points moved by the outside image -> amplification exponent
+        short = {}  # (points moved by an inside image, exponent) -> amplified < epsilon
+        for combo in iter_product(paired_images(H.elements()), repeat=rank):
             count += 1
             group_count += 1
             if count > budget:
@@ -435,32 +470,40 @@ def search_sofic_instance(
                     f"assignment budget {budget} exhausted",
                     stats={"assignments": count - 1, "group": H.name},
                 )
-            if embed:
-                images = tuple(embed_sym_in_alt(x) for x in assignment)
-                degree = 2 * H.degree
-            else:
-                images = tuple(assignment)
-                degree = H.degree
-            raw = hamming_length(evaluate_word(y_word, images, degree))
-            if raw == 0:
+            vals = tuple(chain.from_iterable(combo))
+            moved = sum(map(ne, evaluate_compiled(outside, vals, points), points))
+            if not moved:
                 continue
-            r = amplification_exponent(raw)
-            inside_raw = [
-                hamming_length(evaluate_word(w, images, degree)) for w in p.inside
-            ]
-            inside_amp = [1 - (1 - L) ** r for L in inside_raw]
-            if all(L < epsilon for L in inside_amp):
+            r = exponents.get(moved)
+            if r is None:
+                r = exponents[moved] = amplification_exponent(Fraction(moved, m))
+            for w in inside:
+                key = (sum(map(ne, evaluate_compiled(w, vals, points), points)), r)
+                ok = short.get(key)
+                if ok is None:
+                    ok = short[key] = 1 - (1 - Fraction(key[0], m)) ** r < epsilon
+                if not ok:
+                    break
+            else:
                 per_group.append((H.name, group_count))
+                embed = H.kind == "symmetric"
+                images = tuple(embed_sym_in_alt(x) if embed else x for x, _ in combo)
+                degree = 2 * m if embed else m
+                raw = Fraction(moved, m)
+                inside_amp = tuple(
+                    1 - (1 - hamming_length(evaluate_word(w, images, degree))) ** r
+                    for w in p.inside
+                )
                 return SoficCertificate(
                     group_degree=degree,
                     images=images,
                     amplification=r,
                     epsilon=epsilon,
-                    outside_word=y_word,
+                    outside_word=p.outside[0],
                     inside_words=p.inside,
                     raw_outside_length=raw,
                     amplified_outside_length=1 - (1 - raw) ** r,
-                    amplified_inside_lengths=tuple(inside_amp),
+                    amplified_inside_lengths=inside_amp,
                     stats=SearchStats(assignments=count, per_group=tuple(per_group)),
                     embedded=embed,
                 )

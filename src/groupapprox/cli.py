@@ -13,6 +13,7 @@ import os
 import shlex
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import approximation as approx
 from . import coverage, equations, lengths
@@ -45,7 +46,10 @@ def _positive_int(text):
     return jobs
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process: parsing never changes it,
+    and append options copy their default list before adding to it."""
     parser = argparse.ArgumentParser(
         prog="groupapprox",
         description="Finite-group approximation workbench (exact rational arithmetic).",

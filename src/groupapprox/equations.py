@@ -23,10 +23,10 @@ from itertools import chain
 from itertools import product as iter_product
 
 from .errors import ParseError
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, is_conjugation_canonical
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from .parallel import map_tasks, worker_count
 from .perm import Permutation, direct_sum
-from .words import Word, evaluate_word, max_symbol, parse_word, reduce_word
+from .words import Word, evaluate_word, max_symbol, paired_images, parse_word, reduce_word
 
 DEFAULT_EQ_BUDGET = 10**7
 
@@ -151,9 +151,7 @@ def solvable_in(
     constant_tuples = list(iter_product(els, repeat=system.constants))
     reason = ""
     if constants_up_to_conjugacy:
-        constant_tuples = [
-            t for t in constant_tuples if is_conjugation_canonical(t, els)
-        ]
+        constant_tuples = [t for t in constant_tuples if G.is_conjugation_canonical(t)]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
     workers = worker_count(jobs, len(constant_tuples))
     if workers > 1:
@@ -193,7 +191,7 @@ def _scan_constants(system, constant_tuples, domain, degree, want_witnesses):
     pairs.
     """
     paired = any(s < -system.constants for w in system.words for s in w)
-    items = [(x, x.inverse()) for x in domain] if paired else domain
+    items = paired_images(domain) if paired else domain
     witnesses = []
     for constants in constant_tuples:
         bound = _bind_words(system, constants, paired, degree)
@@ -370,8 +368,9 @@ class Embedding:
 
         ``cap`` bounds the enumeration of the source.  Membership in a
         symmetric or alternating target is structural, so such a target is
-        not enumerated here; its element cap applies where a scan first
-        enumerates it (``solvable_over_bounded``).  Any other target is
+        not enumerated here; ``solvable_over_bounded`` checks its element
+        cap and its scan budget against its order m! or m!/2 before listing
+        it.  Any other target is
         enumerated under the default cap by its membership test.
         """
         mapping = self.mapping()
@@ -423,12 +422,13 @@ def solvable_over_bounded(
         emb.check(cap)
         H = emb.target
         mapping = emb.mapping()
-        h_els = H.elements(cap)
+        h_order = H.order(cap)
         source_els = G.elements(cap)
-        worst = len(source_els) ** system.constants * len(h_els) ** system.variables
+        worst = len(source_els) ** system.constants * h_order ** system.variables
         if worst > budget:
             skipped.append((H.name, worst))
             continue
+        h_els = H.elements(cap)
         constant_tuples = (
             tuple(mapping[c] for c in source_constants)
             for source_constants in iter_product(source_els, repeat=system.constants)

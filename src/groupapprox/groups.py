@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
+from math import factorial
 from operator import eq
 
 from .errors import CapExceeded
@@ -49,6 +50,8 @@ class FiniteGroup:
         self._class_index = None
         self._class_reps = None
         self._class_products = {}  # (i, j) with i <= j -> frozenset of class indices
+        self._centralizers = {}  # class index -> (g, g^-1) for g centralizing its rep
+        self._positions = None  # element -> index in canonical order
 
     # -- constructors ---------------------------------------------------
 
@@ -123,6 +126,14 @@ class FiniteGroup:
         return identity(self.degree)
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
+        """|G|; structural (m!, m!/2) for S_m and A_m, past the same cap check."""
+        m = self.degree
+        if self.kind == "symmetric":
+            _check_factorial_cap(m, 1, cap, self.name)
+            return factorial(m)
+        if self.kind == "alternating":
+            _check_factorial_cap(m, 2, cap, self.name)
+            return factorial(m) // 2 if m >= 2 else 1
         return len(self.elements(cap))
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
@@ -148,11 +159,7 @@ class FiniteGroup:
             return [Permutation(p) for p in iter_permutations(range(m))]
         if self.kind == "alternating":
             _check_factorial_cap(m, 2, cap, self.name)
-            return [
-                Permutation(p)
-                for p in iter_permutations(range(m))
-                if is_even(Permutation(p))
-            ]
+            return [Permutation(p) for p in iter_permutations(range(m)) if is_even(p)]
         if self.kind == "product":
             out = []
             for combo in iter_product(*(c.elements(cap) for c in self.components)):
@@ -219,6 +226,59 @@ class FiniteGroup:
     def class_index_of(self, x: Permutation) -> int:
         self.conjugacy_classes()
         return self._class_index[x]
+
+    def class_map(self) -> dict:
+        """Element -> class index; a raw image tuple indexes it too."""
+        self.conjugacy_classes()
+        return self._class_index
+
+    def is_conjugation_canonical(self, items) -> bool:
+        """True when no simultaneous conjugate (g^-1 x g for each x, g in G) of
+        the tuple is smaller, comparing entries in canonical element order.
+
+        A conjugate that moves the first entry x is smaller iff it moves x to
+        a smaller element of its class, so x must be its class's canonical
+        representative.  Then only the centralizer of x keeps the first entry,
+        and it must not make the rest of the tuple smaller; when x is central
+        that is the same question for the rest.
+        """
+        if not items:
+            return True
+        first = items[0]
+        self.conjugacy_classes()
+        ci = self._class_index[first]
+        if first != self._class_reps[ci]:
+            return False
+        rest = items[1:]
+        if len(self._classes[ci]) == 1:
+            return self.is_conjugation_canonical(rest)
+        centralizer = self._centralizer(ci)
+        position = self._positions
+        for g, g_inv in centralizer:
+            for x in rest:
+                y = tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))  # g^-1 x g
+                if y != x:
+                    if position[y] < position[x]:
+                        return False
+                    break
+        return True
+
+    def _centralizer(self, index: int) -> tuple:
+        """(g, g^-1) for each g commuting with the representative of class
+        ``index``, memoized; also numbers the elements in canonical order."""
+        out = self._centralizers.get(index)
+        if out is None:
+            rep = self._class_reps[index]
+            els = self.elements()
+            if self._positions is None:
+                self._positions = {x: i for i, x in enumerate(els)}
+            out = tuple(
+                (g, g.inverse())
+                for g in els
+                if tuple(map(g.__getitem__, rep)) == tuple(map(rep.__getitem__, g))
+            )
+            self._centralizers[index] = out
+        return out
 
     def class_representative(self, index: int) -> Permutation:
         self.conjugacy_classes()
@@ -338,16 +398,6 @@ def cyclic(k: int, name=None) -> FiniteGroup:
     return FiniteGroup.generated(k, [gen], name=name or f"Z{k}")
 
 
-def is_conjugation_canonical(items, elements) -> bool:
-    """True when no simultaneous conjugate (g^-1 x g for each x, g in
-    elements) of the tuple has a smaller tuple of sort keys."""
-    keys = tuple(x.sort_key() for x in items)
-    for g in elements:
-        if tuple(conjugate(x, g).sort_key() for x in items) < keys:
-            return False
-    return True
-
-
 # --- consequence sets --------------------------------------------------------
 
 
@@ -423,35 +473,38 @@ def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_
         layer = nxt
 
 
+def consequence_class_layers(
+    G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP
+) -> tuple[frozenset, ...]:
+    """Class indices of the exact-depth layers 1..n of C_j(X, G); all empty if X is.
+
+    Past a period-two fixed point of ``iter_consequence_class_layers`` the
+    layers alternate, so they are padded from two depths back.
+    """
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    class_layers = []
+    for depth, layer in iter_consequence_class_layers(G, X, cap):
+        class_layers.append(layer)
+        if depth == n:
+            break
+    if not class_layers:
+        return (frozenset(),) * n
+    while len(class_layers) < n:
+        class_layers.append(class_layers[-2])
+    return tuple(class_layers)
+
+
 def consequences(G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> ConsequenceSet:
     """Exact-depth consequence set C_n(X, G); C_n(empty, G) is empty.
 
     If the identity is a member of X the layers are cumulative (the
     identity letter pads shorter products up to depth n).
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
     base = frozenset(Permutation(x) for x in X)
+    class_layers = consequence_class_layers(G, base, n, cap)
     classes = G.conjugacy_classes(cap)
-    class_layers = []
-    for depth, layer in iter_consequence_class_layers(G, base, cap):
-        if depth > n:
-            break
-        # layers may stabilize before n: the generator stops early, so pad
-        while len(class_layers) + 1 < depth:
-            class_layers.append(class_layers[-2])
-        class_layers.append(layer)
-        if depth == n:
-            break
-    while base and len(class_layers) < n:
-        # generator stopped early at a period-two fixed point
-        class_layers.append(class_layers[-2])
-    layers = tuple(
-        frozenset().union(*(classes[ci] for ci in layer)) if layer else frozenset()
-        for layer in class_layers
-    )
-    if not base:
-        layers = tuple(frozenset() for _ in range(n))
+    layers = tuple(frozenset().union(*(classes[ci] for ci in layer)) for layer in class_layers)
     return ConsequenceSet(group=G, base=base, depth=n, layers=layers)
 
 

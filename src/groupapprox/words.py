@@ -57,6 +57,28 @@ def evaluate_word(word, images, degree: int) -> Permutation:
     return identity(degree) if result is None else result
 
 
+def paired_images(domain) -> list:
+    """Each element with its inverse, so a compiled word finds either by slot."""
+    return [(x, x.inverse()) for x in domain]
+
+
+def compile_word(word) -> tuple[int, ...]:
+    """Slots of the letters in a flattened paired assignment (``paired_images``):
+    symbol i at 2(i - 1), its inverse at 2(i - 1) + 1."""
+    return tuple(2 * abs(s) - 2 + (s < 0) for s in word)
+
+
+def evaluate_compiled(slots, vals, points) -> tuple:
+    """Image tuple of a compiled word under the flattened paired assignment
+    ``vals``, composing raw tuples; ``points`` (the identity) for the empty word."""
+    if not slots:
+        return points
+    image = vals[slots[0]]
+    for k in slots[1:]:
+        image = map(vals[k].__getitem__, image)
+    return tuple(image)
+
+
 def max_symbol(word) -> int:
     return max((abs(s) for s in word), default=0)
 

@@ -3,10 +3,21 @@ class-level machinery: everything here works element by element."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
+from groupapprox.approximation import (
+    Exhausted,
+    FoundHomomorphism,
+    SearchStats,
+    SoficCertificate,
+    amplification_exponent,
+)
+from groupapprox.errors import BudgetExceeded
+from groupapprox.groups import is_n_separated
 from groupapprox.lengths import AxiomReport, AxiomViolation
+from groupapprox.perm import conjugate, embed_sym_in_alt, hamming_length
 from groupapprox.words import evaluate_word
 
 
@@ -203,3 +214,106 @@ def element_scan_constants(system, constant_tuples, els, degree, want_witnesses)
         if want_witnesses:
             witnesses.append((constants, found))
     return None, witnesses
+
+
+def is_conjugation_canonical(items, elements) -> bool:
+    """The conjugation-canonical predicate before its class-aware form: no
+    simultaneous conjugate g^-1 x g (g in elements) of the tuple has a
+    smaller tuple of sort keys."""
+    keys = tuple(x.sort_key() for x in items)
+    for g in elements:
+        if tuple(conjugate(x, g).sort_key() for x in items) < keys:
+            return False
+    return True
+
+
+def element_search_separating_hom(p, n, catalog, budget, prune_conjugates=False):
+    """The separating-hom search before its raw-tuple kernel: every
+    assignment evaluates its words with ``evaluate_word`` and runs a fresh
+    ``is_n_separated``."""
+    rank = len(p.generators)
+    count = 0
+    per_group = []
+    for H in catalog:
+        group_count = 0
+        els = H.elements()
+        for assignment in iter_product(els, repeat=rank):
+            count += 1
+            group_count += 1
+            if count > budget:
+                raise BudgetExceeded(
+                    f"assignment budget {budget} exhausted",
+                    stats={"assignments": count - 1, "group": H.name},
+                )
+            if prune_conjugates and not is_conjugation_canonical(assignment, els):
+                continue
+            y_images = frozenset(evaluate_word(w, assignment, H.degree) for w in p.outside)
+            phi_images = frozenset(evaluate_word(w, assignment, H.degree) for w in p.inside)
+            sep = is_n_separated(H, y_images, phi_images, n)
+            if sep.separated:
+                per_group.append((H.name, group_count))
+                return FoundHomomorphism(
+                    group=H,
+                    images=tuple(assignment),
+                    separation=sep,
+                    stats=SearchStats(assignments=count, per_group=tuple(per_group)),
+                )
+        per_group.append((H.name, group_count))
+    return Exhausted(stats=SearchStats(assignments=count, per_group=tuple(per_group)))
+
+
+def element_search_sofic_instance(p, epsilon, catalog, budget):
+    """The sofic search before its raw-tuple kernel: symmetric candidates
+    are doubled into the alternating group and every length is a Fraction."""
+    epsilon = Fraction(epsilon)
+    if len(p.outside) != 1:
+        raise ValueError("sofic search needs exactly one outside word")
+    y_word = p.outside[0]
+    rank = len(p.generators)
+    count = 0
+    per_group = []
+    for H in catalog:
+        if H.kind not in ("symmetric", "alternating"):
+            raise ValueError(
+                f"sofic search catalogs hold symmetric or alternating groups, not {H.kind}"
+            )
+        group_count = 0
+        els = H.elements()
+        embed = H.kind == "symmetric"
+        for assignment in iter_product(els, repeat=rank):
+            count += 1
+            group_count += 1
+            if count > budget:
+                raise BudgetExceeded(
+                    f"assignment budget {budget} exhausted",
+                    stats={"assignments": count - 1, "group": H.name},
+                )
+            if embed:
+                images = tuple(embed_sym_in_alt(x) for x in assignment)
+                degree = 2 * H.degree
+            else:
+                images = tuple(assignment)
+                degree = H.degree
+            raw = hamming_length(evaluate_word(y_word, images, degree))
+            if raw == 0:
+                continue
+            r = amplification_exponent(raw)
+            inside_raw = [hamming_length(evaluate_word(w, images, degree)) for w in p.inside]
+            inside_amp = [1 - (1 - L) ** r for L in inside_raw]
+            if all(L < epsilon for L in inside_amp):
+                per_group.append((H.name, group_count))
+                return SoficCertificate(
+                    group_degree=degree,
+                    images=images,
+                    amplification=r,
+                    epsilon=epsilon,
+                    outside_word=y_word,
+                    inside_words=p.inside,
+                    raw_outside_length=raw,
+                    amplified_outside_length=1 - (1 - raw) ** r,
+                    amplified_inside_lengths=tuple(inside_amp),
+                    stats=SearchStats(assignments=count, per_group=tuple(per_group)),
+                    embedded=embed,
+                )
+        per_group.append((H.name, group_count))
+    return Exhausted(stats=SearchStats(assignments=count, per_group=tuple(per_group)))

@@ -190,6 +190,52 @@ class TestExitCodes:
         assert code == 2
         assert "S12 has more than 1000000 elements" in capsys.readouterr().err
 
+    def test_eq_over_budget_trips_before_enumerating(self, monkeypatch, tmp_path):
+        # |S3| * |S9| = 2177280 is past the budget, known from 9! without listing S9
+        listed = groups.iter_permutations
+
+        def small_only(points):
+            assert len(points) == 3, "the S9 target was enumerated"
+            return listed(points)
+
+        monkeypatch.setattr(groups, "iter_permutations", small_only)
+        out = tmp_path / "over.report"
+        code = cli.run(
+            ["eq-over", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn"),
+             "--diagonal", "3", "--budget", "10", "--out", str(out)]
+        )
+        assert code == 2
+        result = load_report(out.read_text())["result"]
+        assert result["verdict"] == "unknown"
+        assert result["reason"].endswith("skipped over budget: S9 (scan 2177280)")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_append_options_do_not_leak_between_calls(self, tmp_path):
+        cat = tmp_path / "c.catalog"
+        cat.write_text("K4 generated 4 (1 2)(3 4), (1 3)(2 4)\n")
+        first = ["separate", "--group", "A4", "--catalog", str(cat), "--X", "(1 2)(3 4)",
+                 "--X", "(1 2 3)", "--Y", "(1 3 2)", "--Y", "(1 2 4)", "--n", "2"]
+        second = ["separate", "--group", "K4", "--catalog", str(cat),
+                  "--Y", "(1 2)(3 4)", "--n", "1"]
+
+        def emit(argv, name):
+            path = tmp_path / name
+            assert cli.run([*argv, "--out", str(path)]) == 0
+            return path.read_bytes()
+
+        alone = []
+        for k, argv in enumerate((first, second)):
+            cli._build_parser.cache_clear()
+            alone.append(emit(argv, f"alone{k}.report"))
+        cli._build_parser.cache_clear()
+        together = [emit(first, "together0.report"), emit(second, "together1.report")]
+        assert together == alone
+        assert b"(1 2 3)" not in together[1]
+
 
 class TestCertificates:
     def test_sofic_search_then_recheck(self, tmp_path):

@@ -98,6 +98,7 @@ class TestCanonicalOrderAndMembership:
         for kind in (FiniteGroup.symmetric, FiniteGroup.alternating):
             G = kind(m)
             els = G.element_set()
+            assert G.order() == len(els)
             for images in iter_product(range(m), repeat=m):
                 x = Permutation(images)
                 assert (x in G) == (x in els), (G.name, images)
@@ -114,8 +115,14 @@ class TestCanonicalOrderAndMembership:
             assert s("(1 2 3)", 4) in G
 
     def test_symmetric_and_alternating_membership_does_not_enumerate(self):
-        for G in (FiniteGroup.symmetric(12), FiniteGroup.alternating(12)):
+        for G, order in (
+            (FiniteGroup.symmetric(12), 479001600),
+            (FiniteGroup.alternating(12), 239500800),
+        ):
             assert s("(1 2 3)(4 5 6 7 8)", 12) in G
+            assert G.order(cap=10**9) == order
+            with pytest.raises(CapExceeded):
+                G.order()
             assert G._elements is None
 
     def test_element_set_is_built_on_demand(self):

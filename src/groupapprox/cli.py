@@ -36,7 +36,7 @@ MANIFEST_VERSION = 1
 
 _FILE_FLAGS = {"--system", "--catalog", "--presentation", "--certificate", "--table"}
 _OUT_FLAGS = {"--out", "--csv"}
-_JOBS_COMMANDS = {"covering-constant", "support-cover", "eq-solve"}
+_JOBS_COMMANDS = {"covering-constant", "eq-solve"}
 
 
 def _positive_int(text):
@@ -92,7 +92,6 @@ def _build_parser():
     p = add("support-cover", "fourth class power against the support of x")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x", help="one element; default sweeps all class representatives")
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("covering-constant", "empirical covering ratios over class pairs")
     p.add_argument("--m", type=int, required=True)
@@ -287,7 +286,6 @@ def _cmd_separate(args):
 
 
 def _cmd_brenner_verify(args):
-    G = coverage._alternating(args.m)
     base = [parse_cycles(t, args.m) for t in args.X]
     rep = coverage.verify_brenner_bound(args.m, base, args.n)
     data = {
@@ -313,9 +311,7 @@ def _cmd_support_cover(args):
     if args.x:
         reports = [coverage.verify_support_cover(args.m, parse_cycles(args.x, args.m))]
     else:
-        reports = list(coverage.support_cover_sweep(args.m, jobs=args.jobs))
-    # --jobs deliberately stays out of the report: replays with different
-    # worker counts must produce identical bytes
+        reports = coverage.support_cover_sweep(args.m)
     data = {
         "command": "support-cover",
         "params": {"m": args.m, "x": args.x},
@@ -341,6 +337,8 @@ def _cmd_covering_constant(args):
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(coverage.covering_csv(table))
+    # --jobs deliberately stays out of the report: replays with different
+    # worker counts must produce identical bytes
     data = {
         "command": "covering-constant",
         "params": {"m": args.m},

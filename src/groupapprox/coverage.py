@@ -9,8 +9,8 @@ empirical covering ratios.  Degrees below 5 are rejected: in A_4 the
 double-transposition class generates only the Klein subgroup, so no
 coverage statement of this shape can hold there.
 
-Sweeps over class representatives can fan out over processes; results
-are merged in representative order, so the output is independent of the
+The covering-constant sweep can fan out over processes; its rows are
+merged in representative order, so the output is independent of the
 schedule.
 """
 
@@ -28,7 +28,7 @@ from .groups import (
     iter_consequence_class_layers,
 )
 from .parallel import map_tasks
-from .perm import Permutation, cycle_string, hamming_length, is_even
+from .perm import Permutation, cycle_string, hamming_length
 
 
 @lru_cache(maxsize=None)
@@ -81,22 +81,6 @@ def _class_power_indices(G: FiniteGroup, class_index: int, power: int) -> frozen
     return layer
 
 
-def _even_support_perms(m: int, support):
-    """Nontrivial even permutations of degree m moving only the given points."""
-    import itertools
-
-    pts = tuple(sorted(support))
-    out = []
-    for images in itertools.permutations(pts):
-        full = list(range(m))
-        for p, q in zip(pts, images):
-            full[p] = q
-        h = Permutation(full)
-        if not h.is_identity() and is_even(h):
-            out.append(h)
-    return out
-
-
 @dataclass(frozen=True)
 class SupportCoverReport:
     m: int
@@ -107,13 +91,18 @@ class SupportCoverReport:
     violations: tuple[Permutation, ...]
 
 
-def verify_support_cover(m: int, x: Permutation, cap: int = DEFAULT_ELEMENT_CAP) -> SupportCoverReport:
+def verify_support_cover(m: int, x: Permutation) -> SupportCoverReport:
     """Check that the fourth power of the class of x covers its support.
 
     The target is every nontrivial even permutation supported inside
-    supp(x); each must appear as a product of exactly four conjugates of
-    x.  Requires m >= 5 (the Klein closure in A_4 is a genuine
-    counterexample to any such statement).
+    supp(x), s!/2 - 1 of them for s = |supp(x)|; each must appear as a
+    product of exactly four conjugates of x.  The targets fill exactly the
+    nontrivial classes of A_m that move at most s points: relabelling puts
+    a member of each inside supp(x), and a class that splits from S_m moves
+    m - 1 or m points, so Sym(supp(x)) then holds odd permutations and
+    meets both halves.  Only classes missing from the fourth power are
+    listed element by element.  Requires m >= 5 (the Klein closure in A_4
+    is a genuine counterexample to any such statement).
     """
     if m < 5:
         raise ValueError("support coverage requires degree >= 5")
@@ -124,16 +113,22 @@ def verify_support_cover(m: int, x: Permutation, cap: int = DEFAULT_ELEMENT_CAP)
     if x not in G:
         raise ValueError(f"{x!r} is not an element of {G.name}")
     covered = _class_power_indices(G, G.class_index_of(x), 4)
-    targets = _even_support_perms(m, x.support())
-    violations = tuple(
-        y for y in sorted(targets, key=lambda p: p.sort_key())
-        if G.class_index_of(y) not in covered
-    )
+    support = set(x.support())
+    classes = G.conjugacy_classes()
+    missing = [
+        ci for ci in range(len(classes))
+        if ci not in covered
+        and 0 < len(G.class_representative(ci).support()) <= len(support)
+    ]
+    violations = tuple(sorted(
+        (y for ci in missing for y in classes[ci] if support.issuperset(y.support())),
+        key=Permutation.sort_key,
+    ))
     return SupportCoverReport(
         m=m,
         x=x,
         power=4,
-        target_size=len(targets),
+        target_size=math.factorial(len(support)) // 2 - 1,
         holds=not violations,
         violations=violations,
     )
@@ -156,6 +151,9 @@ def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> B
 
     eps is the largest Hamming length over the base set X; every even
     permutation shorter than the threshold must lie in C_n(X, A_m).
+    Hamming length is a class function and C_n(X, A_m) a union of classes,
+    so the ball is tested one class representative at a time and only the
+    classes missing from C_n are listed element by element.
     """
     if m < 5:
         raise ValueError("coverage bounds require degree >= 5")
@@ -172,16 +170,24 @@ def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> B
             raise ValueError(f"{x!r} is not an element of {G.name}")
     eps = max(hamming_length(x) for x in base)
     threshold = Fraction(n - 1) * eps / 16
-    ball = [h for h in G.elements(cap) if hamming_length(h) < threshold]
+    G.elements(cap)  # refuses A_m past the cap before any element set is built
+    classes = G.conjugacy_classes()
+    ball = [
+        ci for ci in range(len(classes))
+        if hamming_length(G.class_representative(ci)) < threshold
+    ]
     cons = consequences(G, base, n, cap).elements
-    violations = tuple(h for h in ball if h not in cons)
+    missing = [ci for ci in ball if G.class_representative(ci) not in cons]
+    violations = tuple(sorted(
+        (h for ci in missing for h in classes[ci]), key=Permutation.sort_key
+    ))
     return BrennerReport(
         m=m,
         base=base,
         depth=n,
         epsilon=eps,
         threshold=threshold,
-        ball_size=len(ball),
+        ball_size=sum(len(classes[ci]) for ci in ball),
         holds=not violations,
         violations=violations,
     )
@@ -263,43 +269,10 @@ def _covering_rows_task(task):
     return _covering_rows(m, x_images)
 
 
-def support_cover_exhaustive(m: int) -> tuple[int, tuple[Permutation, ...]]:
-    """Check the fourth-power support cover for every nontrivial element.
-
-    Class powers are computed once per class; each element then only
-    costs the enumeration of its support targets.  Returns (elements
-    checked, violating target permutations).
-    """
-    if m < 5:
-        raise ValueError("support coverage requires degree >= 5")
-    G = _alternating(m)
-    covered_by_class = {
-        G.class_index_of(rep): _class_power_indices(G, G.class_index_of(rep), 4)
-        for rep in nontrivial_class_representatives(G)
-    }
-    checked = 0
-    violations = []
-    for x in G.elements():
-        if x.is_identity():
-            continue
-        checked += 1
-        covered = covered_by_class[G.class_index_of(x)]
-        for y in _even_support_perms(m, x.support()):
-            if G.class_index_of(y) not in covered:
-                violations.append(y)
-    return checked, tuple(violations)
-
-
-def support_cover_sweep(m: int, jobs: int = 1) -> tuple[SupportCoverReport, ...]:
+def support_cover_sweep(m: int) -> tuple[SupportCoverReport, ...]:
     """Run verify_support_cover for every nontrivial class representative."""
     G = _alternating(m)
-    reps = nontrivial_class_representatives(G)
-    return tuple(map_tasks(_support_cover_task, [(m, tuple(x)) for x in reps], jobs))
-
-
-def _support_cover_task(task):
-    m, x_images = task
-    return verify_support_cover(m, Permutation(x_images))
+    return tuple(verify_support_cover(m, x) for x in nontrivial_class_representatives(G))
 
 
 def covering_csv(table: CoveringTable) -> str:

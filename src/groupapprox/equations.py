@@ -284,10 +284,14 @@ def _first_solution(words, blocks, items, variables, paired):
 
 
 def _scan_parallel(G, system, constant_tuples, want_witnesses, workers):
-    """Partition the constant tuples; least failing index wins deterministically."""
-    gens = tuple(tuple(g) for g in G.generators)
+    """Partition the constant tuples; least failing index wins deterministically.
+
+    Each task carries the element image tuples in canonical order, so no
+    worker enumerates the group again.
+    """
+    images = tuple(map(tuple, G.elements()))
     tasks = [
-        (G.kind, G.degree, gens, system, constant_tuples[i::workers], want_witnesses)
+        (images, G.degree, system, constant_tuples[i::workers], want_witnesses)
         for i in range(workers)
     ]
     results = map_tasks(_scan_task, tasks, workers)
@@ -304,18 +308,9 @@ def _scan_parallel(G, system, constant_tuples, want_witnesses, workers):
 
 
 def _scan_task(task):
-    kind, degree, gen_images, system, chunk, want_witnesses = task
-    G = _rebuild_group(kind, degree, gen_images)
-    els = G.elements()
+    images, degree, system, chunk, want_witnesses = task
+    els = [Permutation(x) for x in images]
     return _scan_constants(system, chunk, els, degree, want_witnesses)
-
-
-def _rebuild_group(kind, degree, gen_images):
-    if kind == "symmetric":
-        return FiniteGroup.symmetric(degree)
-    if kind == "alternating":
-        return FiniteGroup.alternating(degree)
-    return FiniteGroup.generated(degree, [Permutation(g) for g in gen_images])
 
 
 @dataclass(frozen=True)

@@ -236,20 +236,41 @@ def group_to_data(G: FiniteGroup) -> dict:
 
 def group_from_data(data: dict) -> FiniteGroup:
     kind = data["kind"]
-    name = data.get("name")
+    name = _field(data, "name", str) if "name" in data else None
     if kind == "symmetric":
-        return FiniteGroup.symmetric(data["degree"], name=name)
+        return FiniteGroup.symmetric(_field(data, "degree", int), name=name)
     if kind == "alternating":
-        return FiniteGroup.alternating(data["degree"], name=name)
+        return FiniteGroup.alternating(_field(data, "degree", int), name=name)
     if kind == "generated":
-        degree = data["degree"]
-        gens = [parse_cycles(t, degree) for t in data.get("generators", [])]
-        return FiniteGroup.generated(degree, gens, name=name)
+        degree = _field(data, "degree", int)
+        texts = _field(data, "generators", list, str) if "generators" in data else []
+        return FiniteGroup.generated(degree, [parse_cycles(t, degree) for t in texts], name=name)
     if kind == "product":
-        return FiniteGroup.direct_product(
-            [group_from_data(c) for c in data["components"]], name=name
-        )
+        components = _field(data, "components", list, dict)
+        return FiniteGroup.direct_product([group_from_data(c) for c in components], name=name)
     raise ParseError(f"unknown group kind {kind!r}")
+
+
+_RATIONAL = (int, Fraction)
+_TYPE_NAMES = {
+    int: "integer", str: "string", bool: "boolean", list: "list", dict: "mapping", _RATIONAL: "rational"
+}
+
+
+def _field(data: dict, key, kind, item=None):
+    """``data[key]`` when it is a ``kind`` whose items (list entries or
+    mapping values) are each an ``item``, else a ParseError naming the field.
+    Booleans load as ``bool``, a subclass of ``int``: they pass only as bool."""
+
+    def fits(value, want):
+        return isinstance(value, want) and (want is bool or not isinstance(value, bool))
+
+    value = data[key]
+    items = () if item is None else value.values() if isinstance(value, dict) else value
+    if not fits(value, kind) or not all(fits(v, item) for v in items):
+        what = _TYPE_NAMES[kind] + (f" of {_TYPE_NAMES[item]}s" if item is not None else "")
+        raise ParseError(f"field {key!r} must be of type {what}, not {value!r}")
+    return value
 
 
 def length_table_to_data(ell) -> dict:
@@ -317,12 +338,22 @@ def certificate_to_data(cert, verdict=None) -> dict:
     return data
 
 
-def certificate_from_data(data: dict, source=None):
-    """Decode a loaded certificate report; a missing field is a ParseError."""
+def _decode(decode, data, what, source):
+    """Run a certificate decoder; a missing or mistyped field, like any
+    other ParseError it raises, is reported against the source."""
     try:
-        return _certificate_from_data(data)
+        return decode(data)
     except KeyError as exc:
-        raise ParseError(f"certificate has no {exc.args[0]!r} field", source=source) from None
+        raise ParseError(f"{what} has no {exc.args[0]!r} field", source=source) from None
+    except ParseError as exc:
+        if exc.source is not None:
+            raise
+        raise ParseError(exc.bare_message, exc.line, exc.column, source) from None
+
+
+def certificate_from_data(data: dict, source=None):
+    """Decode a loaded certificate report; a missing or mistyped field is a ParseError."""
+    return _decode(_certificate_from_data, data, "certificate", source)
 
 
 def _certificate_from_data(data):
@@ -331,33 +362,34 @@ def _certificate_from_data(data):
 
     if data.get("kind") != "approximation-certificate":
         raise ParseError("not an approximation certificate")
-    names = tuple(data["window"]["generators"].split())
-    window = window_from_texts(names, data["window"]["words"])
-    target = group_from_data(data["target"])
+    window_data = _field(data, "window", dict)
+    names = tuple(_field(window_data, "generators", str).split())
+    window = window_from_texts(names, _field(window_data, "words", list, str))
+    target = group_from_data(_field(data, "target", dict))
     degree = target.degree
-    images = tuple(parse_cycles(t, degree) for t in data["images"])
-    mode_data = data["mode"]
+    images = tuple(parse_cycles(t, degree) for t in _field(data, "images", list, str))
+    mode_data = _field(data, "mode", dict)
     if mode_data["type"] == "consequence":
-        mode = ConsequenceMode(depth=mode_data["depth"])
+        mode = ConsequenceMode(depth=_field(mode_data, "depth", int))
     elif mode_data["type"] == "metric":
-        length_data = mode_data["length"]
+        length_data = _field(mode_data, "length", dict)
         if length_data["kind"] == "hamming":
             ell = hamming(target)
         elif length_data["kind"] == "cayley-conjugation":
-            base = [parse_cycles(t, degree) for t in length_data["base"]]
-            ell = cayley_conjugation_length(target, base, length_data["scale"])
+            base = [parse_cycles(t, degree) for t in _field(length_data, "base", list, str)]
+            ell = cayley_conjugation_length(target, base, _field(length_data, "scale", int))
         elif length_data["kind"] == "table":
             values = {
                 parse_cycles(k, degree): Fraction(v)
-                for k, v in length_data["values"].items()
+                for k, v in _field(length_data, "values", dict, _RATIONAL).items()
             }
             ell = from_table(target, values)
         else:
             raise ParseError(f"unknown length kind {length_data['kind']!r}")
         mode = MetricMode(
             length=ell,
-            alpha=tuple(Fraction(a) for a in mode_data["alpha"]),
-            epsilon=Fraction(mode_data["epsilon"]),
+            alpha=tuple(Fraction(a) for a in _field(mode_data, "alpha", list, _RATIONAL)),
+            epsilon=Fraction(_field(mode_data, "epsilon", _RATIONAL)),
         )
     else:
         raise ParseError(f"unknown certificate mode {mode_data['type']!r}")
@@ -384,13 +416,8 @@ def sofic_certificate_to_data(cert) -> dict:
 
 
 def sofic_certificate_from_data(data: dict, source=None):
-    """Decode a loaded sofic certificate report; a missing field is a ParseError."""
-    try:
-        return _sofic_certificate_from_data(data)
-    except KeyError as exc:
-        raise ParseError(
-            f"sofic certificate has no {exc.args[0]!r} field", source=source
-        ) from None
+    """Decode a loaded sofic certificate report; a missing or mistyped field is a ParseError."""
+    return _decode(_sofic_certificate_from_data, data, "sofic certificate", source)
 
 
 def _sofic_certificate_from_data(data):
@@ -399,19 +426,21 @@ def _sofic_certificate_from_data(data):
 
     if data.get("kind") != "sofic-certificate":
         raise ParseError("not a sofic certificate")
-    degree = data["degree"]
-    images = tuple(parse_cycles(t, degree) for t in data["images"])
+    degree = _field(data, "degree", int)
+    images = tuple(parse_cycles(t, degree) for t in _field(data, "images", list, str))
     names = [f"g{i + 1}" for i in range(len(images))]
     return SoficCertificate(
         group_degree=degree,
         images=images,
-        amplification=data["amplification"],
-        epsilon=Fraction(data["epsilon"]),
-        outside_word=parse_word(data["outside-word"], names),
-        inside_words=tuple(parse_word(t, names) for t in data["inside-words"]),
-        raw_outside_length=Fraction(data["raw-outside-length"]),
-        amplified_outside_length=Fraction(data["amplified-outside-length"]),
-        amplified_inside_lengths=tuple(Fraction(v) for v in data["amplified-inside-lengths"]),
+        amplification=_field(data, "amplification", int),
+        epsilon=Fraction(_field(data, "epsilon", _RATIONAL)),
+        outside_word=parse_word(_field(data, "outside-word", str), names),
+        inside_words=tuple(parse_word(t, names) for t in _field(data, "inside-words", list, str)),
+        raw_outside_length=Fraction(_field(data, "raw-outside-length", _RATIONAL)),
+        amplified_outside_length=Fraction(_field(data, "amplified-outside-length", _RATIONAL)),
+        amplified_inside_lengths=tuple(
+            Fraction(v) for v in _field(data, "amplified-inside-lengths", list, _RATIONAL)
+        ),
         stats=SearchStats(assignments=0, per_group=()),
-        embedded=bool(data["embedded"]),
+        embedded=_field(data, "embedded", bool),
     )

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
+from groupapprox import coverage
 from groupapprox.approximation import (
     Exhausted,
     FoundHomomorphism,
@@ -15,9 +16,9 @@ from groupapprox.approximation import (
     amplification_exponent,
 )
 from groupapprox.errors import BudgetExceeded
-from groupapprox.groups import is_n_separated
+from groupapprox.groups import DEFAULT_ELEMENT_CAP, is_n_separated
 from groupapprox.lengths import AxiomReport, AxiomViolation
-from groupapprox.perm import conjugate, embed_sym_in_alt, hamming_length
+from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
 from groupapprox.words import evaluate_word
 
 
@@ -317,3 +318,109 @@ def element_search_sofic_instance(p, epsilon, catalog, budget):
                 )
         per_group.append((H.name, group_count))
     return Exhausted(stats=SearchStats(assignments=count, per_group=tuple(per_group)))
+
+
+def _even_support_perms(m: int, support):
+    """Nontrivial even permutations of degree m moving only the given points."""
+    import itertools
+
+    pts = tuple(sorted(support))
+    out = []
+    for images in itertools.permutations(pts):
+        full = list(range(m))
+        for p, q in zip(pts, images):
+            full[p] = q
+        h = Permutation(full)
+        if not h.is_identity() and is_even(h):
+            out.append(h)
+    return out
+
+
+def element_verify_support_cover(m, x):
+    """``coverage.verify_support_cover`` before it worked on classes: every
+    even permutation supported in supp(x) is listed, sorted and tested.
+    Reads ``coverage._class_power_indices`` by name, as the library does."""
+    if m < 5:
+        raise ValueError("support coverage requires degree >= 5")
+    x = Permutation(x)
+    if x.is_identity():
+        raise ValueError("x must be nontrivial")
+    G = coverage._alternating(m)
+    if x not in G:
+        raise ValueError(f"{x!r} is not an element of {G.name}")
+    covered = coverage._class_power_indices(G, G.class_index_of(x), 4)
+    targets = _even_support_perms(m, x.support())
+    violations = tuple(
+        y for y in sorted(targets, key=lambda p: p.sort_key())
+        if G.class_index_of(y) not in covered
+    )
+    return coverage.SupportCoverReport(
+        m=m,
+        x=x,
+        power=4,
+        target_size=len(targets),
+        holds=not violations,
+        violations=violations,
+    )
+
+
+def element_verify_brenner_bound(m, X, n, cap=DEFAULT_ELEMENT_CAP):
+    """``coverage.verify_brenner_bound`` before it worked on classes: the
+    ball is every element shorter than the threshold, each looked up in the
+    depth-n set.  Reads ``coverage.consequences`` by name, as the library
+    does."""
+    if m < 5:
+        raise ValueError("coverage bounds require degree >= 5")
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    base = tuple(sorted((Permutation(x) for x in X), key=lambda p: p.sort_key()))
+    if not base:
+        raise ValueError("base set must be nonempty")
+    G = coverage._alternating(m)
+    for x in base:
+        if x.is_identity():
+            raise ValueError("base set must not contain the identity")
+        if x not in G:
+            raise ValueError(f"{x!r} is not an element of {G.name}")
+    eps = max(hamming_length(x) for x in base)
+    threshold = Fraction(n - 1) * eps / 16
+    ball = [h for h in G.elements(cap) if hamming_length(h) < threshold]
+    cons = coverage.consequences(G, base, n, cap).elements
+    violations = tuple(h for h in ball if h not in cons)
+    return coverage.BrennerReport(
+        m=m,
+        base=base,
+        depth=n,
+        epsilon=eps,
+        threshold=threshold,
+        ball_size=len(ball),
+        holds=not violations,
+        violations=violations,
+    )
+
+
+def support_cover_exhaustive(m: int) -> tuple[int, tuple[Permutation, ...]]:
+    """Check the fourth-power support cover for every nontrivial element.
+
+    Class powers are computed once per class; each element then only
+    costs the enumeration of its support targets.  Returns (elements
+    checked, violating target permutations).
+    """
+    if m < 5:
+        raise ValueError("support coverage requires degree >= 5")
+    G = coverage._alternating(m)
+    covered_by_class = {
+        G.class_index_of(rep): coverage._class_power_indices(G, G.class_index_of(rep), 4)
+        for rep in coverage.nontrivial_class_representatives(G)
+    }
+    checked = 0
+    violations = []
+    for x in G.elements():
+        if x.is_identity():
+            continue
+        checked += 1
+        covered = covered_by_class[G.class_index_of(x)]
+        for y in _even_support_perms(m, x.support()):
+            if G.class_index_of(y) not in covered:
+                violations.append(y)
+    return checked, tuple(violations)

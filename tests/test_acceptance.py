@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
 
+from conftest import support_cover_exhaustive
+
 from groupapprox.approximation import (
     Certificate,
     ConsequenceMode,
@@ -21,11 +23,7 @@ from groupapprox.approximation import (
     check_metric_instance,
     window_from_texts,
 )
-from groupapprox.coverage import (
-    empirical_covering_constant,
-    min_consequence_depth,
-    support_cover_exhaustive,
-)
+from groupapprox.coverage import empirical_covering_constant, min_consequence_depth
 from groupapprox.equations import (
     diagonal_embedding,
     parse_equation_system,

@@ -163,6 +163,10 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "budget exceeded" in proc.stderr
 
+    def test_support_cover_has_no_jobs_flag(self, capsys):
+        assert cli.run(["support-cover", "--m", "5", "--jobs", "2"]) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_not_enough_arguments(self):
         proc = run_cli("length")
         assert proc.returncode == 1
@@ -369,6 +373,18 @@ class TestManifests:
         proc = run_cli("manifest-replay", str(manifest), "--out-dir", str(out_dir))
         assert proc.returncode == 2
         assert (out_dir / "unknown.report").exists()
+
+    def test_jobs_is_injected_only_where_it_exists(self, tmp_path):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(
+            "groupapprox-manifest 1\n"
+            "support-cover --m 5 --out support.report\n"
+            "covering-constant --m 5 --out covering.report\n"
+        )
+        out_dir = tmp_path / "o"
+        code = cli.run(["manifest-replay", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"])
+        assert code == 0
+        assert load_report((out_dir / "support.report").read_text())["result"]["all-hold"] is True
 
     def test_empty_manifest_produces_no_reports(self, tmp_path):
         manifest = tmp_path / "m.manifest"

@@ -1,12 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from conftest import brute_min_depth
+from conftest import brute_min_depth, support_cover_exhaustive
 
 from groupapprox.coverage import (
     empirical_covering_constant,
     min_consequence_depth,
-    support_cover_exhaustive,
     support_cover_sweep,
     verify_brenner_bound,
     verify_support_cover,

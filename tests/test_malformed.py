@@ -23,10 +23,12 @@ from groupapprox.lengths import hamming
 from groupapprox.parallel import map_tasks, worker_count
 from groupapprox.perm import identity, parse_cycles
 from groupapprox.report import (
+    certificate_from_data,
     certificate_to_data,
     dump_report,
     load_report,
     parse_rational,
+    sofic_certificate_from_data,
     sofic_certificate_to_data,
 )
 
@@ -63,13 +65,15 @@ def _separate_report_text():
 
 
 SEPARATE_REPORT = _separate_report_text()
-# the report's own characters plus ones its grammar gives meaning to
-_FUZZ_CHARS = st.sampled_from(sorted(set(SEPARATE_REPORT) | set("[]{}:-/#,.'\"\t\r0123456789"))) | st.characters()
-_EDITS = st.lists(
-    st.tuples(st.sampled_from(("substitute", "delete", "insert")), st.integers(0, 10**4), _FUZZ_CHARS),
-    min_size=1,
-    max_size=6,
-)
+
+
+def _edits(text):
+    """Up to six character edits, drawing the report's own characters plus
+    ones its grammar gives meaning to."""
+    grammar = set("[]{}:-/#,.'\"\t\r0123456789")
+    chars = st.sampled_from(sorted(set(text) | grammar)) | st.characters()
+    kinds = st.sampled_from(("substitute", "delete", "insert"))
+    return st.lists(st.tuples(kinds, st.integers(0, 10**4), chars), min_size=1, max_size=6)
 
 
 def _run(capsys, *argv):
@@ -116,6 +120,21 @@ def test_sofic_certificate_without_field_exits_1(field, tmp_path, capsys):
     code, err = _run(capsys, "approx-check", "--certificate", str(path))
     assert code == 1
     assert f"{path}: sofic certificate has no {field!r} field" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", "x"),
+    ("images", 7),
+    ("outside-word", 5),
+])
+def test_sofic_certificate_with_mistyped_field_exits_1(field, value, tmp_path, capsys):
+    data = _sofic_certificate_data()
+    data[field] = value
+    path = tmp_path / "sofic.report"
+    path.write_text(dump_report(data))
+    code, err = _run(capsys, "approx-check", "--certificate", str(path))
+    assert code == 1
+    assert f"{path}: field {field!r} must be of type" in err
 
 
 def test_report_with_non_integer_version_exits_1(tmp_path, capsys):
@@ -187,10 +206,8 @@ class TestWorkerCount:
         assert map_tasks(abs, [-1, 2, -3], 8) == [1, 2, 3]
 
 
-@settings(max_examples=400, deadline=None)
-@given(_EDITS)
-def test_mutated_separate_report_loads_or_raises_parse_error(edits):
-    chars = list(SEPARATE_REPORT)
+def _mutate(text, edits):
+    chars = list(text)
     for kind, pos, ch in edits:
         pos %= len(chars) + 1
         if kind == "insert":
@@ -200,7 +217,26 @@ def test_mutated_separate_report_loads_or_raises_parse_error(edits):
                 del chars[pos]
             else:
                 chars[pos] = ch
+    return "".join(chars)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edits(SEPARATE_REPORT))
+def test_mutated_separate_report_loads_or_raises_parse_error(edits):
     try:
-        load_report("".join(chars))
+        load_report(_mutate(SEPARATE_REPORT, edits))
     except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("text, decode", [
+    (_metric_certificate_text(), certificate_from_data),
+    (dump_report(_sofic_certificate_data()), sofic_certificate_from_data),
+], ids=["certificate", "sofic-certificate"])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_certificate_decodes_or_raises_parse_error(text, decode, data):
+    try:
+        decode(load_report(_mutate(text, data.draw(_edits(text)))))
+    except (ParseError, ValueError):
         pass

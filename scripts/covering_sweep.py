@@ -7,7 +7,7 @@ the length quotient ceil(|y|/|x|).  The printed maximum is the measured
 covering constant; the conventional proof technique guarantees 16, the
 sweep shows what actually happens.
 
-    python scripts/covering_sweep.py --degrees 5 6 --jobs 4 --csv out.csv
+    python scripts/covering_sweep.py --degrees 5 6 --csv out.csv
 """
 
 import argparse
@@ -20,13 +20,12 @@ from groupapprox.perm import cycle_string
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--degrees", type=int, nargs="+", default=[5, 6])
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--csv", help="append all rows to this CSV file")
     args = parser.parse_args()
 
     csv_chunks = []
     for m in args.degrees:
-        table = empirical_covering_constant(m, jobs=args.jobs)
+        table = empirical_covering_constant(m)
         print(f"A_{m}: {len(table.rows)} class pairs, max ratio {table.max_ratio}")
         worst = max(table.rows, key=lambda r: (r.ratio is None, r.ratio or 0))
         print(

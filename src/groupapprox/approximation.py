@@ -526,6 +526,8 @@ def verify_sofic_certificate(cert: SoficCertificate) -> bool:
     amp = 1 - (1 - raw) ** r
     if amp != cert.amplified_outside_length or amp < Fraction(1, 2):
         return False
+    if len(cert.inside_words) != len(cert.amplified_inside_lengths):
+        return False
     for w, stored in zip(cert.inside_words, cert.amplified_inside_lengths):
         L = hamming_length(evaluate_word(w, cert.images, degree))
         if 1 - (1 - L) ** r != stored or not stored < cert.epsilon:

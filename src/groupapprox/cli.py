@@ -36,7 +36,6 @@ MANIFEST_VERSION = 1
 
 _FILE_FLAGS = {"--system", "--catalog", "--presentation", "--certificate", "--table"}
 _OUT_FLAGS = {"--out", "--csv"}
-_JOBS_COMMANDS = {"covering-constant", "eq-solve"}
 
 
 def _positive_int(text):
@@ -95,7 +94,6 @@ def _build_parser():
 
     p = add("covering-constant", "empirical covering ratios over class pairs")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--csv", help="also write the table as CSV")
 
     p = add("axioms-check", "verify the three length-function axioms exhaustively")
@@ -333,12 +331,10 @@ def _cmd_support_cover(args):
 
 
 def _cmd_covering_constant(args):
-    table = coverage.empirical_covering_constant(args.m, jobs=args.jobs)
+    table = coverage.empirical_covering_constant(args.m)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(coverage.covering_csv(table))
-    # --jobs deliberately stays out of the report: replays with different
-    # worker counts must produce identical bytes
     data = {
         "command": "covering-constant",
         "params": {"m": args.m},
@@ -624,7 +620,7 @@ def _cmd_manifest_replay(args):
                 "every manifest step needs --out", line=ln, source=args.manifest
             )
         argv = _rewrite_paths(argv, manifest_dir, args.out_dir)
-        if args.jobs is not None and argv[0] in _JOBS_COMMANDS and "--jobs" not in argv:
+        if args.jobs is not None and argv[0] == "eq-solve" and "--jobs" not in argv:
             argv += ["--jobs", str(args.jobs)]
         code = run(argv)
         if code == 1:

@@ -8,10 +8,6 @@ radius (n-1)*eps/16 sits inside the depth-n consequence set), and tabulates
 empirical covering ratios.  Degrees below 5 are rejected: in A_4 the
 double-transposition class generates only the Klein subgroup, so no
 coverage statement of this shape can hold there.
-
-The covering-constant sweep can fan out over processes; its rows are
-merged in representative order, so the output is independent of the
-schedule.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .groups import (
     consequences,
     iter_consequence_class_layers,
 )
-from .parallel import map_tasks
 from .perm import Permutation, cycle_string, hamming_length
 
 
@@ -170,8 +165,7 @@ def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> B
             raise ValueError(f"{x!r} is not an element of {G.name}")
     eps = max(hamming_length(x) for x in base)
     threshold = Fraction(n - 1) * eps / 16
-    G.elements(cap)  # refuses A_m past the cap before any element set is built
-    classes = G.conjugacy_classes()
+    classes = G.conjugacy_classes(cap)
     ball = [
         ci for ci in range(len(classes))
         if hamming_length(G.class_representative(ci)) < threshold
@@ -223,21 +217,7 @@ def nontrivial_class_representatives(G: FiniteGroup) -> tuple[Permutation, ...]:
     return tuple(r for r in reps if not r.is_identity())
 
 
-def _covering_rows(m: int, x_images) -> list:
-    G = _alternating(m)
-    x = Permutation(x_images)
-    first = class_first_depths(G, (x,))
-    lx = hamming_length(x)
-    rows = []
-    for y in nontrivial_class_representatives(G):
-        steps = math.ceil(hamming_length(y) / lx)
-        depth = first.get(G.class_index_of(y))
-        ratio = Fraction(depth, steps) if depth is not None else None
-        rows.append((tuple(x), tuple(y), depth, steps, ratio))
-    return rows
-
-
-def empirical_covering_constant(m: int, jobs: int = 1) -> CoveringTable:
+def empirical_covering_constant(m: int) -> CoveringTable:
     """Tabulate depth / ceil(||y||/||x||) over all nontrivial class pairs.
 
     The maximum ratio is the empirical covering constant for A_m; it is
@@ -247,26 +227,17 @@ def empirical_covering_constant(m: int, jobs: int = 1) -> CoveringTable:
         raise ValueError("coverage sweeps require degree >= 5")
     G = _alternating(m)
     reps = nontrivial_class_representatives(G)
-    chunks = map_tasks(_covering_rows_task, [(m, tuple(x)) for x in reps], jobs)
     rows = []
-    for chunk in chunks:
-        for x_imgs, y_imgs, depth, steps, ratio in chunk:
-            rows.append(
-                CoveringRow(
-                    x=Permutation(x_imgs),
-                    y=Permutation(y_imgs),
-                    depth=depth,
-                    steps=steps,
-                    ratio=ratio,
-                )
-            )
+    for x in reps:
+        first = class_first_depths(G, (x,))
+        lx = hamming_length(x)
+        for y in reps:
+            steps = math.ceil(hamming_length(y) / lx)
+            depth = first.get(G.class_index_of(y))
+            ratio = Fraction(depth, steps) if depth is not None else None
+            rows.append(CoveringRow(x=x, y=y, depth=depth, steps=steps, ratio=ratio))
     ratios = [r.ratio for r in rows if r.ratio is not None]
     return CoveringTable(m=m, rows=tuple(rows), max_ratio=max(ratios) if ratios else None)
-
-
-def _covering_rows_task(task):
-    m, x_images = task
-    return _covering_rows(m, x_images)
 
 
 def support_cover_sweep(m: int) -> tuple[SupportCoverReport, ...]:

@@ -17,6 +17,7 @@ one word per line after the header.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -24,7 +25,6 @@ from itertools import product as iter_product
 
 from .errors import ParseError
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
-from .parallel import map_tasks, worker_count
 from .perm import Permutation, direct_sum
 from .words import Word, evaluate_word, max_symbol, paired_images, parse_word, reduce_word
 
@@ -283,18 +283,33 @@ def _first_solution(words, blocks, items, variables, paired):
     return None
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Processes to start for ``tasks`` independent tasks under ``--jobs``.
+
+    Rejects jobs below 1 and clamps to the CPU count and the task count,
+    so no worker is started without a task or a CPU to run it.
+    """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
 def _scan_parallel(G, system, constant_tuples, want_witnesses, workers):
     """Partition the constant tuples; least failing index wins deterministically.
 
     Each task carries the element image tuples in canonical order, so no
-    worker enumerates the group again.
+    worker enumerates the group again.  The pool is imported here, so only
+    a scan that starts one pays for loading it.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     images = tuple(map(tuple, G.elements()))
     tasks = [
         (images, G.degree, system, constant_tuples[i::workers], want_witnesses)
         for i in range(workers)
     ]
-    results = map_tasks(_scan_task, tasks, workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_scan_task, tasks))
     failing = [r[0] for r in results if r[0] is not None]
     if failing:
         least = min(failing, key=lambda t: tuple(p.sort_key() for p in t))

@@ -26,7 +26,7 @@ from math import factorial
 from operator import eq
 
 from .errors import CapExceeded
-from .perm import Permutation, conjugate, direct_sum, identity, is_even
+from .perm import Permutation, check_degree, conjugate, direct_sum, identity, is_even
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -59,6 +59,7 @@ class FiniteGroup:
     def symmetric(cls, m: int, name=None) -> "FiniteGroup":
         if m < 1:
             raise ValueError("symmetric degree must be >= 1")
+        check_degree(m)
         gens = []
         if m >= 2:
             gens.append(_transposition(m, 0, 1))
@@ -70,6 +71,7 @@ class FiniteGroup:
     def alternating(cls, m: int, name=None) -> "FiniteGroup":
         if m < 1:
             raise ValueError("alternating degree must be >= 1")
+        check_degree(m)
         gens = []
         if m >= 3:
             gens.append(_cycle(m, (0, 1, 2)))
@@ -83,6 +85,7 @@ class FiniteGroup:
 
     @classmethod
     def generated(cls, degree: int, generators, name=None) -> "FiniteGroup":
+        check_degree(degree)
         gens = []
         for g in generators:
             g = Permutation(g)
@@ -159,7 +162,15 @@ class FiniteGroup:
             return [Permutation(p) for p in iter_permutations(range(m))]
         if self.kind == "alternating":
             _check_factorial_cap(m, 2, cap, self.name)
-            return [Permutation(p) for p in iter_permutations(range(m)) if is_even(p)]
+            if m < 2:
+                return [self.identity()]
+            # Lexicographic order pairs up the permutations that share their
+            # first m - 2 images, and exactly one of each pair is even.  The
+            # first of a pair has the head's Lehmer code padded with zeros,
+            # and a permutation is even iff its Lehmer code sums to even.
+            perms = iter_permutations(range(m))
+            codes = iter_product(*map(range, range(m, 2, -1)))
+            return [Permutation(pair[sum(code) % 2]) for pair, code in zip(zip(perms, perms), codes)]
         if self.kind == "product":
             out = []
             for combo in iter_product(*(c.elements(cap) for c in self.components)):
@@ -185,9 +196,12 @@ class FiniteGroup:
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_classes(self, cap: int = DEFAULT_ELEMENT_CAP):
-        """Partition into classes; each is a frozenset, ordered by least rep."""
+        """Partition into classes; each is a frozenset, ordered by least rep.
+
+        Checks ``cap`` against the order on every call, built or cached.
+        """
+        els = self.elements(cap)
         if self._classes is None:
-            els = self.elements(cap)
             gens = self.generators or (self.identity(),)
             index = {}
             classes = []
@@ -394,6 +408,7 @@ def cyclic(k: int, name=None) -> FiniteGroup:
         raise ValueError("cyclic order must be >= 1")
     if k == 1:
         return FiniteGroup.generated(1, [], name=name or "Z1")
+    check_degree(k)
     gen = Permutation(tuple(range(1, k)) + (0,))
     return FiniteGroup.generated(k, [gen], name=name or f"Z{k}")
 
@@ -450,10 +465,10 @@ def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_
     new class can ever appear (depth-n sets grow monotonically in steps
     of two and are bounded by the group).
     """
+    G.conjugacy_classes(cap)  # refuses G past the cap before a partition is built
     letters = _letter_class_indices(G, X)
     if not letters:
         return
-    classes = G.conjugacy_classes(cap)
     layer = frozenset(letters)
     prev = None  # layer two steps back
     depth = 0
@@ -461,10 +476,6 @@ def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_
         depth += 1
         yield depth, layer
         nxt = frozenset().union(*(G.class_product(a, c) for a in letters for c in layer))
-        if sum(len(classes[ci]) for ci in nxt) > cap:
-            raise CapExceeded(
-                f"consequence layer at depth {depth + 1} passed the cap {cap}"
-            )
         if prev is not None and nxt == prev:
             # period-two fixed point: layers now alternate forever
             yield depth + 1, nxt

@@ -114,6 +114,12 @@ def permutation(images) -> Permutation:
     return Permutation(imgs)
 
 
+def check_degree(degree: int) -> None:
+    """Refuse a degree past ``DEFAULT_DEGREE_CAP`` before anything that size is allocated."""
+    if degree > DEFAULT_DEGREE_CAP:
+        raise CapExceeded(f"degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}")
+
+
 def identity(degree: int) -> Permutation:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -234,6 +240,7 @@ def parse_cycles(text: str, degree: int, line: int | None = None, source=None) -
 
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    check_degree(degree)
     images = list(range(degree))
     assigned = [False] * degree
     i = 0

@@ -3,10 +3,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from groupapprox import cli, groups
-from groupapprox.report import load_report
+import pytest
 
-MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+from groupapprox import cli, groups, perm
+from groupapprox.report import dump_report, load_report
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFESTS = ROOT / "manifests"
 
 
 def run_cli(*argv, cwd=None):
@@ -167,6 +170,10 @@ class TestExitCodes:
         assert cli.run(["support-cover", "--m", "5", "--jobs", "2"]) == 1
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
+    def test_covering_constant_has_no_jobs_flag(self, capsys):
+        assert cli.run(["covering-constant", "--m", "5", "--jobs", "2"]) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_not_enough_arguments(self):
         proc = run_cli("length")
         assert proc.returncode == 1
@@ -212,6 +219,56 @@ class TestExitCodes:
         result = load_report(out.read_text())["result"]
         assert result["verdict"] == "unknown"
         assert result["reason"].endswith("skipped over budget: S9 (scan 2177280)")
+
+
+class TestDegreeCap:
+    """A degree past the cap exits 2 before anything of that size is built;
+    the cap is lowered to 8 so that no test allocates a large degree."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(perm, "DEFAULT_DEGREE_CAP", 8)
+
+    @pytest.mark.parametrize("group", ["S9", "A9", "Z9"])
+    def test_builtin_group(self, group, capsys):
+        assert cli.run(["length", "--group", group, "--perm", "()"]) == 2
+        assert capsys.readouterr().err == "cap exceeded: degree 9 exceeds cap 8\n"
+
+    def test_brenner_degree(self, capsys):
+        assert cli.run(["brenner-verify", "--m", "9", "--X", "(1 2 3)", "--n", "1"]) == 2
+        assert "degree 9 exceeds cap 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record", ["symmetric 9", "alternating 9", "generated 9 (1 2)", "generated 9"]
+    )
+    def test_catalog_record(self, record, tmp_path, capsys):
+        catalog = tmp_path / "big.catalog"
+        catalog.write_text(f"G {record}\n")
+        code = cli.run(["length", "--group", "G", "--catalog", str(catalog), "--perm", "()"])
+        assert code == 2
+        assert "degree 9 exceeds cap 8" in capsys.readouterr().err
+
+    def test_certificate_degree(self, tmp_path, capsys):
+        cert = tmp_path / "cert.report"
+        cert.write_text(dump_report({
+            "kind": "sofic-certificate",
+            "degree": 9,
+            "images": ["(1 2 3)"],
+            "amplification": 1,
+            "epsilon": Fraction(1, 4),
+            "outside-word": "g1",
+            "inside-words": [],
+            "raw-outside-length": Fraction(1, 3),
+            "amplified-outside-length": Fraction(1, 3),
+            "amplified-inside-lengths": [],
+            "embedded": False,
+        }))
+        assert cli.run(["approx-check", "--certificate", str(cert)]) == 2
+        assert "degree 9 exceeds cap 8" in capsys.readouterr().err
+
+    def test_degree_at_the_cap_is_accepted(self, capsys):
+        assert cli.run(["length", "--group", "S8", "--perm", "(1 8)"]) == 0
+        assert load_report(capsys.readouterr().out)["result"]["value"] == Fraction(1, 4)
 
 
 class TestParserReuse:
@@ -272,6 +329,26 @@ class TestCertificates:
         check = run_cli("approx-check", "--certificate", str(cert_file))
         assert check.returncode == 0
         assert load_report(check.stdout)["result"]["holds"] is True
+
+    def test_sofic_certificate_missing_inside_lengths_fails(self, tmp_path, capsys):
+        pres = tmp_path / "two.pres"
+        pres.write_text("generators a b\noutside a\ninside b\n")
+        cat = tmp_path / "alt.catalog"
+        cat.write_text("A5 alternating 5\n")
+        out = tmp_path / "sofic.report"
+        assert cli.run([
+            "sofic-search", "--presentation", str(pres), "--eps", "1/4",
+            "--catalog", str(cat), "--out", str(out),
+        ]) == 0
+        cert_data = load_report(out.read_text())["result"]["certificate"]
+        cert_data.pop("assignments")
+        # g1 has length 3/5, past eps, but no stored length pairs with it
+        cert_data["inside-words"] = ["g1"]
+        cert_data["amplified-inside-lengths"] = []
+        cert_file = tmp_path / "cert.report"
+        cert_file.write_text(dump_report(cert_data))
+        assert cli.run(["approx-check", "--certificate", str(cert_file)]) == 0
+        assert load_report(capsys.readouterr().out)["result"]["holds"] is False
 
     def test_window_certificate_check(self, tmp_path):
         from groupapprox.approximation import Certificate, ConsequenceMode, window_from_texts
@@ -393,3 +470,38 @@ class TestManifests:
         proc = run_cli("manifest-replay", str(manifest), "--out-dir", str(out_dir))
         assert proc.returncode == 0
         assert list(out_dir.iterdir()) == []
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_process_pool(self):
+        code = (
+            "import sys, groupapprox.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestScripts:
+    def test_covering_sweep(self, tmp_path):
+        csv = tmp_path / "ratios.csv"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "covering_sweep.py"),
+             "--degrees", "5", "--csv", str(csv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("A_5: 16 class pairs, max ratio ")
+        assert csv.read_text().startswith("m,x,y,depth,steps,ratio\n5,")
+
+    def test_sofic_demo(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "sofic_demo.py")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("order-two quotient instance:\n")

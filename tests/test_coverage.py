@@ -128,11 +128,6 @@ class TestCoveringTable:
         assert table.holds_within(16)
         assert table.max_ratio is not None
 
-    def test_jobs_do_not_change_the_table(self):
-        assert empirical_covering_constant(5, jobs=1) == empirical_covering_constant(
-            5, jobs=3
-        )
-
     def test_small_degree_rejected(self):
         with pytest.raises(ValueError):
             empirical_covering_constant(4)

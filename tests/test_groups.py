@@ -1,3 +1,4 @@
+from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 import pytest
@@ -11,7 +12,14 @@ from groupapprox.groups import (
     is_n_separated,
     quotient,
 )
-from groupapprox.perm import Permutation, conjugate, cycle_string, identity, parse_cycles
+from groupapprox.perm import (
+    Permutation,
+    conjugate,
+    cycle_string,
+    identity,
+    is_even,
+    parse_cycles,
+)
 
 
 def s(text, degree):
@@ -67,6 +75,12 @@ class TestEnumeration:
             FiniteGroup.symmetric(10).elements(cap=1000)
         with pytest.raises(CapExceeded):
             FiniteGroup.generated(6, [s("(1 2)", 6), s("(1 2 3 4 5 6)", 6)]).elements(cap=10)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_alternating_matches_the_parity_filter(self, m):
+        els = FiniteGroup.alternating(m).elements()
+        assert len(els) == len(set(els))
+        assert set(els) == {Permutation(p) for p in iter_permutations(range(m)) if is_even(p)}
 
     def test_canonical_order_starts_small(self):
         names = [cycle_string(x) for x in S3.elements()]
@@ -161,6 +175,12 @@ class TestConsequences:
         cons = consequences(S3, [], 3)
         assert cons.elements == frozenset()
         assert cons.layer_sizes == (0, 0, 0)
+
+    def test_partitioned_group_still_refuses_a_cap_below_its_order(self):
+        G = FiniteGroup.alternating(5)
+        G.conjugacy_classes()
+        with pytest.raises(CapExceeded, match="A5 has 60 elements, past cap 10"):
+            consequences(G, [s("(1 2 3)", 5)], 1, cap=10)
 
     def test_transposition_class_at_depth_one(self):
         cons = consequences(S3, [s("(1 2)", 3)], 1)

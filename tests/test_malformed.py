@@ -17,10 +17,10 @@ from groupapprox.approximation import (
     search_sofic_instance,
     window_from_texts,
 )
+from groupapprox.equations import parse_equation_system, solvable_in, worker_count
 from groupapprox.errors import ParseError
 from groupapprox.groups import FiniteGroup
 from groupapprox.lengths import hamming
-from groupapprox.parallel import map_tasks, worker_count
 from groupapprox.perm import identity, parse_cycles
 from groupapprox.report import (
     certificate_from_data,
@@ -201,9 +201,13 @@ class TestWorkerCount:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr("groupapprox.parallel.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert map_tasks(abs, [-1, 2, -3], 8) == [1, 2, 3]
+        G = FiniteGroup.symmetric(3)
+        system = parse_equation_system((MANIFESTS / "sq.eqn").read_text())
+        assert solvable_in(G, system, want_witnesses=True, jobs=8) == solvable_in(
+            G, system, want_witnesses=True
+        )
 
 
 def _mutate(text, edits):

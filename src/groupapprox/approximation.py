@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from itertools import product as iter_product
 from operator import ne
@@ -82,7 +83,12 @@ class Window:
         return self.words.index(())
 
     def products(self) -> tuple[tuple[int, int, int], ...]:
-        """Triples (i, j, k) with words[i] * words[j] reducing to words[k]."""
+        """Triples (i, j, k) with words[i] * words[j] reducing to words[k],
+        formed on the first call and kept by the window."""
+        return self._products
+
+    @cached_property
+    def _products(self):
         index = {w: i for i, w in enumerate(self.words)}
         out = []
         for i, a in enumerate(self.words):

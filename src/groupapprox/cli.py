@@ -12,7 +12,6 @@ import argparse
 import os
 import shlex
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import approximation as approx
@@ -24,6 +23,7 @@ from .perm import cycle_string, hamming_length, parse_cycles
 from .report import (
     certificate_from_data,
     dump_report,
+    length_table_from_data,
     load_report,
     parse_rational,
     sofic_certificate_from_data,
@@ -237,6 +237,7 @@ def _cmd_consequences(args):
     G = _get_group(args)
     base = _parse_elements(args.X, G, "--X")
     cons = consequences(G, base, args.n, cap=args.cap)
+    sizes = cons.layer_sizes
     data = {
         "command": "consequences",
         "params": {
@@ -246,12 +247,10 @@ def _cmd_consequences(args):
             "cap": args.cap,
         },
         "result": {
-            "layer-sizes": list(cons.layer_sizes),
-            "depth-size": len(cons.elements),
+            "layer-sizes": list(sizes),
+            "depth-size": sizes[-1],
             "cumulative-size": len(cons.cumulative),
-            "elements": _sorted_cycles(cons.elements)
-            if len(cons.elements) <= 1000
-            else [],
+            "elements": _sorted_cycles(cons.elements) if sizes[-1] <= 1000 else [],
         },
     }
     _emit(args, data)
@@ -368,13 +367,7 @@ def _cmd_axioms_check(args):
         if not args.table:
             raise ParseError("table length needs --table FILE")
         table_data = load_report(_read(args.table), source=args.table)
-        if table_data.get("kind") != "length-table":
-            raise ParseError("not a length-table report", source=args.table)
-        values = {
-            parse_cycles(k, G.degree): Fraction(v)
-            for k, v in table_data["values"].items()
-        }
-        ell = lengths.from_table(G, values)
+        ell = length_table_from_data(table_data, G, source=args.table)
     rep = lengths.verify_axioms(ell, cap=args.cap)
     data = {
         "command": "axioms-check",

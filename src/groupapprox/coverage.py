@@ -20,6 +20,7 @@ from functools import lru_cache
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     FiniteGroup,
+    class_first_depths,
     consequences,
     iter_consequence_class_layers,
 )
@@ -52,18 +53,6 @@ def min_consequence_depth(
         if target in layer:
             return depth
     return None
-
-
-def class_first_depths(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_CAP) -> dict:
-    """First depth at which each conjugacy class enters C_n(X, G).
-
-    Runs until the layers stabilize, so absent classes are absent forever.
-    """
-    first = {}
-    for depth, layer in iter_consequence_class_layers(G, X, cap):
-        for ci in layer:
-            first.setdefault(ci, depth)
-    return first
 
 
 def _class_power_indices(G: FiniteGroup, class_index: int, power: int) -> frozenset:
@@ -170,8 +159,8 @@ def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> B
         ci for ci in range(len(classes))
         if hamming_length(G.class_representative(ci)) < threshold
     ]
-    cons = consequences(G, base, n, cap).elements
-    missing = [ci for ci in ball if G.class_representative(ci) not in cons]
+    depth_n = consequences(G, base, n, cap).class_layers[-1]
+    missing = [ci for ci in ball if ci not in depth_n]
     violations = tuple(sorted(
         (h for ci in missing for h in classes[ci]), key=Permutation.sort_key
     ))

@@ -237,13 +237,19 @@ class FiniteGroup:
         classes = self.conjugacy_classes(cap)
         return classes[self._class_index[x]]
 
+    def _partition(self) -> tuple:
+        """The class partition; once built it is read without a cap check,
+        as its builder checked its own cap, which may exceed the default."""
+        if self._classes is None:
+            self.conjugacy_classes()
+        return self._classes
+
     def class_index_of(self, x: Permutation) -> int:
-        self.conjugacy_classes()
-        return self._class_index[x]
+        return self.class_map()[x]
 
     def class_map(self) -> dict:
         """Element -> class index; a raw image tuple indexes it too."""
-        self.conjugacy_classes()
+        self._partition()
         return self._class_index
 
     def is_conjugation_canonical(self, items) -> bool:
@@ -259,8 +265,7 @@ class FiniteGroup:
         if not items:
             return True
         first = items[0]
-        self.conjugacy_classes()
-        ci = self._class_index[first]
+        ci = self.class_map()[first]
         if first != self._class_reps[ci]:
             return False
         rest = items[1:]
@@ -283,7 +288,7 @@ class FiniteGroup:
         out = self._centralizers.get(index)
         if out is None:
             rep = self._class_reps[index]
-            els = self.elements()
+            els = self._elements  # built with the partition
             if self._positions is None:
                 self._positions = {x: i for i, x in enumerate(els)}
             out = tuple(
@@ -295,7 +300,7 @@ class FiniteGroup:
         return out
 
     def class_representative(self, index: int) -> Permutation:
-        self.conjugacy_classes()
+        self._partition()
         return self._class_reps[index]
 
     def class_product(self, i: int, j: int) -> frozenset:
@@ -307,7 +312,7 @@ class FiniteGroup:
         key = (i, j) if i <= j else (j, i)
         out = self._class_products.get(key)
         if out is None:
-            classes = self.conjugacy_classes()
+            classes = self._partition()
             index, reps = self._class_index, self._class_reps
             if len(classes[i]) <= len(classes[j]):
                 out = frozenset(index[x * reps[j]] for x in classes[i])
@@ -420,7 +425,8 @@ def cyclic(k: int, name=None) -> FiniteGroup:
 class ConsequenceSet:
     """Exact-depth n-fold product of conjugates of a base set (or inverses).
 
-    ``layers[j-1]`` is the depth-j set; ``elements`` is the depth-n set.
+    ``class_layers[j-1]`` holds the class indices of the depth-j set; the
+    element views, formed when read, are ``layers`` and ``elements`` (depth n).
     The cumulative union over depths 1..n is reported separately because
     exact depth surfaces parity artifacts that the union would hide.
     """
@@ -428,22 +434,28 @@ class ConsequenceSet:
     group: FiniteGroup
     base: frozenset
     depth: int
-    layers: tuple[frozenset, ...]
+    class_layers: tuple[frozenset, ...]
+
+    def _union(self, class_indices) -> frozenset:
+        classes = self.group._partition()
+        return frozenset().union(*(classes[ci] for ci in class_indices))
+
+    @property
+    def layers(self) -> tuple[frozenset, ...]:
+        return tuple(map(self._union, self.class_layers))
 
     @property
     def elements(self) -> frozenset:
-        return self.layers[-1] if self.layers else frozenset()
+        return self._union(self.class_layers[-1])
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(l) for l in self.layers)
+        classes = self.group._partition()
+        return tuple(sum(len(classes[ci]) for ci in l) for l in self.class_layers)
 
     @property
     def cumulative(self) -> frozenset:
-        out = set()
-        for l in self.layers:
-            out |= l
-        return frozenset(out)
+        return self._union(frozenset().union(*self.class_layers))
 
 
 def _letter_class_indices(G: FiniteGroup, X) -> tuple[int, ...]:
@@ -513,10 +525,20 @@ def consequences(G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> C
     identity letter pads shorter products up to depth n).
     """
     base = frozenset(Permutation(x) for x in X)
-    class_layers = consequence_class_layers(G, base, n, cap)
-    classes = G.conjugacy_classes(cap)
-    layers = tuple(frozenset().union(*(classes[ci] for ci in layer)) for layer in class_layers)
-    return ConsequenceSet(group=G, base=base, depth=n, layers=layers)
+    layers = consequence_class_layers(G, base, n, cap)
+    return ConsequenceSet(group=G, base=base, depth=n, class_layers=layers)
+
+
+def class_first_depths(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_CAP) -> dict:
+    """First depth at which each conjugacy class enters C_n(X, G).
+
+    Runs until the layers stabilize, so absent classes are absent forever.
+    """
+    first = {}
+    for depth, layer in iter_consequence_class_layers(G, X, cap):
+        for ci in layer:
+            first.setdefault(ci, depth)
+    return first
 
 
 @dataclass(frozen=True)
@@ -545,18 +567,19 @@ class SeparationReport:
 
 def is_n_separated(G: FiniteGroup, Y, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> SeparationReport:
     """Check Y against the depth-n consequence set of X in G."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
     y_set = frozenset(Permutation(y) for y in Y)
     for y in y_set:
         if y not in G:
             raise ValueError(f"{y!r} is not an element of {G.name}")
     cons = consequences(G, X, n, cap)
+    class_of = G.class_map()
+    y_classes = {y: class_of[y] for y in y_set}
+    layers = cons.class_layers
     violated = tuple(
-        j for j, layer in enumerate(cons.layers, start=1) if y_set & layer
+        j for j, layer in enumerate(layers, start=1) if not layer.isdisjoint(y_classes.values())
     )
-    hits = y_set & cons.elements
-    witness = min(hits, key=lambda p: p.sort_key()) if hits else None
+    hits = [y for y, ci in y_classes.items() if ci in layers[-1]]
+    witness = min(hits, key=Permutation.sort_key) if hits else None
     return SeparationReport(
         separated=not hits,
         depth=n,

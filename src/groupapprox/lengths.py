@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, _letter_class_indices
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, class_first_depths
 from .perm import Permutation, conjugate, hamming_length
 
 
@@ -69,41 +69,21 @@ def cayley_conjugation_length(
 
     The alphabet is every conjugate of an element of X or of an inverse,
     so it is closed under conjugation and the resulting function is
-    invariant by construction.  Unreachable elements sit at the clamp
+    invariant by construction.  The words of length j make up C_j(X, G),
+    a union of classes, so d(1, h) is the first depth of h's class; the
+    identity is at distance 0.  Unreachable elements sit at the clamp
     value 1.  Elements of X themselves get 1/n (they are single letters),
     and anything n-separated from X gets 1.
     """
     if n < 1:
         raise ValueError("scale must be >= 1")
     base = frozenset(Permutation(x) for x in X)
-    letter_classes = _letter_class_indices(G, base)
-    classes = G.conjugacy_classes(cap)
-    alphabet = []
-    for ci in letter_classes:
-        alphabet.extend(classes[ci])
-    start = G.identity()
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for h in frontier:
-            for a in alphabet:
-                t = h * a
-                if t not in dist:
-                    dist[t] = d
-                    nxt.append(t)
-        frontier = nxt
-    values = {}
-    for h in G.elements(cap):
-        if h in dist:
-            values[h] = min(Fraction(dist[h], n), Fraction(1))
-        else:
-            values[h] = Fraction(1)
-    return LengthFunction(
-        G, "cayley-conjugation", values=values, params={"base": base, "scale": n}
-    )
+    one = Fraction(1)
+    scaled = {ci: min(Fraction(d, n), one) for ci, d in class_first_depths(G, base, cap).items()}
+    class_of = G.class_map()
+    values = {h: scaled.get(class_of[h], one) for h in G.elements(cap)}
+    values[G.identity()] = Fraction(0)
+    return LengthFunction(G, "cayley-conjugation", values=values, params={"base": base, "scale": n})
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,20 @@ def length_table_to_data(ell) -> dict:
     }
 
 
+def length_table_from_data(data: dict, group: FiniteGroup, source=None):
+    """Table length function on ``group`` from a loaded length-table report."""
+    if data.get("kind") != "length-table":
+        raise ParseError("not a length-table report", source=source)
+    return _decode(lambda d: _table_length(d, group), data, "length table", source)
+
+
+def _table_length(data, group):
+    from .lengths import from_table
+
+    values = _field(data, "values", dict, _RATIONAL).items()
+    return from_table(group, {parse_cycles(k, group.degree): Fraction(v) for k, v in values})
+
+
 def certificate_to_data(cert, verdict=None) -> dict:
     """Serialize an approximation certificate for later re-verification.
 
@@ -358,7 +372,7 @@ def certificate_from_data(data: dict, source=None):
 
 def _certificate_from_data(data):
     from .approximation import Certificate, ConsequenceMode, MetricMode, window_from_texts
-    from .lengths import cayley_conjugation_length, from_table, hamming
+    from .lengths import cayley_conjugation_length, hamming
 
     if data.get("kind") != "approximation-certificate":
         raise ParseError("not an approximation certificate")
@@ -379,11 +393,7 @@ def _certificate_from_data(data):
             base = [parse_cycles(t, degree) for t in _field(length_data, "base", list, str)]
             ell = cayley_conjugation_length(target, base, _field(length_data, "scale", int))
         elif length_data["kind"] == "table":
-            values = {
-                parse_cycles(k, degree): Fraction(v)
-                for k, v in _field(length_data, "values", dict, _RATIONAL).items()
-            }
-            ell = from_table(target, values)
+            ell = _table_length(length_data, target)
         else:
             raise ParseError(f"unknown length kind {length_data['kind']!r}")
         mode = MetricMode(

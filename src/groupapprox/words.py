@@ -91,18 +91,15 @@ def parse_word(text: str, names, line=None, source=None) -> Word:
         return ()
     symbols = []
     for col, tok in _tokens(text):
-        name, _, exp_text = tok.partition("^")
+        name, caret, exp_text = tok.partition("^")
         if name not in index:
             raise ParseError(f"unknown symbol {name!r}", line=line, column=col, source=source)
-        if exp_text:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ParseError(
-                    f"bad exponent {exp_text!r} on {name!r}", line=line, column=col, source=source
-                )
-        else:
-            exp = 1
+        try:
+            exp = int(exp_text) if caret else 1
+        except ValueError:
+            raise ParseError(
+                f"bad exponent {exp_text!r} on {name!r}", line=line, column=col, source=source
+            )
         s = index[name]
         symbols.extend([s if exp > 0 else -s] * abs(exp))
     return reduce_word(symbols)

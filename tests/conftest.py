@@ -16,7 +16,7 @@ from groupapprox.approximation import (
     amplification_exponent,
 )
 from groupapprox.errors import BudgetExceeded
-from groupapprox.groups import DEFAULT_ELEMENT_CAP, is_n_separated
+from groupapprox.groups import DEFAULT_ELEMENT_CAP, SeparationReport, consequences, is_n_separated
 from groupapprox.lengths import AxiomReport, AxiomViolation
 from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
 from groupapprox.words import evaluate_word
@@ -76,6 +76,24 @@ def brute_cayley_distances(G, X):
                     nxt.append(t)
         frontier = nxt
     return dist
+
+
+def element_is_n_separated(G, Y, X, n, cap=DEFAULT_ELEMENT_CAP):
+    """``is_n_separated`` before it worked on class indices: Y is
+    intersected with every element layer of the consequence set."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    y_set = frozenset(Permutation(y) for y in Y)
+    for y in y_set:
+        if y not in G:
+            raise ValueError(f"{y!r} is not an element of {G.name}")
+    cons = consequences(G, X, n, cap)
+    violated = tuple(j for j, layer in enumerate(cons.layers, start=1) if y_set & layer)
+    hits = y_set & cons.elements
+    witness = min(hits, key=lambda p: p.sort_key()) if hits else None
+    return SeparationReport(
+        separated=not hits, depth=n, witness=witness, violated_depths=violated
+    )
 
 
 def element_class_product(G, a, c):

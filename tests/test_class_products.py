@@ -10,7 +10,7 @@ from conftest import (
     element_consequence_class_layers,
 )
 
-from groupapprox import coverage
+from groupapprox import coverage, groups
 from groupapprox.coverage import _class_power_indices, empirical_covering_constant
 from groupapprox.groups import FiniteGroup, cyclic, iter_consequence_class_layers
 from groupapprox.perm import parse_cycles
@@ -72,7 +72,7 @@ def test_covering_tables_match_element_loop(m, monkeypatch):
     new = empirical_covering_constant(m)
     # the unshared element loop, exactly as the engine used to run it
     monkeypatch.setattr(
-        coverage,
+        groups,
         "iter_consequence_class_layers",
         lambda G, X, cap=None: element_consequence_class_layers(G, X),
     )

@@ -88,12 +88,15 @@ def test_brenner_violations_match(m, base, n, dropped, monkeypatch):
     the depth-n set turns that whole class into violations on both paths."""
     x = parse_cycles(base, m)
     G = coverage._alternating(m)
-    gone = G.class_of(x if dropped == "base" else G.identity())
+    dropped_element = x if dropped == "base" else G.identity()
+    gone = G.class_of(dropped_element)
+    gone_index = G.class_index_of(dropped_element)
     full = coverage.consequences
 
     def without_class(G, X, depth, cap):
         cons = full(G, X, depth, cap)
-        return dataclasses.replace(cons, layers=cons.layers[:-1] + (cons.layers[-1] - gone,))
+        last = cons.class_layers[-1] - {gone_index}
+        return dataclasses.replace(cons, class_layers=cons.class_layers[:-1] + (last,))
 
     monkeypatch.setattr(coverage, "consequences", without_class)
     rep = verify_brenner_bound(m, [x], n)

@@ -26,11 +26,13 @@ from groupapprox.report import (
     certificate_from_data,
     certificate_to_data,
     dump_report,
+    length_table_to_data,
     load_report,
     parse_rational,
     sofic_certificate_from_data,
     sofic_certificate_to_data,
 )
+from groupapprox.words import parse_word
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -135,6 +137,60 @@ def test_sofic_certificate_with_mistyped_field_exits_1(field, value, tmp_path, c
     code, err = _run(capsys, "approx-check", "--certificate", str(path))
     assert code == 1
     assert f"{path}: field {field!r} must be of type" in err
+
+
+def _drop_values(data):
+    del data["values"]
+
+
+def _list_values(data):
+    data["values"] = list(data["values"])
+
+
+def _decimal_value(data):
+    data["values"]["(1 2)"] = "0.5"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_values, "length table has no 'values' field"),
+    (_list_values, "field 'values' must be of type mapping of rationals"),
+    (_decimal_value, "field 'values' must be of type mapping of rationals"),
+])
+def test_malformed_length_table_exits_1(edit, message, tmp_path, capsys):
+    data = length_table_to_data(hamming(FiniteGroup.symmetric(3)))
+    edit(data)
+    path = tmp_path / "table.report"
+    path.write_text(dump_report(data))
+    code, err = _run(
+        capsys, "axioms-check", "--group", "S3", "--length-kind", "table", "--table", str(path)
+    )
+    assert code == 1
+    assert f"{path}: {message}" in err
+
+
+def test_dangling_caret_is_positioned():
+    with pytest.raises(ParseError, match="bad exponent '' on 'a'") as info:
+        parse_word("b a^ b", ["a", "b"], line=4)
+    assert (info.value.line, info.value.column) == (4, 3)
+
+
+def test_system_with_dangling_caret_exits_1(tmp_path, capsys):
+    path = tmp_path / "caret.eqn"
+    path.write_text("constants 1; variables 1;\nx1^ x1 a1^-1\n")
+    code, err = _run(capsys, "eq-solve", "--group", "S3", "--system", str(path))
+    assert code == 1
+    assert f"{path}:2:1: bad exponent '' on 'x1'" in err
+
+
+def test_presentation_with_dangling_caret_exits_1(tmp_path, capsys):
+    path = tmp_path / "caret.pres"
+    path.write_text("generators a b\noutside a^ b\n")
+    code, err = _run(
+        capsys, "sofic-search", "--presentation", str(path), "--eps", "1/4",
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+    )
+    assert code == 1
+    assert f"{path}:2:" in err and "bad exponent '' on 'a'" in err
 
 
 def test_report_with_non_integer_version_exits_1(tmp_path, capsys):

@@ -247,7 +247,8 @@ def parse_presentation(text: str, source=None) -> Presentation:
                 raise ParseError(
                     "generators must be declared before words", line=ln, source=source
                 )
-            word = parse_word(rest, generators, line=ln, source=source)
+            column = len(raw) - len(raw.lstrip()) + len(keyword) + 2  # 1-based, of rest in raw
+            word = parse_word(rest, generators, line=ln, source=source, column=column)
             {"relator": relators, "inside": inside, "outside": outside}[keyword].append(word)
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=ln, source=source)

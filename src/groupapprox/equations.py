@@ -66,7 +66,8 @@ def parse_equation_system(text: str, source=None) -> EquationSystem:
     words = []
     names = None
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        text = raw.split("#", 1)[0]
+        line = text.strip()
         if not line:
             continue
         if header is None:
@@ -81,7 +82,7 @@ def parse_equation_system(text: str, source=None) -> EquationSystem:
                 + [f"x{j + 1}" for j in range(header[1])]
             )
             continue
-        words.append(parse_word(line, names, line=ln, source=source))
+        words.append(parse_word(text, names, line=ln, source=source))
     if header is None:
         raise ParseError("missing system header", line=1, source=source)
     if not words:
@@ -187,8 +188,9 @@ def _scan_constants(system, constant_tuples, domain, degree, want_witnesses):
     of every tuple.  The words are bound once per constant tuple
     (``_bind_words``), and each assignment is tested by composing raw image
     tuples with ``map``.  When some variable appears inverted, the domain
-    is paired with its inverses once and an assignment is the flattened
-    pairs.
+    is paired with its inverses (``paired_images``) and an assignment is
+    the flattened pairs.  ``domain`` is rescanned for every constant tuple,
+    so a streamed domain must be re-iterable, never a one-shot iterator.
     """
     paired = any(s < -system.constants for w in system.words for s in w)
     items = paired_images(domain) if paired else domain
@@ -264,8 +266,13 @@ def _bind_words(system, constants, paired, degree):
 
 
 def _first_solution(words, blocks, items, variables, paired):
-    """First variable tuple over ``items`` satisfying every bound word, or None."""
-    for combo in iter_product(items, repeat=variables):
+    """First variable tuple over ``items`` satisfying every bound word, or None.
+
+    One variable walks ``items`` itself: ``iter_product`` would first copy a
+    streamed domain into a tuple.
+    """
+    combos = zip(items) if variables == 1 else iter_product(items, repeat=variables)
+    for combo in combos:
         vals = (tuple(chain.from_iterable(combo)) if paired else combo) + blocks
         for first, steps, target in words:
             image = vals[first]
@@ -379,8 +386,8 @@ class Embedding:
         ``cap`` bounds the enumeration of the source.  Membership in a
         symmetric or alternating target is structural, so such a target is
         not enumerated here; ``solvable_over_bounded`` checks its element
-        cap and its scan budget against its order m! or m!/2 before listing
-        it.  Any other target is
+        cap and its scan budget against its order m! or m!/2 before
+        scanning it.  Any other target is
         enumerated under the default cap by its membership test.
         """
         mapping = self.mapping()
@@ -438,13 +445,15 @@ def solvable_over_bounded(
         if worst > budget:
             skipped.append((H.name, worst))
             continue
-        h_els = H.elements(cap)
+        # Canonical order only fixes which solution is reported first, so a
+        # witness-free scan streams S_m and A_m instead of listing them.
+        domain = H.elements(cap) if want_witnesses else H.iter_elements(cap)
         constant_tuples = (
             tuple(mapping[c] for c in source_constants)
             for source_constants in iter_product(source_els, repeat=system.constants)
         )
         failing, witnesses = _scan_constants(
-            system, constant_tuples, h_els, H.degree, want_witnesses
+            system, constant_tuples, domain, H.degree, want_witnesses
         )
         if failing is None:
             return SolvabilityReport(
@@ -452,7 +461,7 @@ def solvable_over_bounded(
                 witnesses=tuple(witnesses) if want_witnesses else (),
                 reason=f"witnessed inside {H.name}",
                 constants_domain=len(source_els) ** system.constants,
-                variables_domain=len(h_els) ** system.variables,
+                variables_domain=h_order ** system.variables,
                 budget=budget,
             )
     reason = "no supplied overgroup witnessed solvability"

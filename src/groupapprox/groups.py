@@ -150,27 +150,36 @@ class FiniteGroup:
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:
-        els = self.elements(cap)
+        self.elements(cap)
+        return self._members()
+
+    def _members(self) -> frozenset:
+        """The element set; once the elements are built it is read without a
+        cap check, as their builder checked its own cap, which may exceed the
+        default."""
         if self._element_set is None:
-            self._element_set = frozenset(els)
+            if self._elements is None:
+                self.elements()
+            self._element_set = frozenset(self._elements)
         return self._element_set
+
+    def iter_elements(self, cap: int = DEFAULT_ELEMENT_CAP):
+        """Every element once, for a scan whose outcome does not depend on order.
+
+        ``S_m`` and ``A_m`` come in lexicographic image order from a
+        re-iterable view that generates them afresh on each ``iter()`` and
+        never lists them; any other group gives its canonical ``elements``.
+        The cap is checked against the order first either way.
+        """
+        self.order(cap)
+        if self.kind in ("symmetric", "alternating"):
+            return _Lexicographic(self.degree, even=self.kind == "alternating")
+        return self.elements(cap)
 
     def _enumerate(self, cap):
         m = self.degree
-        if self.kind == "symmetric":
-            _check_factorial_cap(m, 1, cap, self.name)
-            return [Permutation(p) for p in iter_permutations(range(m))]
-        if self.kind == "alternating":
-            _check_factorial_cap(m, 2, cap, self.name)
-            if m < 2:
-                return [self.identity()]
-            # Lexicographic order pairs up the permutations that share their
-            # first m - 2 images, and exactly one of each pair is even.  The
-            # first of a pair has the head's Lehmer code padded with zeros,
-            # and a permutation is even iff its Lehmer code sums to even.
-            perms = iter_permutations(range(m))
-            codes = iter_product(*map(range, range(m, 2, -1)))
-            return [Permutation(pair[sum(code) % 2]) for pair, code in zip(zip(perms, perms), codes)]
+        if self.kind in ("symmetric", "alternating"):
+            return list(self.iter_elements(cap))
         if self.kind == "product":
             out = []
             for combo in iter_product(*(c.elements(cap) for c in self.components)):
@@ -191,7 +200,7 @@ class FiniteGroup:
             return set(x) == set(range(self.degree))
         if self.kind == "alternating":
             return set(x) == set(range(self.degree)) and is_even(x)
-        return x in self.element_set()
+        return x in self._members()
 
     # -- conjugacy classes -------------------------------------------------
 
@@ -339,6 +348,30 @@ class FiniteGroup:
         comp = self.components[block]
         off = offs[block]
         return Permutation(x[off + i] - off for i in range(comp.degree))
+
+
+class _Lexicographic:
+    """The elements of ``S_m``, or of ``A_m`` when ``even``, in lexicographic
+    image order; each ``iter()`` generates them afresh, so the view can be
+    scanned any number of times without being listed."""
+
+    __slots__ = ("degree", "even")
+
+    def __init__(self, degree, even):
+        self.degree = degree
+        self.even = even
+
+    def __iter__(self):
+        m = self.degree
+        perms = iter_permutations(range(m))
+        if not self.even or m < 2:
+            return map(Permutation, perms)
+        # Lexicographic order pairs up the permutations that share their
+        # first m - 2 images, and exactly one of each pair is even.  The
+        # first of a pair has the head's Lehmer code padded with zeros,
+        # and a permutation is even iff its Lehmer code sums to even.
+        codes = iter_product(*map(range, range(m, 2, -1)))
+        return (Permutation(pair[sum(code) % 2]) for pair, code in zip(zip(perms, perms), codes))
 
 
 def _transposition(m, i, j):

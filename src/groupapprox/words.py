@@ -57,9 +57,28 @@ def evaluate_word(word, images, degree: int) -> Permutation:
     return identity(degree) if result is None else result
 
 
-def paired_images(domain) -> list:
-    """Each element with its inverse, so a compiled word finds either by slot."""
-    return [(x, x.inverse()) for x in domain]
+def paired_images(domain):
+    """Each element with its inverse, so a compiled word finds either by slot.
+
+    A listed domain (tuple or list) is paired once into a list.  Any other
+    domain is a re-iterable view, such as ``FiniteGroup.iter_elements`` of
+    ``S_m``; it is paired afresh on each pass and never listed.
+    """
+    if isinstance(domain, (tuple, list)):
+        return [(x, x.inverse()) for x in domain]
+    return _Paired(domain)
+
+
+class _Paired:
+    """Re-iterable pairs (x, x^-1) over a re-iterable domain."""
+
+    __slots__ = ("domain",)
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def __iter__(self):
+        return ((x, x.inverse()) for x in self.domain)
 
 
 def compile_word(word) -> tuple[int, ...]:
@@ -83,14 +102,18 @@ def max_symbol(word) -> int:
     return max((abs(s) for s in word), default=0)
 
 
-def parse_word(text: str, names, line=None, source=None) -> Word:
-    """Parse a text word over the given symbol names; "1" is the identity."""
+def parse_word(text: str, names, line=None, source=None, column=1) -> Word:
+    """Parse a text word over the given symbol names; "1" is the identity.
+
+    ``column`` is the 1-based column of ``text[0]`` in its line, so an error
+    points at the bad token in the file.
+    """
     index = {name: i + 1 for i, name in enumerate(names)}
-    text = text.strip()
-    if text == "1" or not text:
+    stripped = text.strip()
+    if stripped == "1" or not stripped:
         return ()
     symbols = []
-    for col, tok in _tokens(text):
+    for col, tok in _tokens(stripped, column + len(text) - len(text.lstrip())):
         name, caret, exp_text = tok.partition("^")
         if name not in index:
             raise ParseError(f"unknown symbol {name!r}", line=line, column=col, source=source)
@@ -105,11 +128,10 @@ def parse_word(text: str, names, line=None, source=None) -> Word:
     return reduce_word(symbols)
 
 
-def _tokens(text):
-    col = 0
+def _tokens(text, col):
     for raw in text.split(" "):
         if raw:
-            yield col + 1, raw
+            yield col, raw
         col += len(raw) + 1
 
 

@@ -220,6 +220,28 @@ class TestExitCodes:
         assert result["verdict"] == "unknown"
         assert result["reason"].endswith("skipped over budget: S9 (scan 2177280)")
 
+    @pytest.mark.parametrize("witnesses", [False, True])
+    def test_eq_over_lists_its_target_only_for_witnesses(self, witnesses, monkeypatch, tmp_path):
+        # a witness-free scan streams S9; the first witness is defined by canonical order
+        listed = []
+        elements = groups.FiniteGroup.elements
+
+        def record(G, *args):
+            assert witnesses or G.degree != 9, "the S9 target was listed"
+            listed.append(G.degree)
+            return elements(G, *args)
+
+        monkeypatch.setattr(groups.FiniteGroup, "elements", record)
+        out = tmp_path / "over.report"
+        argv = ["eq-over", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn"),
+                "--diagonal", "3", "--out", str(out)]
+        code = cli.run(argv + ["--witnesses"] * witnesses)
+        assert code == 0
+        result = load_report(out.read_text())["result"]
+        assert result["verdict"] == "unknown"
+        assert result["reason"] == "no supplied overgroup witnessed solvability"
+        assert (9 in listed) == witnesses
+
 
 class TestDegreeCap:
     """A degree past the cap exits 2 before anything of that size is built;

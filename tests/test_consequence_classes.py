@@ -3,6 +3,7 @@
 loops they replaced (conftest.py), and explicit caps above the default."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ def default_cap_100(monkeypatch):
 
 
 def _refuses_the_default(G):
-    with pytest.raises(CapExceeded, match="S5 has 120 elements, past cap 100"):
+    with pytest.raises(CapExceeded, match=re.escape(f"{G.name} has 120 elements, past cap 100")):
         G.conjugacy_classes()
 
 
@@ -97,6 +98,13 @@ def test_consequences_honour_an_explicit_cap(default_cap_100):
     assert cons.layer_sizes == (10, 36)
     assert len(cons.elements) == 36 and cons.layers[-1] == cons.elements
     assert len(cons.cumulative) == 46
+    _refuses_the_default(G)
+
+
+def test_generated_group_membership_honours_an_explicit_cap(default_cap_100):
+    G = FiniteGroup.generated(5, [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)])
+    cons = consequences(G, [parse_cycles("(1 2)", 5)], 2, cap=1000)
+    assert cons.layer_sizes == (10, 36)
     _refuses_the_default(G)
 
 

@@ -1,7 +1,10 @@
 """Differential tests: the compiled assignment scan of ``equations`` against
-the word-by-word ``evaluate_word`` scan it replaced (conftest.py)."""
+the word-by-word ``evaluate_word`` scan it replaced (conftest.py), and the
+streamed ``S_m``/``A_m`` overgroups of ``solvable_over_bounded`` against
+the same scan over the overgroup listed in canonical order."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import element_scan_constants
@@ -14,8 +17,9 @@ from groupapprox.equations import (
     solvable_in,
     solvable_over_bounded,
 )
+from groupapprox.errors import CapExceeded
 from groupapprox.groups import FiniteGroup, cyclic
-from groupapprox.perm import parse_cycles
+from groupapprox.perm import Permutation, parse_cycles
 from groupapprox.words import reduce_word
 
 
@@ -79,9 +83,9 @@ def _systems(G):
     return out
 
 
-def _oracle(monkeypatch, fn, *args, **kwargs):
+def _oracle(monkeypatch, fn, *args, scan=element_scan_constants, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(equations, "_scan_constants", element_scan_constants)
+        m.setattr(equations, "_scan_constants", scan)
         return fn(*args, **kwargs)
 
 
@@ -124,3 +128,61 @@ def test_solvable_over_diagonal_matches_element_scan(witnesses, monkeypatch):
         assert got == expected, system
         verdicts.add(expected.verdict)
     assert verdicts == {"solvable", "unknown"}
+
+
+def _listed_scan(system, constant_tuples, domain, degree, want_witnesses):
+    """``element_scan_constants`` over the domain listed in canonical order,
+    as ``solvable_over_bounded`` scanned every overgroup before streaming."""
+    listed = sorted(domain, key=Permutation.sort_key)
+    return element_scan_constants(system, constant_tuples, listed, degree, want_witnesses)
+
+
+def _s3_into_s6():
+    G = FiniteGroup.symmetric(3)
+    return G, diagonal_embedding(G, 2)
+
+
+def _a4_into_a8():
+    """g -> g (+) g, whose image is always even, into a streamed A8."""
+    G = FiniteGroup.alternating(4)
+    return G, replace(diagonal_embedding(G, 2), target=FiniteGroup.alternating(8))
+
+
+OVERGROUPS = {"S3 -> S6": _s3_into_s6, "A4 -> A8": _a4_into_a8}
+
+
+@pytest.mark.parametrize("name", sorted(OVERGROUPS))
+def test_streamed_overgroup_matches_listed_element_scan(name, monkeypatch):
+    G, embedding = OVERGROUPS[name]()
+    systems = [parse_equation_system(t) for t in FIXED.values() if "variables 2" not in t]
+    seeded = (_seeded_system(9000 + i, 2) for i in range(100))
+    systems += [s for s in seeded if s.variables == 1 and s.constants == 1][:4]
+    verdicts = set()
+    for system in systems:
+        expected = _oracle(monkeypatch, solvable_over_bounded, G, system, [embedding], scan=_listed_scan)
+        assert solvable_over_bounded(G, system, [embedding]) == expected, system
+        verdicts.add((expected.verdict, _inverts_a_variable(system)))
+    # a solvable system rescans the domain for every constant tuple, also paired
+    assert {("solvable", False), ("solvable", True), ("unknown", True)} <= verdicts
+
+
+def _inverts_a_variable(system):
+    return any(s < -system.constants for w in system.words for s in w)
+
+
+@pytest.mark.parametrize("kind, degrees", [("symmetric", range(1, 8)), ("alternating", range(1, 9))])
+def test_iter_elements_yields_each_element_once(kind, degrees):
+    for m in degrees:
+        G = getattr(FiniteGroup, kind)(m)
+        view = G.iter_elements()
+        first = list(view)
+        assert len(first) == G.order() and set(first) == G.element_set(), m
+        assert first == sorted(first), m  # lexicographic image order
+        assert list(view) == first, m  # each pass starts again
+    with pytest.raises(CapExceeded):
+        getattr(FiniteGroup, kind)(9).iter_elements(cap=1000)
+
+
+def test_iter_elements_of_other_groups_is_the_canonical_tuple():
+    G = _z3_x_k4()
+    assert G.iter_elements() is G.elements()

@@ -193,6 +193,25 @@ def test_presentation_with_dangling_caret_exits_1(tmp_path, capsys):
     assert f"{path}:2:" in err and "bad exponent '' on 'a'" in err
 
 
+def test_system_error_column_is_the_file_column(tmp_path, capsys):
+    path = tmp_path / "caret.eqn"
+    path.write_text("constants 1; variables 1;\n  x1^x x1 a1^-1\n")
+    code, err = _run(capsys, "eq-solve", "--group", "S3", "--system", str(path))
+    assert code == 1
+    assert f"{path}:2:3: bad exponent 'x' on 'x1'" in err
+
+
+def test_presentation_error_column_is_the_file_column(tmp_path, capsys):
+    path = tmp_path / "caret.pres"
+    path.write_text("generators a b\nrelator a b a^-1 b^-1\n  outside b  a^x\n")
+    code, err = _run(
+        capsys, "sofic-search", "--presentation", str(path), "--eps", "1/4",
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+    )
+    assert code == 1
+    assert f"{path}:3:14: bad exponent 'x' on 'a'" in err
+
+
 def test_report_with_non_integer_version_exits_1(tmp_path, capsys):
     path = tmp_path / "bad_version.report"
     text = _metric_certificate_text().replace("groupapprox-report 1", "groupapprox-report x")

@@ -7,7 +7,12 @@ the length quotient ceil(|y|/|x|).  The printed maximum is the measured
 covering constant; the conventional proof technique guarantees 16, the
 sweep shows what actually happens.
 
-    python scripts/covering_sweep.py --degrees 5 6 --csv out.csv
+The tables come from the character table of S_m, so A_m is never listed
+and degrees past the element cap work: degree 14 takes well under a
+second.  A degree whose S_m character table would pass 10^6 entries
+(m >= 22) is refused.
+
+    python scripts/covering_sweep.py --degrees 5 6 10 12 --csv out.csv
 """
 
 import argparse

@@ -233,7 +233,8 @@ def parse_presentation(text: str, source=None) -> Presentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
+        keyword = line.split(None, 1)[0]
+        rest = line[len(keyword):]
         if keyword == "generators":
             if generators is not None:
                 raise ParseError("duplicate generators line", line=ln, source=source)
@@ -247,7 +248,7 @@ def parse_presentation(text: str, source=None) -> Presentation:
                 raise ParseError(
                     "generators must be declared before words", line=ln, source=source
                 )
-            column = len(raw) - len(raw.lstrip()) + len(keyword) + 2  # 1-based, of rest in raw
+            column = len(raw) - len(raw.lstrip()) + len(keyword) + 1  # 1-based, of rest in raw
             word = parse_word(rest, generators, line=ln, source=source, column=column)
             {"relator": relators, "inside": inside, "outside": outside}[keyword].append(word)
         else:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .characters import alternating_table
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     FiniteGroup,
     class_first_depths,
     consequences,
+    iter_class_layers,
     iter_consequence_class_layers,
 )
 from .perm import Permutation, cycle_string, hamming_length
@@ -210,19 +212,22 @@ def empirical_covering_constant(m: int) -> CoveringTable:
     """Tabulate depth / ceil(||y||/||x||) over all nontrivial class pairs.
 
     The maximum ratio is the empirical covering constant for A_m; it is
-    measured, never asserted against any conjectured value.
+    measured, never asserted against any conjectured value.  The layers
+    come from the character table of ``characters.alternating_table``, so
+    A_m is never listed; its classes are numbered as an enumerated A_m's.
     """
     if m < 5:
         raise ValueError("coverage sweeps require degree >= 5")
-    G = _alternating(m)
-    reps = nontrivial_class_representatives(G)
+    table = alternating_table(m)
+    reps = table.representatives[1:]  # class 0 is the identity
+    moved = [len(r.support()) for r in reps]  # m * Hamming length
     rows = []
-    for x in reps:
-        first = class_first_depths(G, (x,))
-        lx = hamming_length(x)
-        for y in reps:
-            steps = math.ceil(hamming_length(y) / lx)
-            depth = first.get(G.class_index_of(y))
+    for xi, (x, mx) in enumerate(zip(reps, moved), start=1):
+        letters = table.letters(xi)
+        first = class_first_depths(iter_class_layers(letters, table.step(letters)))
+        for yi, (y, my) in enumerate(zip(reps, moved), start=1):
+            steps = -(-my // mx)  # ceil(||y|| / ||x||)
+            depth = first.get(yi)
             ratio = Fraction(depth, steps) if depth is not None else None
             rows.append(CoveringRow(x=x, y=y, depth=depth, steps=steps, ratio=ratio))
     ratios = [r.ratio for r in rows if r.ratio is not None]

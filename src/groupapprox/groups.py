@@ -503,30 +503,41 @@ def _letter_class_indices(G: FiniteGroup, X) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
-def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_CAP):
+def iter_class_layers(letters, step):
     """Yield (depth, frozenset of class indices) for depths 1, 2, ...
 
-    Stops once consecutive layers repeat with period two, after which no
-    new class can ever appear (depth-n sets grow monotonically in steps
-    of two and are bounded by the group).
+    Layer 1 holds the letter classes and ``step`` takes each layer to the
+    next: the classes of its product with the letters.  Stops once
+    consecutive layers repeat with period two, after which no new class can
+    ever appear (with letters closed under inverses, depth-n sets grow
+    monotonically in steps of two and are bounded by the group).
     """
-    G.conjugacy_classes(cap)  # refuses G past the cap before a partition is built
-    letters = _letter_class_indices(G, X)
-    if not letters:
-        return
     layer = frozenset(letters)
     prev = None  # layer two steps back
     depth = 0
     while True:
         depth += 1
         yield depth, layer
-        nxt = frozenset().union(*(G.class_product(a, c) for a in letters for c in layer))
+        nxt = step(layer)
         if prev is not None and nxt == prev:
             # period-two fixed point: layers now alternate forever
             yield depth + 1, nxt
             return
         prev = layer
         layer = nxt
+
+
+def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_CAP):
+    """``iter_class_layers`` of C_n(X, G), each step a union of class products."""
+    G.conjugacy_classes(cap)  # refuses G past the cap before a partition is built
+    letters = _letter_class_indices(G, X)
+    if not letters:
+        return
+
+    def step(layer):
+        return frozenset().union(*(G.class_product(a, c) for a in letters for c in layer))
+
+    yield from iter_class_layers(letters, step)
 
 
 def consequence_class_layers(
@@ -562,13 +573,14 @@ def consequences(G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> C
     return ConsequenceSet(group=G, base=base, depth=n, class_layers=layers)
 
 
-def class_first_depths(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_CAP) -> dict:
-    """First depth at which each conjugacy class enters C_n(X, G).
+def class_first_depths(layers) -> dict:
+    """First depth at which each conjugacy class enters, read off the
+    (depth, layer) pairs of ``iter_class_layers``.
 
-    Runs until the layers stabilize, so absent classes are absent forever.
+    Those run until the layers stabilize, so absent classes are absent forever.
     """
     first = {}
-    for depth, layer in iter_consequence_class_layers(G, X, cap):
+    for depth, layer in layers:
         for ci in layer:
             first.setdefault(ci, depth)
     return first

@@ -15,7 +15,12 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, class_first_depths
+from .groups import (
+    DEFAULT_ELEMENT_CAP,
+    FiniteGroup,
+    class_first_depths,
+    iter_consequence_class_layers,
+)
 from .perm import Permutation, conjugate, hamming_length
 
 
@@ -79,7 +84,8 @@ def cayley_conjugation_length(
         raise ValueError("scale must be >= 1")
     base = frozenset(Permutation(x) for x in X)
     one = Fraction(1)
-    scaled = {ci: min(Fraction(d, n), one) for ci, d in class_first_depths(G, base, cap).items()}
+    first = class_first_depths(iter_consequence_class_layers(G, base, cap))
+    scaled = {ci: min(Fraction(d, n), one) for ci, d in first.items()}
     class_of = G.class_map()
     values = {h: scaled.get(class_of[h], one) for h in G.elements(cap)}
     values[G.identity()] = Fraction(0)

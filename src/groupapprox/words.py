@@ -8,6 +8,8 @@ integer k, e.g. "a b^-1 a^2".
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .perm import Permutation, identity
 
@@ -113,7 +115,8 @@ def parse_word(text: str, names, line=None, source=None, column=1) -> Word:
     if stripped == "1" or not stripped:
         return ()
     symbols = []
-    for col, tok in _tokens(stripped, column + len(text) - len(text.lstrip())):
+    for match in re.finditer(r"\S+", text):
+        col, tok = column + match.start(), match.group()
         name, caret, exp_text = tok.partition("^")
         if name not in index:
             raise ParseError(f"unknown symbol {name!r}", line=line, column=col, source=source)
@@ -126,13 +129,6 @@ def parse_word(text: str, names, line=None, source=None, column=1) -> Word:
         s = index[name]
         symbols.extend([s if exp > 0 else -s] * abs(exp))
     return reduce_word(symbols)
-
-
-def _tokens(text, col):
-    for raw in text.split(" "):
-        if raw:
-            yield col, raw
-        col += len(raw) + 1
 
 
 def word_str(word, names) -> str:

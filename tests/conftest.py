@@ -3,11 +3,12 @@ class-level machinery: everything here works element by element."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from groupapprox import coverage
+from groupapprox import coverage, groups
 from groupapprox.approximation import (
     Exhausted,
     FoundHomomorphism,
@@ -442,3 +443,25 @@ def support_cover_exhaustive(m: int) -> tuple[int, tuple[Permutation, ...]]:
             if G.class_index_of(y) not in covered:
                 violations.append(y)
     return checked, tuple(violations)
+
+
+def element_covering_constant(m: int) -> coverage.CoveringTable:
+    """``coverage.empirical_covering_constant`` before it read the character
+    table: A_m is listed and partitioned, and each row's layers are unions
+    of element-level class products.  Reads ``groups.class_first_depths`` and
+    ``groups.iter_consequence_class_layers`` by name."""
+    if m < 5:
+        raise ValueError("coverage sweeps require degree >= 5")
+    G = coverage._alternating(m)
+    reps = coverage.nontrivial_class_representatives(G)
+    rows = []
+    for x in reps:
+        first = groups.class_first_depths(groups.iter_consequence_class_layers(G, (x,)))
+        lx = hamming_length(x)
+        for y in reps:
+            steps = math.ceil(hamming_length(y) / lx)
+            depth = first.get(G.class_index_of(y))
+            ratio = Fraction(depth, steps) if depth is not None else None
+            rows.append(coverage.CoveringRow(x=x, y=y, depth=depth, steps=steps, ratio=ratio))
+    ratios = [r.ratio for r in rows if r.ratio is not None]
+    return coverage.CoveringTable(m=m, rows=tuple(rows), max_ratio=max(ratios) if ratios else None)

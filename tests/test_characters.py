@@ -1,0 +1,144 @@
+"""The cycle-type engine of ``groupapprox.characters`` against the element
+machinery it replaced for ``covering-constant``, and against the identities
+its character tables must satisfy."""
+
+from math import factorial, prod
+
+import pytest
+from conftest import element_covering_constant
+
+from groupapprox import coverage
+from groupapprox.characters import (
+    AlternatingTable,
+    _centralizer_order,
+    conjugate_partition,
+    partitions,
+    symmetric_character,
+)
+from groupapprox.coverage import covering_csv, empirical_covering_constant
+from groupapprox.errors import CapExceeded
+from groupapprox.groups import FiniteGroup
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_covering_table_and_csv_match_the_element_path(m):
+    new = empirical_covering_constant(m)
+    old = element_covering_constant(m)
+    assert new == old
+    assert covering_csv(new) == covering_csv(old)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+def test_classes_match_the_enumerated_partition(m):
+    table = AlternatingTable(m)
+    G = coverage._alternating(m)
+    classes = G.conjugacy_classes()
+    assert table.representatives == tuple(map(G.class_representative, range(len(classes))))
+    assert table.sizes == tuple(map(len, classes))
+    assert table.inverses == tuple(
+        G.class_index_of(G.class_representative(c).inverse()) for c in range(len(classes))
+    )
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_step_gives_every_class_product(m):
+    """One letter class against one layer class: a real split class times
+    itself holds the identity and times its other half does not, which only
+    the irrational parts of the pair characters tell apart."""
+    table = AlternatingTable(m)
+    G = coverage._alternating(m)
+    k = len(table.representatives)
+    for a in range(k):
+        step = table.step((a,))
+        for c in range(k):
+            assert step(frozenset((c,))) == G.class_product(a, c), (a, c)
+
+
+def test_split_classes_of_both_kinds_are_covered():
+    """m = 5, 6, 9 hold real split classes (x^-1 in x's half) and m = 7, 8, 9
+    non-real ones, so the differential tests above see both kinds."""
+    real, non_real = set(), set()
+    for m in (5, 6, 7, 8, 9):
+        table = AlternatingTable(m)
+        types = [sorted(map(len, rep.cycles())) for rep in table.representatives]
+        for c, inverse in enumerate(table.inverses):
+            if types.count(types[c]) == 2:
+                (real if inverse == c else non_real).add(m)
+    assert real == {5, 6, 9} and non_real == {7, 8, 9}
+
+
+def test_covering_constant_never_lists_the_alternating_group(monkeypatch):
+    elements = FiniteGroup.elements
+
+    def refuse(self, *args, **kwargs):
+        if self.kind == "alternating":
+            raise AssertionError(f"{self.name} listed")
+        return elements(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "elements", refuse)
+    coverage.alternating_table.cache_clear()
+    table = empirical_covering_constant(8)
+    assert len(table.rows) == 13 * 13 and table.max_ratio == 4
+    with pytest.raises(AssertionError, match="A8 listed"):
+        FiniteGroup.alternating(8).conjugacy_classes()
+
+
+def _symmetric_table(m):
+    shapes = partitions(m)
+    memo = {}
+    return shapes, {(lam, mu): symmetric_character(lam, mu, memo) for lam in shapes for mu in shapes}
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_symmetric_table_is_orthogonal(m):
+    shapes, chi = _symmetric_table(m)
+    identity = (1,) * m
+    assert sum(chi[lam, identity] ** 2 for lam in shapes) == factorial(m)
+    for mu in shapes:
+        for nu in shapes:
+            inner = sum(chi[lam, mu] * chi[lam, nu] for lam in shapes)
+            assert inner == (_centralizer_order(mu) if mu == nu else 0), (mu, nu)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_conjugate_partition_twists_by_the_sign(m):
+    shapes, chi = _symmetric_table(m)
+    for lam in shapes:
+        for mu in shapes:
+            sign = -1 if (m - len(mu)) % 2 else 1
+            assert chi[conjugate_partition(lam), mu] == sign * chi[lam, mu]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_alternating_degrees_square_to_the_order(m):
+    table = AlternatingTable(m)
+    paired = {row for row, *_ in table.pairs}
+    total = 0
+    for row, chi in enumerate(table.characters):
+        # class 0 is the identity; chi+- each have degree chi(1)/2
+        total += chi[0] ** 2 // 2 if row in paired else chi[0] ** 2
+    assert total == factorial(m) // 2
+    assert sum(table.sizes) == factorial(m) // 2
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_self_conjugate_characters_take_their_sign_on_the_hook_type(m):
+    table = AlternatingTable(m)
+    for row, d, plus, minus in table.pairs:
+        chi = table.characters[row]
+        assert chi[plus] == chi[minus] == (-1 if d < 0 else 1)
+        assert prod(map(len, table.representatives[plus].cycles())) == abs(d)
+
+
+def test_past_the_element_cap_the_table_is_built():
+    table = AlternatingTable(12)
+    assert len(table.representatives) == 43
+    assert sum(table.sizes) == factorial(12) // 2
+
+
+def test_table_size_is_checked_while_counting():
+    assert len(partitions(21)) == 792
+    with pytest.raises(CapExceeded, match="counted 1001 partitions of 22"):
+        partitions(22)
+    with pytest.raises(CapExceeded, match="counted 1001 partitions of 1000000"):
+        partitions(10**6)

@@ -293,6 +293,28 @@ class TestDegreeCap:
         assert load_report(capsys.readouterr().out)["result"]["value"] == Fraction(1, 4)
 
 
+class TestCoveringConstantDegree:
+    """covering-constant is refused by the size of its character table, not
+    by the order of A_m."""
+
+    def test_past_the_element_cap(self, capsys):
+        assert cli.run(["covering-constant", "--m", "10"]) == 0
+        result = load_report(capsys.readouterr().out)["result"]
+        assert len(result["rows"]) == 23 * 23 and result["max-ratio"] == 2
+
+    def test_table_past_the_cap_exits_2(self, capsys):
+        assert cli.run(["covering-constant", "--m", "1000000"]) == 2
+        assert capsys.readouterr().err == (
+            "cap exceeded: the S1000000 character table passes cap 1000000 entries: "
+            "counted 1001 partitions of 1000000\n"
+        )
+
+    @pytest.mark.parametrize("m", ["4", "1"])
+    def test_small_degree_exits_1(self, m, capsys):
+        assert cli.run(["covering-constant", "--m", m]) == 1
+        assert capsys.readouterr().err == "error: coverage sweeps require degree >= 5\n"
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -518,6 +540,15 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("A_5: 16 class pairs, max ratio ")
         assert csv.read_text().startswith("m,x,y,depth,steps,ratio\n5,")
+
+    def test_covering_sweep_past_the_element_cap(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "covering_sweep.py"), "--degrees", "10"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("A_10: 529 class pairs, max ratio 2\n")
 
     def test_sofic_demo(self):
         proc = subprocess.run(

@@ -212,6 +212,44 @@ def test_presentation_error_column_is_the_file_column(tmp_path, capsys):
     assert f"{path}:3:14: bad exponent 'x' on 'a'" in err
 
 
+def _tabbed_like_spaced(capsys, tmp_path, name, tabbed, *command):
+    """Run a command on a file whose tokens a tab separates and on the same
+    file with spaces; both must exit 0 with the same report."""
+    outputs = []
+    for kind, text in (("spaced", tabbed.replace("\t", " ")), ("tabbed", tabbed)):
+        path = tmp_path / kind / name
+        path.parent.mkdir()
+        path.write_text(text)
+        code = cli.run([arg.replace("FILE", str(path)) for arg in command])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), (kind, captured.err)
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_tab_separates_words_of_a_system(tmp_path, capsys):
+    _tabbed_like_spaced(
+        capsys, tmp_path, "sq.eqn", "constants 1; variables 1;\nx1\tx1 a1^-1\n",
+        "eq-solve", "--group", "S3", "--system", "FILE",
+    )
+
+
+def test_tab_separates_words_of_a_presentation(tmp_path, capsys):
+    _tabbed_like_spaced(
+        capsys, tmp_path, "ab.pres", "generators a b\ninside a\tb\noutside a\n",
+        "sofic-search", "--presentation", "FILE", "--eps", "1/4",
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+    )
+
+
+def test_tab_ends_a_presentation_keyword(tmp_path, capsys):
+    _tabbed_like_spaced(
+        capsys, tmp_path, "ab.pres", "generators\ta b\ninside a b\noutside a\n",
+        "sofic-search", "--presentation", "FILE", "--eps", "1/4",
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+    )
+
+
 def test_report_with_non_integer_version_exits_1(tmp_path, capsys):
     path = tmp_path / "bad_version.report"
     text = _metric_certificate_text().replace("groupapprox-report 1", "groupapprox-report x")

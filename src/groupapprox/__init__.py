@@ -22,6 +22,7 @@ from .groups import (
     consequences,
     cyclic,
     is_n_separated,
+    min_consequence_depth,
     quotient,
 )
 from .lengths import (
@@ -34,7 +35,6 @@ from .lengths import (
 )
 from .coverage import (
     empirical_covering_constant,
-    min_consequence_depth,
     support_cover_sweep,
     verify_brenner_bound,
     verify_support_cover,

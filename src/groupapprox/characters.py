@@ -37,7 +37,7 @@ from operator import mul
 
 from .errors import CapExceeded
 from .groups import DEFAULT_ELEMENT_CAP
-from .perm import Permutation
+from .perm import Permutation, is_even
 
 
 def _partitions(n: int, largest: int):
@@ -164,6 +164,7 @@ class AlternatingTable:
     """
 
     def __init__(self, m: int):
+        self.degree = m
         shapes = partitions(m)
         classes = []  # (representative, cycle type, size)
         for mu in shapes:
@@ -181,7 +182,7 @@ class AlternatingTable:
         self.representatives = tuple(rep for rep, _, _ in classes)
         self.sizes = sizes = tuple(size for _, _, size in classes)
         types = [mu for _, mu, _ in classes]
-        halves = {}  # type -> its classes, two for a split type
+        self._halves = halves = {}  # type -> its classes, two for a split type
         for c, mu in enumerate(types):
             halves[mu] = halves.get(mu, ()) + (c,)
         inverses = []
@@ -221,6 +222,28 @@ class AlternatingTable:
         self._weighted = tuple(  # |K_c| chi(c) by class, then row
             tuple(size * value for value in column) for size, column in zip(sizes, self._columns)
         )
+
+    def class_index(self, x: Permutation) -> int:
+        """The class of x, an element of ``A_m``, read off its cycle type.
+
+        The halves of a split type are told apart by the permutation that
+        lays x's cycles, shortest first, over the representative's cycles,
+        which are runs of consecutive points from 0 with the fixed point
+        last: as a list of images it is x's cycles written out in that
+        order.  It conjugates the first half's representative to x.  The
+        type's centralizer in ``S_m`` is even, so every such conjugator has
+        its parity, and x lies in the first half iff it is even.  The parts
+        are odd, so where each cycle is started does not matter.
+        """
+        cycles = sorted(x.cycles(), key=len)
+        lengths = tuple(map(len, reversed(cycles)))
+        mu = lengths + (1,) * (self.degree - sum(lengths))
+        pair = self._halves[mu]
+        if len(pair) == 1:
+            return pair[0]
+        laid = [point for cycle in cycles for point in cycle]
+        laid += [point for point, image in enumerate(x) if point == image]
+        return pair[0] if is_even(Permutation(laid)) else pair[1]
 
     def letters(self, c: int) -> tuple[int, ...]:
         """The classes of the elements of class c and of their inverses."""

@@ -1,11 +1,13 @@
 """Conjugacy-coverage experiments on alternating groups.
 
 How fast do products of a conjugacy class (and its inverse class) cover
-the group?  This module measures the least product depth at which a
-target element appears, checks the two desk-checkable coverage facts
-(the fourth class power covers the support, and the ball of Hamming
-radius (n-1)*eps/16 sits inside the depth-n consequence set), and tabulates
-empirical covering ratios.  Degrees below 5 are rejected: in A_4 the
+A_m?  This module checks the two desk-checkable coverage facts (the fourth
+class power covers the support, and the ball of Hamming radius
+(n-1)*eps/16 sits inside the depth-n consequence set) and tabulates
+empirical covering ratios.  All three read classes, sizes and layers off
+the character table of ``characters.alternating_table``, so A_m is never
+listed; only a class that a check finds missing has its elements listed,
+to report them.  Degrees below 5 are rejected: in A_4 the
 double-transposition class generates only the Klein subgroup, so no
 coverage statement of this shape can hold there.
 """
@@ -15,56 +17,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import permutations
 
-from .characters import alternating_table
+from .characters import AlternatingTable, alternating_table
 from .groups import (
-    DEFAULT_ELEMENT_CAP,
     FiniteGroup,
     class_first_depths,
-    consequences,
+    consequences,  # patched by name in perfbench/tracing.py
+    exact_depth_layers,
     iter_class_layers,
-    iter_consequence_class_layers,
+    iter_consequence_class_layers,  # patched by name in perfbench/tracing.py
 )
-from .perm import Permutation, cycle_string, hamming_length
+from .perm import Permutation, cycle_string, hamming_length, is_even
 
 
-@lru_cache(maxsize=None)
-def _alternating(m: int) -> FiniteGroup:
+def _group_and_table(m: int) -> tuple[FiniteGroup, AlternatingTable]:
+    """A_m, never listed, and its class table.  The order is checked against
+    the element cap first, so a degree past it is refused before anything
+    is built."""
     G = FiniteGroup.alternating(m)
-    G.conjugacy_classes()
-    return G
+    G.order()
+    return G, alternating_table(m)
 
 
-def min_consequence_depth(
-    G: FiniteGroup, X, y: Permutation, max_n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> int | None:
-    """Least depth n <= max_n with y in C_n(X, G); None when not reached.
-
-    Layer growth is eventually periodic with period two, so the scan also
-    stops early once no new class can ever appear; a None verdict then
-    holds for every depth, not just max_n.
-    """
-    y = Permutation(y)
-    if y not in G:
-        raise ValueError(f"{y!r} is not an element of {G.name}")
-    target = G.class_index_of(y)
-    for depth, layer in iter_consequence_class_layers(G, X, cap):
-        if depth > max_n:
-            return None
-        if target in layer:
-            return depth
-    return None
+def _layer(table: AlternatingTable, letters, n: int) -> frozenset:
+    """Class indices of the exact n-fold product set of the letter classes."""
+    return exact_depth_layers(iter_class_layers(letters, table.step(letters)), n)[-1]
 
 
-def _class_power_indices(G: FiniteGroup, class_index: int, power: int) -> frozenset:
-    """Class indices of the exact k-fold product set of one conjugacy class."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    layer = frozenset((class_index,))
-    for _ in range(power - 1):
-        layer = frozenset().union(*(G.class_product(class_index, c) for c in layer))
-    return layer
+def _class_members(table: AlternatingTable, classes, points) -> tuple[Permutation, ...]:
+    """The elements of ``classes`` that move only ``points``, in canonical
+    order: the even permutations of ``points`` filtered by class.  None are
+    formed when ``classes`` is empty."""
+    if not classes:
+        return ()
+    out = []
+    for images in permutations(points):
+        h = list(range(table.degree))
+        for p, q in zip(points, images):
+            h[p] = q
+        h = Permutation(h)
+        if is_even(h) and table.class_index(h) in classes:
+            out.append(h)
+    return tuple(sorted(out, key=Permutation.sort_key))
 
 
 @dataclass(frozen=True)
@@ -86,30 +81,26 @@ def verify_support_cover(m: int, x: Permutation) -> SupportCoverReport:
     nontrivial classes of A_m that move at most s points: relabelling puts
     a member of each inside supp(x), and a class that splits from S_m moves
     m - 1 or m points, so Sym(supp(x)) then holds odd permutations and
-    meets both halves.  Only classes missing from the fourth power are
-    listed element by element.  Requires m >= 5 (the Klein closure in A_4
-    is a genuine counterexample to any such statement).
+    meets both halves.  So the check is one of class indices, and only the
+    classes missing from the fourth power have their members in supp(x)
+    listed.  Requires m >= 5 (the Klein closure in A_4 is a genuine
+    counterexample to any such statement).
     """
     if m < 5:
         raise ValueError("support coverage requires degree >= 5")
     x = Permutation(x)
     if x.is_identity():
         raise ValueError("x must be nontrivial")
-    G = _alternating(m)
+    G, table = _group_and_table(m)
     if x not in G:
         raise ValueError(f"{x!r} is not an element of {G.name}")
-    covered = _class_power_indices(G, G.class_index_of(x), 4)
-    support = set(x.support())
-    classes = G.conjugacy_classes()
-    missing = [
-        ci for ci in range(len(classes))
-        if ci not in covered
-        and 0 < len(G.class_representative(ci).support()) <= len(support)
-    ]
-    violations = tuple(sorted(
-        (y for ci in missing for y in classes[ci] if support.issuperset(y.support())),
-        key=Permutation.sort_key,
-    ))
+    covered = _layer(table, (table.class_index(x),), 4)
+    support = x.support()
+    missing = {
+        c for c, rep in enumerate(table.representatives)
+        if c not in covered and 0 < len(rep.support()) <= len(support)
+    }
+    violations = _class_members(table, missing, support)
     return SupportCoverReport(
         m=m,
         x=x,
@@ -132,14 +123,14 @@ class BrennerReport:
     violations: tuple[Permutation, ...]
 
 
-def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> BrennerReport:
+def verify_brenner_bound(m: int, X, n: int) -> BrennerReport:
     """Check ball(Hamming, (n-1)*eps/16) against the depth-n consequence set.
 
     eps is the largest Hamming length over the base set X; every even
     permutation shorter than the threshold must lie in C_n(X, A_m).
     Hamming length is a class function and C_n(X, A_m) a union of classes,
     so the ball is tested one class representative at a time and only the
-    classes missing from C_n are listed element by element.
+    classes missing from C_n have their elements listed.
     """
     if m < 5:
         raise ValueError("coverage bounds require degree >= 5")
@@ -148,7 +139,7 @@ def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> B
     base = tuple(sorted((Permutation(x) for x in X), key=lambda p: p.sort_key()))
     if not base:
         raise ValueError("base set must be nonempty")
-    G = _alternating(m)
+    G, table = _group_and_table(m)
     for x in base:
         if x.is_identity():
             raise ValueError("base set must not contain the identity")
@@ -156,23 +147,19 @@ def verify_brenner_bound(m: int, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> B
             raise ValueError(f"{x!r} is not an element of {G.name}")
     eps = max(hamming_length(x) for x in base)
     threshold = Fraction(n - 1) * eps / 16
-    classes = G.conjugacy_classes(cap)
     ball = [
-        ci for ci in range(len(classes))
-        if hamming_length(G.class_representative(ci)) < threshold
+        c for c, rep in enumerate(table.representatives) if hamming_length(rep) < threshold
     ]
-    depth_n = consequences(G, base, n, cap).class_layers[-1]
-    missing = [ci for ci in ball if ci not in depth_n]
-    violations = tuple(sorted(
-        (h for ci in missing for h in classes[ci]), key=Permutation.sort_key
-    ))
+    letters = sorted({c for x in base for c in table.letters(table.class_index(x))})
+    depth_n = _layer(table, letters, n)
+    violations = _class_members(table, {c for c in ball if c not in depth_n}, range(m))
     return BrennerReport(
         m=m,
         base=base,
         depth=n,
         epsilon=eps,
         threshold=threshold,
-        ball_size=sum(len(classes[ci]) for ci in ball),
+        ball_size=sum(table.sizes[c] for c in ball),
         holds=not violations,
         violations=violations,
     )
@@ -203,11 +190,6 @@ class CoveringTable:
         )
 
 
-def nontrivial_class_representatives(G: FiniteGroup) -> tuple[Permutation, ...]:
-    reps = map(G.class_representative, range(len(G.conjugacy_classes())))
-    return tuple(r for r in reps if not r.is_identity())
-
-
 def empirical_covering_constant(m: int) -> CoveringTable:
     """Tabulate depth / ceil(||y||/||x||) over all nontrivial class pairs.
 
@@ -236,8 +218,10 @@ def empirical_covering_constant(m: int) -> CoveringTable:
 
 def support_cover_sweep(m: int) -> tuple[SupportCoverReport, ...]:
     """Run verify_support_cover for every nontrivial class representative."""
-    G = _alternating(m)
-    return tuple(verify_support_cover(m, x) for x in nontrivial_class_representatives(G))
+    if m < 5:
+        raise ValueError("support coverage requires degree >= 5")
+    _, table = _group_and_table(m)
+    return tuple(verify_support_cover(m, x) for x in table.representatives[1:])
 
 
 def covering_csv(table: CoveringTable) -> str:

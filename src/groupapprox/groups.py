@@ -540,18 +540,17 @@ def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_
     yield from iter_class_layers(letters, step)
 
 
-def consequence_class_layers(
-    G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> tuple[frozenset, ...]:
-    """Class indices of the exact-depth layers 1..n of C_j(X, G); all empty if X is.
+def exact_depth_layers(layers, n: int) -> tuple[frozenset, ...]:
+    """The layers at depths 1..n from the (depth, layer) pairs of
+    ``iter_class_layers``; all empty if there are none.
 
-    Past a period-two fixed point of ``iter_consequence_class_layers`` the
-    layers alternate, so they are padded from two depths back.
+    Past the period-two fixed point where those stop, the layers alternate,
+    so they are padded from two depths back.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
     class_layers = []
-    for depth, layer in iter_consequence_class_layers(G, X, cap):
+    for depth, layer in layers:
         class_layers.append(layer)
         if depth == n:
             break
@@ -560,6 +559,13 @@ def consequence_class_layers(
     while len(class_layers) < n:
         class_layers.append(class_layers[-2])
     return tuple(class_layers)
+
+
+def consequence_class_layers(
+    G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP
+) -> tuple[frozenset, ...]:
+    """Class indices of the exact-depth layers 1..n of C_j(X, G); all empty if X is."""
+    return exact_depth_layers(iter_consequence_class_layers(G, X, cap), n)
 
 
 def consequences(G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> ConsequenceSet:
@@ -584,6 +590,27 @@ def class_first_depths(layers) -> dict:
         for ci in layer:
             first.setdefault(ci, depth)
     return first
+
+
+def min_consequence_depth(
+    G: FiniteGroup, X, y: Permutation, max_n: int, cap: int = DEFAULT_ELEMENT_CAP
+) -> int | None:
+    """Least depth n <= max_n with y in C_n(X, G); None when not reached.
+
+    Layer growth is eventually periodic with period two, so the scan also
+    stops early once no new class can ever appear; a None verdict then
+    holds for every depth, not just max_n.
+    """
+    y = Permutation(y)
+    if y not in G:
+        raise ValueError(f"{y!r} is not an element of {G.name}")
+    target = G.class_index_of(y)
+    for depth, layer in iter_consequence_class_layers(G, X, cap):
+        if depth > max_n:
+            return None
+        if target in layer:
+            return depth
+    return None
 
 
 @dataclass(frozen=True)

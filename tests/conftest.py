@@ -17,10 +17,26 @@ from groupapprox.approximation import (
     amplification_exponent,
 )
 from groupapprox.errors import BudgetExceeded
-from groupapprox.groups import DEFAULT_ELEMENT_CAP, SeparationReport, consequences, is_n_separated
+from groupapprox.groups import (
+    DEFAULT_ELEMENT_CAP,
+    FiniteGroup,
+    SeparationReport,
+    consequences,
+    is_n_separated,
+)
 from groupapprox.lengths import AxiomReport, AxiomViolation
 from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
 from groupapprox.words import evaluate_word
+
+
+@lru_cache(maxsize=None)
+def enumerated_alternating(m):
+    """A_m listed and partitioned once per degree, with its nontrivial class
+    representatives: the element oracles' own A_m, which the library never
+    lists."""
+    G = FiniteGroup.alternating(m)
+    classes = G.conjugacy_classes()
+    return G, tuple(map(G.class_representative, range(1, len(classes))))
 
 
 def brute_letters(G, X):
@@ -357,17 +373,17 @@ def _even_support_perms(m: int, support):
 
 def element_verify_support_cover(m, x):
     """``coverage.verify_support_cover`` before it worked on classes: every
-    even permutation supported in supp(x) is listed, sorted and tested.
-    Reads ``coverage._class_power_indices`` by name, as the library does."""
+    even permutation supported in supp(x) is listed, sorted and tested
+    against the fourth power from ``element_class_power``, read by name."""
     if m < 5:
         raise ValueError("support coverage requires degree >= 5")
     x = Permutation(x)
     if x.is_identity():
         raise ValueError("x must be nontrivial")
-    G = coverage._alternating(m)
+    G, _ = enumerated_alternating(m)
     if x not in G:
         raise ValueError(f"{x!r} is not an element of {G.name}")
-    covered = coverage._class_power_indices(G, G.class_index_of(x), 4)
+    covered = element_class_power(G, G.class_index_of(x), 4, G.class_product)
     targets = _even_support_perms(m, x.support())
     violations = tuple(
         y for y in sorted(targets, key=lambda p: p.sort_key())
@@ -383,11 +399,10 @@ def element_verify_support_cover(m, x):
     )
 
 
-def element_verify_brenner_bound(m, X, n, cap=DEFAULT_ELEMENT_CAP):
+def element_verify_brenner_bound(m, X, n):
     """``coverage.verify_brenner_bound`` before it worked on classes: the
     ball is every element shorter than the threshold, each looked up in the
-    depth-n set.  Reads ``coverage.consequences`` by name, as the library
-    does."""
+    depth-n set of ``groups.consequences``, read by name."""
     if m < 5:
         raise ValueError("coverage bounds require degree >= 5")
     if n < 1:
@@ -395,7 +410,7 @@ def element_verify_brenner_bound(m, X, n, cap=DEFAULT_ELEMENT_CAP):
     base = tuple(sorted((Permutation(x) for x in X), key=lambda p: p.sort_key()))
     if not base:
         raise ValueError("base set must be nonempty")
-    G = coverage._alternating(m)
+    G, _ = enumerated_alternating(m)
     for x in base:
         if x.is_identity():
             raise ValueError("base set must not contain the identity")
@@ -403,8 +418,8 @@ def element_verify_brenner_bound(m, X, n, cap=DEFAULT_ELEMENT_CAP):
             raise ValueError(f"{x!r} is not an element of {G.name}")
     eps = max(hamming_length(x) for x in base)
     threshold = Fraction(n - 1) * eps / 16
-    ball = [h for h in G.elements(cap) if hamming_length(h) < threshold]
-    cons = coverage.consequences(G, base, n, cap).elements
+    ball = [h for h in G.elements() if hamming_length(h) < threshold]
+    cons = groups.consequences(G, base, n).elements
     violations = tuple(h for h in ball if h not in cons)
     return coverage.BrennerReport(
         m=m,
@@ -427,10 +442,10 @@ def support_cover_exhaustive(m: int) -> tuple[int, tuple[Permutation, ...]]:
     """
     if m < 5:
         raise ValueError("support coverage requires degree >= 5")
-    G = coverage._alternating(m)
+    G, reps = enumerated_alternating(m)
     covered_by_class = {
-        G.class_index_of(rep): coverage._class_power_indices(G, G.class_index_of(rep), 4)
-        for rep in coverage.nontrivial_class_representatives(G)
+        G.class_index_of(rep): element_class_power(G, G.class_index_of(rep), 4, G.class_product)
+        for rep in reps
     }
     checked = 0
     violations = []
@@ -452,8 +467,7 @@ def element_covering_constant(m: int) -> coverage.CoveringTable:
     ``groups.iter_consequence_class_layers`` by name."""
     if m < 5:
         raise ValueError("coverage sweeps require degree >= 5")
-    G = coverage._alternating(m)
-    reps = coverage.nontrivial_class_representatives(G)
+    G, reps = enumerated_alternating(m)
     rows = []
     for x in reps:
         first = groups.class_first_depths(groups.iter_consequence_class_layers(G, (x,)))

@@ -23,7 +23,7 @@ from groupapprox.approximation import (
     check_metric_instance,
     window_from_texts,
 )
-from groupapprox.coverage import empirical_covering_constant, min_consequence_depth
+from groupapprox.coverage import empirical_covering_constant
 from groupapprox.equations import (
     diagonal_embedding,
     parse_equation_system,
@@ -31,7 +31,7 @@ from groupapprox.equations import (
     solvable_over_bounded,
     sys_membership,
 )
-from groupapprox.groups import FiniteGroup, cyclic, is_n_separated, quotient
+from groupapprox.groups import FiniteGroup, cyclic, is_n_separated, min_consequence_depth, quotient
 from groupapprox.lengths import cayley_conjugation_length, hamming, verify_axioms
 from groupapprox.perm import (
     direct_sum,

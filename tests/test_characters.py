@@ -5,7 +5,7 @@ its character tables must satisfy."""
 from math import factorial, prod
 
 import pytest
-from conftest import element_covering_constant
+from conftest import element_covering_constant, enumerated_alternating
 
 from groupapprox import coverage
 from groupapprox.characters import (
@@ -31,7 +31,7 @@ def test_covering_table_and_csv_match_the_element_path(m):
 @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
 def test_classes_match_the_enumerated_partition(m):
     table = AlternatingTable(m)
-    G = coverage._alternating(m)
+    G, _ = enumerated_alternating(m)
     classes = G.conjugacy_classes()
     assert table.representatives == tuple(map(G.class_representative, range(len(classes))))
     assert table.sizes == tuple(map(len, classes))
@@ -40,13 +40,25 @@ def test_classes_match_the_enumerated_partition(m):
     )
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_class_index_matches_the_enumerated_partition(m):
+    """Every element, so both halves of each split type: m = 5, 6, 7, 8 have
+    split types."""
+    table = AlternatingTable(m)
+    G, _ = enumerated_alternating(m)
+    for h in G.elements():
+        c = table.class_index(h)
+        assert c == G.class_index_of(h), h
+        assert table.class_index(h.inverse()) == table.inverses[c], h
+
+
 @pytest.mark.parametrize("m", [5, 6, 7, 8])
 def test_step_gives_every_class_product(m):
     """One letter class against one layer class: a real split class times
     itself holds the identity and times its other half does not, which only
     the irrational parts of the pair characters tell apart."""
     table = AlternatingTable(m)
-    G = coverage._alternating(m)
+    G, _ = enumerated_alternating(m)
     k = len(table.representatives)
     for a in range(k):
         step = table.step((a,))

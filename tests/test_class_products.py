@@ -9,11 +9,18 @@ from conftest import (
     element_class_product,
     element_consequence_class_layers,
     element_covering_constant,
+    enumerated_alternating,
 )
 
-from groupapprox import coverage
-from groupapprox.coverage import _class_power_indices, empirical_covering_constant
-from groupapprox.groups import FiniteGroup, cyclic, iter_consequence_class_layers
+from groupapprox.characters import alternating_table
+from groupapprox.coverage import empirical_covering_constant
+from groupapprox.groups import (
+    FiniteGroup,
+    cyclic,
+    exact_depth_layers,
+    iter_class_layers,
+    iter_consequence_class_layers,
+)
 from groupapprox.perm import parse_cycles
 
 
@@ -25,7 +32,7 @@ def _z3_x_k4():
 
 
 GROUPS = {
-    **{f"A{m}": (lambda m=m: coverage._alternating(m)) for m in (5, 6, 7, 8)},
+    **{f"A{m}": (lambda m=m: enumerated_alternating(m)[0]) for m in (5, 6, 7, 8)},
     **{f"S{m}": (lambda m=m: FiniteGroup.symmetric(m)) for m in (4, 5, 6)},
     "Z3xK4": _z3_x_k4,
 }
@@ -59,13 +66,18 @@ def test_class_product_matches_element_loop_on_every_pair(group):
 
 
 def test_layers_and_class_powers_match_element_loop(group):
+    """Consequence layers on every group; on A_m also the fourth class
+    powers, which ``coverage`` reads off the character table."""
     G, oracle = group
+    table = alternating_table(G.degree) if G.kind == "alternating" else None
     for i in range(len(G.conjugacy_classes())):
         X = (G.class_representative(i),)
         assert list(iter_consequence_class_layers(G, X)) == list(
             element_consequence_class_layers(G, X, oracle)
         )
-        assert _class_power_indices(G, i, 4) == element_class_power(G, i, 4, oracle)
+        if table is not None:
+            power = exact_depth_layers(iter_class_layers((i,), table.step((i,))), 4)[-1]
+            assert power == element_class_power(G, i, 4, oracle)
 
 
 @pytest.mark.parametrize("m", [5, 6])

@@ -5,12 +5,11 @@ from conftest import brute_min_depth, support_cover_exhaustive
 
 from groupapprox.coverage import (
     empirical_covering_constant,
-    min_consequence_depth,
     support_cover_sweep,
     verify_brenner_bound,
     verify_support_cover,
 )
-from groupapprox.groups import FiniteGroup
+from groupapprox.groups import FiniteGroup, min_consequence_depth
 from groupapprox.lengths import ball, hamming
 from groupapprox.perm import parse_cycles
 

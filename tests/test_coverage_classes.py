@@ -1,16 +1,24 @@
 """Differential tests: the class-level ``support-cover`` and
-``brenner-verify`` checks of ``coverage`` against the element loops they
-replaced (conftest.py)."""
+``brenner-verify`` checks of ``coverage``, read off the character table,
+against the element loops they replaced (conftest.py)."""
 
 import dataclasses
+import hashlib
 import random
 
+import conftest
 import pytest
-from conftest import element_verify_brenner_bound, element_verify_support_cover
+from conftest import (
+    element_verify_brenner_bound,
+    element_verify_support_cover,
+    enumerated_alternating,
+)
 
-from groupapprox import coverage
-from groupapprox.coverage import verify_brenner_bound, verify_support_cover
+from groupapprox import cli, coverage, groups
+from groupapprox.characters import alternating_table
+from groupapprox.coverage import support_cover_sweep, verify_brenner_bound, verify_support_cover
 from groupapprox.errors import CapExceeded
+from groupapprox.groups import FiniteGroup
 from groupapprox.perm import Permutation, conjugate, parse_cycles
 
 DEGREES = (5, 6, 7)
@@ -21,8 +29,7 @@ def _elements(m):
     """Every nontrivial class representative of A_m, then 20 seeded random
     conjugates of them by elements of S_m, so both halves of a split class
     occur."""
-    G = coverage._alternating(m)
-    reps = coverage.nontrivial_class_representatives(G)
+    _, reps = enumerated_alternating(m)
     rng = random.Random(m)
     conjugates = []
     for _ in range(20):
@@ -43,7 +50,7 @@ def test_support_cover_matches_element_path(m):
 @pytest.mark.parametrize("m", DEGREES)
 def test_brenner_matches_element_path(m):
     elements = _elements(m)
-    reps = len(coverage.nontrivial_class_representatives(coverage._alternating(m)))
+    reps = len(enumerated_alternating(m)[1])
     others = [(x,) for x in elements[reps:]] + [elements[:2], elements[-3:]]
     # the oracle measures every element of A_m on each call, so at m = 7
     # only the class representatives take every depth
@@ -55,24 +62,80 @@ def test_brenner_matches_element_path(m):
         assert rep.holds
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_brenner_refuses_a_group_past_the_cap(n):
-    x = parse_cycles("(1 2 3)", 5)
-    for check in (verify_brenner_bound, element_verify_brenner_bound):
-        with pytest.raises(CapExceeded, match="A5 has 60 elements, past cap 10"):
-            check(5, [x], n, cap=10)
+def test_a_degree_past_the_cap_is_refused_before_the_table(monkeypatch, capsys):
+    def refuse(m):
+        raise AssertionError(f"the A{m} table was built")
+
+    monkeypatch.setattr(coverage, "alternating_table", refuse)
+    x = parse_cycles("(1 2 3)", 10)
+    message = "A10 has more than 1000000 elements"
+    for check in (
+        lambda: verify_brenner_bound(10, [x], 2),
+        lambda: verify_support_cover(10, x),
+        lambda: support_cover_sweep(10),
+    ):
+        with pytest.raises(CapExceeded, match=message):
+            check()
+    for argv in (
+        ["brenner-verify", "--m", "10", "--X", "(1 2 3)", "--n", "2"],
+        ["support-cover", "--m", "10"],
+    ):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == f"cap exceeded: {message}\n"
+
+
+# sha256 and length of the reports the element path wrote
+REPORTS_AT_NINE = [
+    (
+        ["support-cover", "--m", "9"],
+        "2ec9712eb02bf17c2836160a346077aa01a6ae3286b7220fb2372bb0e429b1aa",
+        1665,
+    ),
+    (
+        ["brenner-verify", "--m", "9", "--X", "(1 2)(3 4)", "--n", "33"],
+        "2e79f099b5a5bff56b0423f0b05ac45c024d5065b5ed46c03a1677571c12c5b9",
+        180,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest, size", REPORTS_AT_NINE)
+def test_coverage_checks_never_list_the_alternating_group(argv, digest, size, monkeypatch, capsys):
+    for name in ("elements", "conjugacy_classes"):
+        original = getattr(FiniteGroup, name)
+
+        def refuse(self, *args, original=original, **kwargs):
+            if self.kind == "alternating":
+                raise AssertionError(f"{self.name} listed")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, name, refuse)
+    alternating_table.cache_clear()
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
 
 
 @pytest.mark.parametrize("m", (5, 6))
 def test_support_cover_violations_match(m, monkeypatch):
     """Dropping x's own class from its fourth power makes x, and every other
     member of that class supported in supp(x), a violation on both paths.
-    The identity class (index 0) is dropped too: it is never a target."""
-    power = coverage._class_power_indices
+    The identity class (index 0) is dropped too: it is never a target.
+    The library drops it from its exact-depth layers, the oracle from its
+    class power."""
+    table = alternating_table(m)
+    exact, power = coverage.exact_depth_layers, conftest.element_class_power
     monkeypatch.setattr(
-        coverage, "_class_power_indices", lambda G, ci, k: power(G, ci, k) - {0, ci}
+        conftest, "element_class_power",
+        lambda G, ci, k, product=None: power(G, ci, k, product) - {0, ci},
     )
     for x in _elements(m):
+
+        def without_class(layers, n, gone=frozenset((0, table.class_index(x)))):
+            out = exact(layers, n)
+            return out[:-1] + (out[-1] - gone,)
+
+        monkeypatch.setattr(coverage, "exact_depth_layers", without_class)
         rep = verify_support_cover(m, x)
         assert rep == element_verify_support_cover(m, x), x
         assert x in rep.violations and not rep.holds
@@ -85,20 +148,27 @@ def test_support_cover_violations_match(m, monkeypatch):
 )
 def test_brenner_violations_match(m, base, n, dropped, monkeypatch):
     """Dropping a ball class (the base element's, or the identity's) from
-    the depth-n set turns that whole class into violations on both paths."""
+    the depth-n set turns that whole class into violations on both paths.
+    The library drops it from its exact-depth layers, the oracle from its
+    consequence set."""
     x = parse_cycles(base, m)
-    G = coverage._alternating(m)
+    G, _ = enumerated_alternating(m)
     dropped_element = x if dropped == "base" else G.identity()
     gone = G.class_of(dropped_element)
-    gone_index = G.class_index_of(dropped_element)
-    full = coverage.consequences
+    gone_index = alternating_table(m).class_index(dropped_element)
+    exact, full = coverage.exact_depth_layers, groups.consequences
 
-    def without_class(G, X, depth, cap):
-        cons = full(G, X, depth, cap)
-        last = cons.class_layers[-1] - {gone_index}
+    def library_without_class(layers, depth):
+        out = exact(layers, depth)
+        return out[:-1] + (out[-1] - {gone_index},)
+
+    def oracle_without_class(G, X, depth):
+        cons = full(G, X, depth)
+        last = cons.class_layers[-1] - {G.class_index_of(dropped_element)}
         return dataclasses.replace(cons, class_layers=cons.class_layers[:-1] + (last,))
 
-    monkeypatch.setattr(coverage, "consequences", without_class)
+    monkeypatch.setattr(coverage, "exact_depth_layers", library_without_class)
+    monkeypatch.setattr(groups, "consequences", oracle_without_class)
     rep = verify_brenner_bound(m, [x], n)
     assert rep == element_verify_brenner_bound(m, [x], n)
     assert set(rep.violations) == gone and not rep.holds

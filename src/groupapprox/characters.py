@@ -1,4 +1,5 @@
-"""Conjugacy classes and characters of A_m, built from cycle types alone.
+"""Conjugacy classes and characters of A_m, built from cycle types alone,
+and the cycle types of the k-th powers in S_m and A_m.
 
 No element of the group is listed.  The classes of ``A_m`` are the even
 cycle types of ``S_m``; a type splits into two halves iff its parts are
@@ -32,7 +33,7 @@ multiple of the degrees.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import CapExceeded
@@ -49,6 +50,35 @@ def _partitions(n: int, largest: int):
     for first in range(min(n, largest), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
+
+
+def cycle_type(x: Permutation) -> tuple[int, ...]:
+    """The cycle lengths of x, fixed points included, decreasing: a
+    partition of its degree."""
+    lengths = sorted(map(len, x.cycles()), reverse=True)
+    return tuple(lengths) + (1,) * (len(x) - sum(lengths))
+
+
+@lru_cache(maxsize=None)
+def power_types(m: int, k: int, even: bool) -> frozenset:
+    """The cycle types of the k-th powers in ``S_m``, or in ``A_m`` when even.
+
+    They are the types lambda^k for lambda a partition of m, an even one
+    for ``A_m``: an l-cycle to the k is gcd(l, k) cycles of length
+    l / gcd(l, k).  The set is exact for ``A_m`` too, as conjugation by
+    ``S_m`` keeps parity: an even root of one element of a type conjugates
+    to an even root of every element of that type.
+    """
+    out = set()
+    for shape in _partitions(m, m):
+        if even and (m - len(shape)) % 2:
+            continue
+        parts = []
+        for length in shape:
+            g = gcd(length, k)
+            parts += [length // g] * g
+        out.add(tuple(sorted(parts, reverse=True)))
+    return frozenset(out)
 
 
 def partitions(m: int) -> tuple[tuple[int, ...], ...]:

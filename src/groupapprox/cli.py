@@ -45,6 +45,14 @@ def _positive_int(text):
     return jobs
 
 
+def _nonnegative_int(text):
+    """A cap or a budget: 0 is a real limit, a negative one is malformed."""
+    limit = int(text)
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {limit}")
+    return limit
+
+
 @cache
 def _build_parser():
     """The argument parser, built once per process: parsing never changes it,
@@ -73,7 +81,7 @@ def _build_parser():
     p.add_argument("--catalog", action="append", default=[])
     p.add_argument("--X", action="append", default=[], required=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_ELEMENT_CAP)
 
     p = add("separate", "is Y disjoint from the depth-n consequences of X?")
     p.add_argument("--group", required=True)
@@ -81,7 +89,7 @@ def _build_parser():
     p.add_argument("--X", action="append", default=[])
     p.add_argument("--Y", action="append", default=[], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_ELEMENT_CAP)
 
     p = add("brenner-verify", "ball of radius (n-1)*eps/16 inside the depth-n set")
     p.add_argument("--m", type=int, required=True)
@@ -103,7 +111,7 @@ def _build_parser():
     p.add_argument("--X", action="append", default=[])
     p.add_argument("--n", type=int)
     p.add_argument("--table", help="length-table report file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_ELEMENT_CAP)
 
     p = add("approx-check", "re-verify a stored certificate")
     p.add_argument("--certificate", required=True)
@@ -112,20 +120,20 @@ def _build_parser():
     p.add_argument("--presentation", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--budget", type=int, default=approx.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=approx.DEFAULT_SEARCH_BUDGET)
     p.add_argument("--prune", action="store_true", help="skip conjugate image tuples")
 
     p = add("sofic-search", "search for a long-outside/short-inside homomorphism")
     p.add_argument("--presentation", required=True)
     p.add_argument("--eps", required=True, help="rational threshold p/q")
     p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--budget", type=int, default=approx.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=approx.DEFAULT_SEARCH_BUDGET)
 
     p = add("eq-solve", "universal-existential solvability in one group")
     p.add_argument("--group", required=True)
     p.add_argument("--catalog", action="append", default=[])
     p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=int, default=equations.DEFAULT_EQ_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=equations.DEFAULT_EQ_BUDGET)
     p.add_argument("--witnesses", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
@@ -137,7 +145,7 @@ def _build_parser():
     p = add("eq-sys", "solvability across a whole catalog")
     p.add_argument("--catalog", action="append", default=[], required=True)
     p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=int, default=equations.DEFAULT_EQ_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=equations.DEFAULT_EQ_BUDGET)
 
     p = add("eq-over", "solvability over a group via supplied overgroup embeddings")
     p.add_argument("--group", required=True)
@@ -151,7 +159,7 @@ def _build_parser():
         required=True,
         help="diagonal embedding with this many copies (repeatable)",
     )
-    p.add_argument("--budget", type=int, default=equations.DEFAULT_EQ_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=equations.DEFAULT_EQ_BUDGET)
     p.add_argument("--witnesses", action="store_true")
 
     p = add("manifest-replay", "re-run a pinned list of subcommands")

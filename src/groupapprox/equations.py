@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 from itertools import product as iter_product
 
+from .characters import cycle_type, power_types
 from .errors import ParseError
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from .perm import Permutation, direct_sum
@@ -136,6 +137,9 @@ def solvable_in(
     verdict and the counterexample are unchanged (the least failing tuple
     overall is always orbit-canonical); witnesses are recorded for the
     orbit representatives only.
+
+    A witness-free power word over ``S_m`` or ``A_m`` is decided per
+    constant tuple from cycle types (``_root_types``), in process.
     """
     els = G.elements(cap)
     size = len(els)
@@ -155,11 +159,12 @@ def solvable_in(
         constant_tuples = [t for t in constant_tuples if G.is_conjugation_canonical(t)]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
     workers = worker_count(jobs, len(constant_tuples))
-    if workers > 1:
+    roots = _root_types(G, system, want_witnesses)
+    if workers > 1 and roots is None:
         failing, witnesses = _scan_parallel(G, system, constant_tuples, want_witnesses, workers)
     else:
         failing, witnesses = _scan_constants(
-            system, constant_tuples, els, degree, want_witnesses
+            system, constant_tuples, els, degree, want_witnesses, roots
         )
     if failing is not None:
         return SolvabilityReport(
@@ -180,7 +185,7 @@ def solvable_in(
     )
 
 
-def _scan_constants(system, constant_tuples, domain, degree, want_witnesses):
+def _scan_constants(system, constant_tuples, domain, degree, want_witnesses, roots=None):
     """The assignment scan behind ``solvable_in`` and ``solvable_over_bounded``.
 
     Returns the first constant tuple that no variable tuple over ``domain``
@@ -191,18 +196,47 @@ def _scan_constants(system, constant_tuples, domain, degree, want_witnesses):
     is paired with its inverses (``paired_images``) and an assignment is
     the flattened pairs.  ``domain`` is rescanned for every constant tuple,
     so a streamed domain must be re-iterable, never a one-shot iterator.
+
+    ``roots``, from ``_root_types``, replaces the scan for a power word
+    x^k = t: a tuple is solvable iff the cycle type of its target t is in
+    it.  No solution is built then and ``domain`` is never read.
     """
     paired = any(s < -system.constants for w in system.words for s in w)
-    items = paired_images(domain) if paired else domain
+    items = paired_images(domain) if paired and roots is None else domain
     witnesses = []
     for constants in constant_tuples:
         bound = _bind_words(system, constants, paired, degree)
+        if roots is not None:
+            # x^-k = t has a root iff x^k = t^-1 does, and t^-1 has t's type
+            if cycle_type(Permutation(bound[0][0][2])) not in roots:
+                return constants, []
+            continue
         found = None if bound is None else _first_solution(*bound, items, system.variables, paired)
         if found is None:
             return constants, []
         if want_witnesses:
             witnesses.append((constants, found))
     return None, witnesses
+
+
+def _root_types(G, system, want_witnesses):
+    """The cycle types t such that x^k = t has a root in G, when that
+    decides the system; else None, and the system is scanned.
+
+    It decides a witness-free check over builtin ``S_m`` or ``A_m`` of one
+    word whose variable letters are one run x^k or x^-k: ``_bind_words``
+    rotates the constants before the run to its end, so the word binds to
+    x^k = t, or x^-k = t, with t a product of constants.  A freely reduced
+    run of one variable never changes sign.
+    """
+    if want_witnesses or G.kind not in ("symmetric", "alternating"):
+        return None
+    if system.variables != 1 or len(system.words) != 1:
+        return None
+    places = [i for i, s in enumerate(system.words[0]) if abs(s) > system.constants]
+    if not places or places[-1] - places[0] + 1 != len(places):
+        return None
+    return power_types(G.degree, len(places), G.kind == "alternating")
 
 
 def _bind_words(system, constants, paired, degree):
@@ -453,7 +487,8 @@ def solvable_over_bounded(
             for source_constants in iter_product(source_els, repeat=system.constants)
         )
         failing, witnesses = _scan_constants(
-            system, constant_tuples, domain, H.degree, want_witnesses
+            system, constant_tuples, domain, H.degree, want_witnesses,
+            _root_types(H, system, want_witnesses),
         )
         if failing is None:
             return SolvabilityReport(

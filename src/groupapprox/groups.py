@@ -179,7 +179,8 @@ class FiniteGroup:
     def _enumerate(self, cap):
         m = self.degree
         if self.kind in ("symmetric", "alternating"):
-            return list(self.iter_elements(cap))
+            self.order(cap)
+            return list(_lexicographic(m, even=self.kind == "alternating"))
         if self.kind == "product":
             out = []
             for combo in iter_product(*(c.elements(cap) for c in self.components)):
@@ -362,16 +363,21 @@ class _Lexicographic:
         self.even = even
 
     def __iter__(self):
-        m = self.degree
-        perms = iter_permutations(range(m))
-        if not self.even or m < 2:
-            return map(Permutation, perms)
-        # Lexicographic order pairs up the permutations that share their
-        # first m - 2 images, and exactly one of each pair is even.  The
-        # first of a pair has the head's Lehmer code padded with zeros,
-        # and a permutation is even iff its Lehmer code sums to even.
-        codes = iter_product(*map(range, range(m, 2, -1)))
-        return (Permutation(pair[sum(code) % 2]) for pair, code in zip(zip(perms, perms), codes))
+        return _lexicographic(self.degree, self.even)
+
+
+def _lexicographic(m, even):
+    """The elements of ``S_m``, or of ``A_m`` when ``even``, in lexicographic
+    image order, generated lazily."""
+    perms = iter_permutations(range(m))
+    if not even or m < 2:
+        return map(Permutation, perms)
+    # Lexicographic order pairs up the permutations that share their
+    # first m - 2 images, and exactly one of each pair is even.  The
+    # first of a pair has the head's Lehmer code padded with zeros,
+    # and a permutation is even iff its Lehmer code sums to even.
+    codes = iter_product(*map(range, range(m, 2, -1)))
+    return (Permutation(pair[sum(code) % 2]) for pair, code in zip(zip(perms, perms), codes))
 
 
 def _transposition(m, i, j):

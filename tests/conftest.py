@@ -230,13 +230,14 @@ def satisfies(system, constants, variables, degree) -> bool:
     return True
 
 
-def element_scan_constants(system, constant_tuples, els, degree, want_witnesses):
+def element_scan_constants(system, constant_tuples, els, degree, want_witnesses, roots=None):
     """The assignment scan ``equations`` ran before its compiled kernel.
 
     Same contract as ``equations._scan_constants``: the first constant
     tuple no variable tuple satisfies, or None and the first solution of
     each tuple; every assignment is evaluated word by word with
-    ``evaluate_word``.
+    ``evaluate_word``.  ``roots`` is ignored: the oracle scans every
+    system, power words included.
     """
     witnesses = []
     for constants in constant_tuples:

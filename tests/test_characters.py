@@ -12,12 +12,23 @@ from groupapprox.characters import (
     AlternatingTable,
     _centralizer_order,
     conjugate_partition,
+    cycle_type,
     partitions,
+    power_types,
     symmetric_character,
 )
 from groupapprox.coverage import covering_csv, empirical_covering_constant
 from groupapprox.errors import CapExceeded
 from groupapprox.groups import FiniteGroup
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_power_types_match_the_enumerated_powers(kind, m):
+    els = getattr(FiniteGroup, kind)(m).elements()
+    for k in range(1, 13):
+        expected = frozenset(cycle_type(x ** k) for x in els)
+        assert power_types(m, k, kind == "alternating") == expected, k
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])

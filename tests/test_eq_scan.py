@@ -1,15 +1,19 @@
 """Differential tests: the compiled assignment scan of ``equations`` against
-the word-by-word ``evaluate_word`` scan it replaced (conftest.py), and the
+the word-by-word ``evaluate_word`` scan it replaced (conftest.py), the
 streamed ``S_m``/``A_m`` overgroups of ``solvable_over_bounded`` against
-the same scan over the overgroup listed in canonical order."""
+the same scan over the overgroup listed in canonical order, and power
+words over ``S_m``/``A_m``, decided from cycle types, against both."""
 
+import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import element_scan_constants
 
-from groupapprox import equations
+from groupapprox import cli, equations, groups
+from groupapprox.characters import power_types
 from groupapprox.equations import (
     EquationSystem,
     diagonal_embedding,
@@ -33,6 +37,8 @@ def _z3_x_k4():
 GROUPS = {
     "degree 0": lambda: FiniteGroup.generated(0, []),
     "S1": lambda: FiniteGroup.symmetric(1),
+    "A1": lambda: FiniteGroup.alternating(1),
+    "A2": lambda: FiniteGroup.alternating(2),
     "S3": lambda: FiniteGroup.symmetric(3),
     "S4": lambda: FiniteGroup.symmetric(4),
     "A4": lambda: FiniteGroup.alternating(4),
@@ -44,6 +50,10 @@ GROUPS = {
 # group small enough for the oracle.
 FIXED = {
     "square": "constants 1; variables 1;\nx1 x1 a1^-1\n",
+    "cube": "constants 1; variables 1;\nx1 x1 x1 a1^-1\n",
+    "seventh power": "constants 1; variables 1;\nx1 x1 x1 x1 x1 x1 x1 a1^-1\n",
+    "inverted square": "constants 1; variables 1;\nx1^-1 x1^-1 a1\n",
+    "constants on both sides": "constants 2; variables 1;\na1 x1 x1 a2^-1\n",
     "inverted variables": "constants 1; variables 2;\nx1 x2 x1^-1 x2^-1 a1^-1\n",
     "adjacent and inverted constants": "constants 2; variables 1;\na2^-1 a1 x1 a1^-1 a2 a2 x1^-1\n",
     "constants inside": "constants 2; variables 1;\nx1 a1 x1^-1 a2^-1\n",
@@ -103,6 +113,29 @@ def test_solvable_in_matches_element_scan(name, monkeypatch):
     assert verdicts == {"solvable", "unsolvable"} or G.order() == 1
 
 
+# 7 is prime to the exponent of every group below, so the seventh power is solvable
+POWER_WORDS = ("square", "cube", "seventh power", "inverted square", "constants on both sides")
+
+
+@pytest.mark.parametrize("name", ["S1", "S3", "S4", "A1", "A2", "A4", "A5"])
+def test_power_words_match_element_scan(name, monkeypatch):
+    """Every power word on every listed group, past the size filter of
+    ``_systems``: witness-free reports come from cycle types, the others
+    from the scan, and both must equal the oracle's."""
+    G = GROUPS[name]()
+    verdicts = set()
+    for key in POWER_WORDS:
+        system = parse_equation_system(FIXED[key])
+        assert equations._root_types(G, system, want_witnesses=False) is not None, key
+        for witnesses in (False, True):
+            for reduce in (False, True):
+                kw = dict(want_witnesses=witnesses, constants_up_to_conjugacy=reduce)
+                expected = _oracle(monkeypatch, solvable_in, G, system, **kw)
+                assert solvable_in(G, system, **kw) == expected, (key, kw)
+                verdicts.add(expected.verdict)
+    assert verdicts == {"solvable", "unsolvable"} or G.order() == 1
+
+
 @pytest.mark.parametrize("name", ["S3", "A4", "Z3xK4"])
 def test_parallel_scan_matches_element_scan(name, monkeypatch):
     G = GROUPS[name]()
@@ -130,9 +163,10 @@ def test_solvable_over_diagonal_matches_element_scan(witnesses, monkeypatch):
     assert verdicts == {"solvable", "unknown"}
 
 
-def _listed_scan(system, constant_tuples, domain, degree, want_witnesses):
+def _listed_scan(system, constant_tuples, domain, degree, want_witnesses, roots=None):
     """``element_scan_constants`` over the domain listed in canonical order,
-    as ``solvable_over_bounded`` scanned every overgroup before streaming."""
+    as ``solvable_over_bounded`` scanned every overgroup before streaming;
+    ``roots`` is ignored, so power words are scanned too."""
     listed = sorted(domain, key=Permutation.sort_key)
     return element_scan_constants(system, constant_tuples, listed, degree, want_witnesses)
 
@@ -150,11 +184,18 @@ def _a4_into_a8():
 
 OVERGROUPS = {"S3 -> S6": _s3_into_s6, "A4 -> A8": _a4_into_a8}
 
+# solvable power words whose every constant tuple costs the oracle a scan of A8
+SLOW_IN_A8 = ("seventh power", "constants on both sides")
+
 
 @pytest.mark.parametrize("name", sorted(OVERGROUPS))
 def test_streamed_overgroup_matches_listed_element_scan(name, monkeypatch):
     G, embedding = OVERGROUPS[name]()
-    systems = [parse_equation_system(t) for t in FIXED.values() if "variables 2" not in t]
+    systems = [
+        parse_equation_system(t)
+        for key, t in FIXED.items()
+        if "variables 2" not in t and (name == "S3 -> S6" or key not in SLOW_IN_A8)
+    ]
     seeded = (_seeded_system(9000 + i, 2) for i in range(100))
     systems += [s for s in seeded if s.variables == 1 and s.constants == 1][:4]
     verdicts = set()
@@ -186,3 +227,100 @@ def test_iter_elements_yields_each_element_once(kind, degrees):
 def test_iter_elements_of_other_groups_is_the_canonical_tuple():
     G = _z3_x_k4()
     assert G.iter_elements() is G.elements()
+
+
+def test_power_words_are_one_run_of_one_variable():
+    shapes = {
+        "constants 1; variables 1;\nx1 x1 x1 a1^-1\n": 3,
+        "constants 1; variables 1;\na1 x1^-1 x1^-1\n": 2,
+        "constants 2; variables 1;\na1 x1 a2\n": 1,
+        "constants 1; variables 1;\nx1 a1 x1\n": None,  # an inner constant block
+        "constants 1; variables 1;\nx1 a1 x1^-1 a1^-1\n": None,
+        "constants 1; variables 1;\nx1 x1 a1\nx1 a1\n": None,  # two words
+        "constants 1; variables 1;\na1 a1\n": None,  # no variable letter
+        "constants 0; variables 2;\nx1 x1 x2^-1\n": None,
+    }
+    S3, A4 = FiniteGroup.symmetric(3), FiniteGroup.alternating(4)
+    for text, k in shapes.items():
+        system = parse_equation_system(text)
+        for G in (S3, A4):
+            expected = None if k is None else power_types(G.degree, k, G is A4)
+            assert equations._root_types(G, system, want_witnesses=False) == expected, text
+    square = parse_equation_system(FIXED["square"])
+    assert equations._root_types(_z3_x_k4(), square, want_witnesses=False) is None
+    assert equations._root_types(S3, square, want_witnesses=True) is None
+
+
+# sha256 and length of the witness-free reports the element scan wrote
+UNSCANNED_REPORTS = [
+    (
+        ["eq-over", "--group", "S3", "--diagonal", "2"],
+        "82f43af512d2a8bc2c29c112557c3fb5b0153522411b6593ce447ac28f68c18f",
+        290,
+    ),
+    (
+        ["eq-over", "--group", "S3", "--diagonal", "3"],
+        "58dd4a4eb0fd9ad60100a560a60b5753630ab4283e8187dd79dca7e83f7e6a6e",
+        311,
+    ),
+    (
+        ["eq-solve", "--group", "A6"],
+        "1323aca59d37ffa6d3879d72342b2ce05c38c59946fd5370b24d95e2e5b3ce57",
+        299,
+    ),
+    (
+        ["eq-solve", "--group", "A7"],
+        "df8acc15e80cd69fdf186a21daf0102f07c7cd6d8b4d4a380f3bc84ba368803c",
+        301,
+    ),
+]
+
+SQ = str(Path(__file__).resolve().parent.parent / "manifests" / "sq.eqn")
+
+
+def _refuse_scans(monkeypatch):
+    """Make the assignment scan and every streamed pass over S_m/A_m raise;
+    listing a group in canonical order stays allowed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(equations, "_first_solution", refuse)
+    monkeypatch.setattr(groups._Lexicographic, "__iter__", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, digest, size",
+    UNSCANNED_REPORTS,
+    ids=["over-S3-diagonal-2", "over-S3-diagonal-3", "solve-A6", "solve-A7"],
+)
+def test_power_words_over_builtin_groups_are_never_scanned(argv, digest, size, monkeypatch, tmp_path):
+    _refuse_scans(monkeypatch)
+    out = tmp_path / "report"
+    assert cli.run(argv + ["--system", SQ, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+
+def test_witnesses_still_scan_the_overgroup(monkeypatch, tmp_path):
+    _refuse_scans(monkeypatch)
+    argv = ["eq-over", "--group", "S3", "--diagonal", "3", "--system", SQ, "--witnesses"]
+    with pytest.raises(AssertionError, match="scanned"):
+        cli.run(argv + ["--out", str(tmp_path / "report")])
+
+
+def test_power_word_with_jobs_starts_no_pool(monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(equations, "_scan_parallel", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["eq-solve", "--group", "S4", "--system", SQ, "--jobs", jobs, "--out", str(out)]
+        assert cli.run(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"verdict: unsolvable" in reports[0]

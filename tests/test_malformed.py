@@ -292,6 +292,40 @@ def test_jobs_below_one_exits_1(command, jobs, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+LIMITED = {
+    "--budget": [
+        ["eq-solve", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn")],
+        ["eq-sys", "--catalog", str(MANIFESTS / "alt.catalog"), "--system", str(MANIFESTS / "sq.eqn")],
+        ["eq-over", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn"), "--diagonal", "2"],
+        ["approx-search", "--presentation", str(MANIFESTS / "z3.pres"), "--n", "1",
+         "--catalog", str(MANIFESTS / "alt.catalog")],
+        ["sofic-search", "--presentation", str(MANIFESTS / "z3.pres"), "--eps", "1/4",
+         "--catalog", str(MANIFESTS / "alt.catalog")],
+    ],
+    "--cap": [
+        ["consequences", "--group", "S3", "--X", "(1 2)", "--n", "1"],
+        ["separate", "--group", "S3", "--X", "(1 2)", "--Y", "(1 2 3)", "--n", "1"],
+        ["axioms-check", "--group", "S3"],
+    ],
+}
+
+
+@pytest.mark.parametrize("flag, command", [(f, c) for f, cs in LIMITED.items() for c in cs])
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_negative_budget_or_cap_exits_1(flag, command, value, tmp_path, capsys):
+    code, err = _run(capsys, *command, flag, value, "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert f"argument {flag}: must be at least 0, got {value}" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag, command", [(f, cs[0]) for f, cs in LIMITED.items()])
+def test_zero_budget_or_cap_is_a_limit(flag, command, tmp_path, capsys):
+    code, err = _run(capsys, *command, flag, "0", "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert "must be at least" not in err
+
+
 class TestWorkerCount:
     def test_clamps_to_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)

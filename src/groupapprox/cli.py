@@ -38,19 +38,20 @@ _FILE_FLAGS = {"--system", "--catalog", "--presentation", "--certificate", "--ta
 _OUT_FLAGS = {"--out", "--csv"}
 
 
-def _positive_int(text):
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _int_at_least(low):
+    """An argparse type for integers >= low: 0 is a real cap or budget,
+    while a worker count must be positive."""
 
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _nonnegative_int(text):
-    """A cap or a budget: 0 is a real limit, a negative one is malformed."""
-    limit = int(text)
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {limit}")
-    return limit
+    return parse
 
 
 @cache
@@ -81,7 +82,7 @@ def _build_parser():
     p.add_argument("--catalog", action="append", default=[])
     p.add_argument("--X", action="append", default=[], required=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
 
     p = add("separate", "is Y disjoint from the depth-n consequences of X?")
     p.add_argument("--group", required=True)
@@ -89,7 +90,7 @@ def _build_parser():
     p.add_argument("--X", action="append", default=[])
     p.add_argument("--Y", action="append", default=[], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
 
     p = add("brenner-verify", "ball of radius (n-1)*eps/16 inside the depth-n set")
     p.add_argument("--m", type=int, required=True)
@@ -111,7 +112,7 @@ def _build_parser():
     p.add_argument("--X", action="append", default=[])
     p.add_argument("--n", type=int)
     p.add_argument("--table", help="length-table report file")
-    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
 
     p = add("approx-check", "re-verify a stored certificate")
     p.add_argument("--certificate", required=True)
@@ -120,22 +121,22 @@ def _build_parser():
     p.add_argument("--presentation", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--budget", type=_nonnegative_int, default=approx.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)
     p.add_argument("--prune", action="store_true", help="skip conjugate image tuples")
 
     p = add("sofic-search", "search for a long-outside/short-inside homomorphism")
     p.add_argument("--presentation", required=True)
     p.add_argument("--eps", required=True, help="rational threshold p/q")
     p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--budget", type=_nonnegative_int, default=approx.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)
 
     p = add("eq-solve", "universal-existential solvability in one group")
     p.add_argument("--group", required=True)
     p.add_argument("--catalog", action="append", default=[])
     p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=_nonnegative_int, default=equations.DEFAULT_EQ_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
     p.add_argument("--witnesses", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument(
         "--reduce-constants",
         action="store_true",
@@ -145,7 +146,7 @@ def _build_parser():
     p = add("eq-sys", "solvability across a whole catalog")
     p.add_argument("--catalog", action="append", default=[], required=True)
     p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=_nonnegative_int, default=equations.DEFAULT_EQ_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
 
     p = add("eq-over", "solvability over a group via supplied overgroup embeddings")
     p.add_argument("--group", required=True)
@@ -159,13 +160,13 @@ def _build_parser():
         required=True,
         help="diagonal embedding with this many copies (repeatable)",
     )
-    p.add_argument("--budget", type=_nonnegative_int, default=equations.DEFAULT_EQ_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
     p.add_argument("--witnesses", action="store_true")
 
     p = add("manifest-replay", "re-run a pinned list of subcommands")
     p.add_argument("manifest")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=None)
 
     return parser
 

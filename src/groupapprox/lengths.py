@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from math import lcm
-from operator import sub
+from operator import itemgetter, ne, sub
 
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -112,17 +113,21 @@ def verify_axioms(
     """Exhaustively check the three length-function axioms on the carrier.
 
     Checks ||1|| == 0, values >= 0, subadditivity over all ordered pairs,
-    and conjugation invariance over all ordered pairs.  Collects at most
-    max_violations witnesses per axiom but counts every failure toward
-    the verdict.
+    and conjugation invariance over all ordered pairs.  Lists at most
+    max_violations witnesses per axiom, in canonical (g, h) order, but
+    any failure makes the report invalid.
 
-    Every ordered pair (g, h) is evaluated, through element indices rather
-    than permutation products: the elements are numbered in canonical
-    order, and a parent-first spanning tree of the right Cayley graph
-    gives g*h and h^-1 g h from the parent of h by one generator lookup.
-    ``pairs_checked`` counts the 2*|G|^2 evaluated pairs.  Values are
-    compared as integers over their common denominator, so the check stays
-    exact; memory beyond the enumeration is O(|G|).
+    Every ordered pair is evaluated, on element indices rather than
+    permutation products.  The elements are numbered in canonical order
+    and values are compared as integers over their common denominator, so
+    the check stays exact.  Down a spanning tree of the right Cayley graph
+    (g = p*s), the row S_g[h] = ||g*h|| is S_p gathered by idx(s*h), and
+    the row U_g[x] = ||g*x*g^-1|| is U_p gathered by idx(s*x*s^-1); each
+    gather is one ``operator.itemgetter`` call, and each row is tested by
+    one C-level scan.  U_g covers the pairs (x, g^-1), so one tree serves
+    both axioms.  The tree is walked depth first, so only O(diameter) rows
+    are alive at once.  The witnesses of the failing rows are then listed
+    by direct lookups.  ``pairs_checked`` counts the 2*|G|^2 pairs.
     """
     G = ell.group
     els = G.elements(cap)
@@ -130,61 +135,74 @@ def verify_axioms(
     index = {x: i for i, x in enumerate(els)}
     values = [ell(x) for x in els]
     denominator = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (denominator // v.denominator) for v in values]
+    scaled = tuple(v.numerator * (denominator // v.denominator) for v in values)
     gens = G.generators or (G.identity(),)
-    rmul = [[index[x * s] for x in els] for s in gens]  # idx(x s)
-    cmap = [[index[conjugate(x, s)] for x in els] for s in gens]  # idx(s^-1 x s)
     root = index[G.identity()]
-    tree = _spanning_tree(rmul, root, n)
-    violations = []
-    total = 0
-    per_axiom = {}
+    rmul = [[index[x * s] for x in els] for s in gens]  # idx(x s)
+    conj = [[index[conjugate(x, t)] for x in els] for t in map(Permutation.inverse, gens)]
+    children = _spanning_tree(rmul, root, n)
+    # One gather per generator and row kind: idx(s x s^-1), and idx(s x)
+    # read as idx((s x s^-1) s).  A one-element group has no tree edge, so
+    # the bare item itemgetter returns for n == 1 is never used.
+    inner = [itemgetter(*c) for c in conj]
+    left = [itemgetter(*map(r.__getitem__, c)) for r, c in zip(rmul, conj)]
+    not_subadditive = []  # g with ||g h|| > ||g|| + ||h|| for some h
+    not_invariant = set()  # x with ||g x g^-1|| != ||x|| for some g
+    stack = [(root, None, scaled, scaled)]
+    while stack:
+        g, k, srow, urow = stack.pop()
+        if k is not None:  # g = p*s_k, and srow, urow are p's rows
+            srow, urow = left[k](srow), inner[k](urow)
+        if max(map(sub, srow, scaled)) > scaled[g]:
+            not_subadditive.append(g)
+        if urow != scaled:
+            not_invariant.update(compress(range(n), map(ne, urow, scaled)))
+        for h, k in children[g]:
+            stack.append((h, k, srow, urow))
 
-    def add(axiom, witness, detail):
-        nonlocal total
-        total += 1
-        seen = per_axiom.get(axiom, 0)
-        if seen < max_violations:
-            per_axiom[axiom] = seen + 1
-            violations.append(AxiomViolation(axiom, witness, detail))
-
+    identity = []
     if values[root] != 0:
-        add("identity", (els[root],), f"||1|| = {values[root]} != 0")
-    for x, v in zip(els, values):
-        if v < 0:
-            add("nonnegative", (x,), f"||{x!r}|| = {v} < 0")
-    row = [0] * n
-    for g in range(n):
-        _walk(row, root, g, tree, rmul)  # row[h] = idx(g h)
-        sg = scaled[g]
-        if max(map(sub, map(scaled.__getitem__, row), scaled)) > sg:
-            for h, gh in enumerate(row):
+        identity.append(AxiomViolation("identity", (els[root],), f"||1|| = {values[root]} != 0"))
+    negative = [
+        AxiomViolation("nonnegative", (x,), f"||{x!r}|| = {v} < 0")
+        for x, v in zip(els, values)
+        if v < 0
+    ]
+    valid = not (identity or negative or not_subadditive or not_invariant)
+    keep = max(max_violations, 0)
+    violations = identity[:keep] + negative[:keep]
+
+    def superadditive_pairs():
+        for g in sorted(not_subadditive):
+            x, sg = els[g], scaled[g]
+            for h, y in enumerate(els):
+                gh = index[x * y]
                 if scaled[gh] > sg + scaled[h]:
-                    add(
-                        "subadditive",
-                        (els[g], els[h]),
-                        f"||gh|| = {values[gh]} > {values[g]} + {values[h]}",
-                    )
-    for g in range(n):
-        _walk(row, root, g, tree, cmap)  # row[h] = idx(h^-1 g h)
-        sg = scaled[g]
-        if any(map(sg.__ne__, map(scaled.__getitem__, row))):
-            for h, c in enumerate(row):
+                    detail = f"||gh|| = {values[gh]} > {values[g]} + {values[h]}"
+                    yield AxiomViolation("subadditive", (x, y), detail)
+
+    def variant_pairs():
+        for g in sorted(not_invariant):
+            x, sg = els[g], scaled[g]
+            for h, y in enumerate(els):
+                c = index[conjugate(x, y)]
                 if scaled[c] != sg:
-                    add(
-                        "invariant",
-                        (els[g], els[h]),
-                        f"||h^-1 g h|| = {values[c]} != {values[g]}",
-                    )
-    return AxiomReport(valid=total == 0, violations=tuple(violations), pairs_checked=2 * n * n)
+                    detail = f"||h^-1 g h|| = {values[c]} != {values[g]}"
+                    yield AxiomViolation("invariant", (x, y), detail)
+
+    violations += islice(superadditive_pairs(), keep)
+    violations += islice(variant_pairs(), keep)
+    return AxiomReport(valid=valid, violations=tuple(violations), pairs_checked=2 * n * n)
 
 
 def _spanning_tree(rmul, root, n):
-    """Parent-first (child, parent, generator) triples of a BFS over rmul."""
+    """children[p]: the (h, k) with h = p*s_k that a BFS over rmul first
+    reaches from p; breadth first keeps the tree as shallow as the graph."""
     reached = [False] * n
     reached[root] = True
-    tree = []
+    children = [[] for _ in range(n)]
     frontier = [root]
+    count = 1
     while frontier:
         nxt = []
         for p in frontier:
@@ -192,19 +210,13 @@ def _spanning_tree(rmul, root, n):
                 h = step[p]
                 if not reached[h]:
                     reached[h] = True
-                    tree.append((h, p, k))
+                    children[p].append((h, k))
                     nxt.append(h)
         frontier = nxt
-    if len(tree) + 1 != n:
-        raise RuntimeError(f"generators reach {len(tree) + 1} of {n} elements")
-    return tree
-
-
-def _walk(row, root, g, tree, maps):
-    """row[h] = maps[k][row[p]] down the tree (h = p s_k), from row[root] = g."""
-    row[root] = g
-    for h, p, k in tree:
-        row[h] = maps[k][row[p]]
+        count += len(nxt)
+    if count != n:
+        raise RuntimeError(f"generators reach {count} of {n} elements")
+    return children
 
 
 def ball(ell: LengthFunction, radius, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -324,6 +325,26 @@ def test_zero_budget_or_cap_is_a_limit(flag, command, tmp_path, capsys):
     code, err = _run(capsys, *command, flag, "0", "--out", str(tmp_path / "r"))
     assert code == 2
     assert "must be at least" not in err
+
+
+WITH_JOBS = [
+    ["eq-solve", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn")],
+    ["manifest-replay", str(MANIFESTS / "acceptance.manifest")],
+]
+
+
+@pytest.mark.parametrize("flag, command", [
+    *((f, c) for f, cs in LIMITED.items() for c in cs),
+    *(("--jobs", c) for c in WITH_JOBS),
+])
+@pytest.mark.parametrize("value", ["x", "two", "1.5", ""])
+def test_non_integer_budget_cap_or_jobs_exits_1(flag, command, value, tmp_path, capsys):
+    out = "--out-dir" if command[0] == "manifest-replay" else "--out"
+    code, err = _run(capsys, *command, flag, value, out, str(tmp_path / "r"))
+    assert code == 1
+    assert f"argument {flag}: expected an integer, got {value!r}" in err
+    assert re.search(r"\b_[a-z]\w*", err) is None, err
+    assert not (tmp_path / "r").exists()
 
 
 class TestWorkerCount:

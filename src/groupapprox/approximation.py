@@ -12,9 +12,11 @@ finite permutation group and one of two acceptance modes:
 
 Searches enumerate generator assignments into catalog groups in canonical
 order (so "first found" is reproducible), with the budget counted in
-candidate assignments, never wall time.  They test each assignment on raw
-image tuples (``words.compile_word``) and build permutations, exact
-lengths and reports for the one they return.
+candidate assignments, never wall time.  They test only the assignments
+whose first image leads its conjugation orbit, which find the same first
+map, and count every assignment by its canonical position.  They test
+each assignment on raw image tuples (``words.compile_word``) and build
+permutations, exact lengths and reports for the one they return.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from itertools import product as iter_product
 from operator import ne
 
+from .characters import leader_first
 from .errors import BudgetExceeded, ParseError
 from .groups import (
     FiniteGroup,
@@ -334,7 +336,8 @@ def search_separating_hom(
     """Scan generator assignments for a map separating outside from inside.
 
     Assignments enumerate lexicographically over canonical element order,
-    group by group in catalog order; every assignment extends to a
+    group by group in catalog order, with only those led by an orbit
+    leader tested (``_assignments``); every assignment extends to a
     homomorphism of the free group, so only the separation verdict is
     checked.  Raises BudgetExceeded when the assignment budget runs out
     before the space is exhausted.
@@ -349,18 +352,10 @@ def search_separating_hom(
     count = 0
     per_group = []
     for H in catalog:
-        group_count = 0
         points = tuple(range(H.degree))
         class_of = None  # partition H only once its first assignment is in budget
         layers = {}  # classes of the inside images -> classes of the depth-n layer
-        for combo in iter_product(paired_images(H.elements()), repeat=rank):
-            count += 1
-            group_count += 1
-            if count > budget:
-                raise BudgetExceeded(
-                    f"assignment budget {budget} exhausted",
-                    stats={"assignments": count - 1, "group": H.name},
-                )
+        for position, combo in _assignments(H, rank, count, budget):
             if class_of is None:
                 class_of = H.class_map()
             if prune_conjugates and not H.is_conjugation_canonical([x for x, _ in combo]):
@@ -375,7 +370,7 @@ def search_separating_hom(
                 if class_of[evaluate_compiled(w, vals, points)] in layer:
                     break
             else:
-                per_group.append((H.name, group_count))
+                per_group.append((H.name, position - count))
                 assignment = tuple(x for x, _ in combo)
                 y_images = frozenset(
                     evaluate_word(w, assignment, H.degree) for w in p.outside
@@ -387,10 +382,42 @@ def search_separating_hom(
                     group=H,
                     images=assignment,
                     separation=is_n_separated(H, y_images, phi_images, n),
-                    stats=SearchStats(assignments=count, per_group=tuple(per_group)),
+                    stats=SearchStats(assignments=position, per_group=tuple(per_group)),
                 )
-        per_group.append((H.name, group_count))
+        total = len(H.elements()) ** rank
+        count += total
+        per_group.append((H.name, total))
     return Exhausted(stats=SearchStats(assignments=count, per_group=tuple(per_group)))
+
+
+def _assignments(H, rank, count, budget):
+    """The generator assignments into H that a search tests, as pairs
+    (position, tuple of (image, inverse) pairs), in canonical order.
+
+    A search's successes are closed under simultaneous conjugation, so only
+    the assignments whose first image leads its orbit are tested
+    (``leader_first``).  Positions count every assignment, tested or not,
+    across the catalog: ``count`` precede H.  BudgetExceeded is raised at
+    the first position past ``budget``, tested or not, as a scan of every
+    assignment would: after H is listed, and before it is partitioned if
+    that is H's first.
+    """
+    items = paired_images(H.elements())
+    if count >= budget:
+        raise _budget_exceeded(budget, H)
+    for position, combo in leader_first(H, items, rank):
+        if count + position > budget:
+            raise _budget_exceeded(budget, H)
+        yield count + position, combo
+    if count + len(items) ** rank > budget:
+        raise _budget_exceeded(budget, H)
+
+
+def _budget_exceeded(budget, H):
+    return BudgetExceeded(
+        f"assignment budget {budget} exhausted",
+        stats={"assignments": budget, "group": H.name},
+    )
 
 
 @dataclass(frozen=True)
@@ -440,7 +467,9 @@ def search_sofic_instance(
 ):
     """Find a map into an alternating group with the outside word long.
 
-    Requires exactly one outside word.  Candidates whose raw outside
+    Requires exactly one outside word, and a catalog of builtin symmetric
+    and alternating groups only, checked before any is scanned.  The
+    assignments are those of ``_assignments``.  Candidates whose raw outside
     length is at least 1/2 are taken as they stand; shorter nonzero ones
     are amplified coordinatewise until they clear 1/2, provided every
     inside word still lands strictly below epsilon after the same
@@ -455,29 +484,24 @@ def search_sofic_instance(
     epsilon = Fraction(epsilon)
     if len(p.outside) != 1:
         raise ValueError("sofic search needs exactly one outside word")
+    catalog = tuple(catalog)
+    for H in catalog:
+        if H.kind not in ("symmetric", "alternating"):
+            raise ValueError(
+                f"sofic search catalogs hold symmetric or alternating groups, "
+                f"not {H.kind}: {H.name}"
+            )
     rank = len(p.generators)
     outside = compile_word(p.outside[0])
     inside = [compile_word(w) for w in p.inside]
     count = 0
     per_group = []
     for H in catalog:
-        if H.kind not in ("symmetric", "alternating"):
-            raise ValueError(
-                f"sofic search catalogs hold symmetric or alternating groups, not {H.kind}"
-            )
-        group_count = 0
         m = H.degree
         points = tuple(range(m))
         exponents = {}  # points moved by the outside image -> amplification exponent
         short = {}  # (points moved by an inside image, exponent) -> amplified < epsilon
-        for combo in iter_product(paired_images(H.elements()), repeat=rank):
-            count += 1
-            group_count += 1
-            if count > budget:
-                raise BudgetExceeded(
-                    f"assignment budget {budget} exhausted",
-                    stats={"assignments": count - 1, "group": H.name},
-                )
+        for position, combo in _assignments(H, rank, count, budget):
             vals = tuple(chain.from_iterable(combo))
             moved = sum(map(ne, evaluate_compiled(outside, vals, points), points))
             if not moved:
@@ -493,7 +517,7 @@ def search_sofic_instance(
                 if not ok:
                     break
             else:
-                per_group.append((H.name, group_count))
+                per_group.append((H.name, position - count))
                 embed = H.kind == "symmetric"
                 images = tuple(embed_sym_in_alt(x) if embed else x for x, _ in combo)
                 degree = 2 * m if embed else m
@@ -512,10 +536,12 @@ def search_sofic_instance(
                     raw_outside_length=raw,
                     amplified_outside_length=1 - (1 - raw) ** r,
                     amplified_inside_lengths=inside_amp,
-                    stats=SearchStats(assignments=count, per_group=tuple(per_group)),
+                    stats=SearchStats(assignments=position, per_group=tuple(per_group)),
                     embedded=embed,
                 )
-        per_group.append((H.name, group_count))
+        total = len(H.elements()) ** rank
+        count += total
+        per_group.append((H.name, total))
     return Exhausted(stats=SearchStats(assignments=count, per_group=tuple(per_group)))
 
 

@@ -1,5 +1,6 @@
 """Conjugacy classes and characters of A_m, built from cycle types alone,
-and the cycle types of the k-th powers in S_m and A_m.
+the cycle types of the k-th powers in S_m and A_m, and the leaders of
+conjugation orbits that the searches and equation scans start from.
 
 No element of the group is listed.  The classes of ``A_m`` are the even
 cycle types of ``S_m``; a type splits into two halves iff its parts are
@@ -32,12 +33,14 @@ multiple of the degrees.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import product as iter_product
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import CapExceeded
-from .groups import DEFAULT_ELEMENT_CAP
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from .perm import Permutation, is_even
 
 
@@ -166,6 +169,53 @@ def _least_element(m: int, mu: tuple[int, ...]) -> Permutation:
         images[start + length - 1] = start
         start += length
     return Permutation(images)
+
+
+def orbit_leaders(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP, inner: bool = False):
+    """Sorted positions in ``G.elements(cap)`` of the leaders of G's
+    conjugation orbits, a leader being the canonically least element of its
+    orbit.
+
+    For builtin ``S_m`` and ``A_m`` the orbits are those of ``S_m``, whose
+    conjugation is an automorphism of ``A_m`` too: one leader per cycle
+    type, an even one for ``A_m``, written down by ``_least_element`` with
+    no partition built.  ``inner`` asks for the orbits of ``A_m``'s own
+    conjugation, for a verdict that an outer automorphism may change.  Any
+    other group, and ``A_m`` with ``inner``, gives its class representatives.
+    """
+    els = G.elements(cap)
+    m = G.degree
+    if G.kind == "symmetric" or (G.kind == "alternating" and not inner):
+        even = G.kind == "alternating"
+        leaders = [
+            _least_element(m, mu) for mu in _partitions(m, m) if not (even and (m - len(mu)) % 2)
+        ]
+    else:
+        leaders = map(G.class_representative, range(len(G.conjugacy_classes(cap))))
+    return sorted(bisect_left(els, x.sort_key(), key=Permutation.sort_key) for x in leaders)
+
+
+def leader_first(
+    G: FiniteGroup, items, r: int, cap: int = DEFAULT_ELEMENT_CAP, inner: bool = False
+):
+    """The r-tuples over ``items``, a list aligned with ``G.elements(cap)``,
+    whose first entry sits at a leader's position (``orbit_leaders``), in
+    canonical order, each with its 1-based position among all
+    ``len(items) ** r`` tuples: the leader at position i with tail j is at
+    i * len(items) ** (r - 1) + j + 1.
+
+    If a set of tuples is closed under simultaneous conjugation, its
+    canonically first member is among these: conjugating its first entry
+    to the leader gives a member that is no later.
+    """
+    if not r:
+        yield 1, ()
+        return
+    block = len(items) ** (r - 1)
+    for i in orbit_leaders(G, cap, inner):
+        head = (items[i],)
+        for position, tail in enumerate(iter_product(items, repeat=r - 1), start=i * block + 1):
+            yield position, head + tail
 
 
 def _other_half(rep: Permutation) -> Permutation:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 from itertools import product as iter_product
 
-from .characters import cycle_type, power_types
+from .characters import cycle_type, leader_first, power_types
 from .errors import ParseError
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from .perm import Permutation, direct_sum
@@ -131,9 +131,14 @@ def solvable_in(
     constant tuple.  When the worst-case scan size |G|^r * |G|^k exceeds
     the budget the verdict is unknown.
 
-    constants_up_to_conjugacy is an opt-in accelerator: solvability of a
-    constant tuple is invariant under conjugating the whole tuple, so only
-    the canonically least tuple of each conjugation orbit is scanned.  The
+    Solvability of a constant tuple is invariant under conjugating the
+    whole tuple, by ``S_m`` too when G is ``A_m``, so the least failing
+    tuple is led by an orbit leader: without witnesses only such tuples are
+    scanned (``leader_first``).  With witnesses every tuple is scanned, as
+    each records its first solution.
+
+    constants_up_to_conjugacy is an opt-in accelerator: only the
+    canonically least tuple of each conjugation orbit is scanned.  The
     verdict and the counterexample are unchanged (the least failing tuple
     overall is always orbit-canonical); witnesses are recorded for the
     orbit representatives only.
@@ -153,11 +158,16 @@ def solvable_in(
             budget=budget,
         )
     degree = G.degree
-    constant_tuples = list(iter_product(els, repeat=system.constants))
     reason = ""
     if constants_up_to_conjugacy:
-        constant_tuples = [t for t in constant_tuples if G.is_conjugation_canonical(t)]
+        constant_tuples = [
+            t for t in iter_product(els, repeat=system.constants) if G.is_conjugation_canonical(t)
+        ]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
+    elif want_witnesses:
+        constant_tuples = list(iter_product(els, repeat=system.constants))
+    else:
+        constant_tuples = [t for _, t in leader_first(G, els, system.constants, cap)]
     workers = worker_count(jobs, len(constant_tuples))
     roots = _root_types(G, system, want_witnesses)
     if workers > 1 and roots is None:
@@ -480,12 +490,17 @@ def solvable_over_bounded(
             skipped.append((H.name, worst))
             continue
         # Canonical order only fixes which solution is reported first, so a
-        # witness-free scan streams S_m and A_m instead of listing them.
+        # witness-free scan streams S_m and A_m instead of listing them, and
+        # scans only the constant tuples led by an orbit leader of G: each
+        # g in G maps to an element of H, so G's own conjugation keeps the
+        # verdict, which an outer automorphism of A_m need not.
         domain = H.elements(cap) if want_witnesses else H.iter_elements(cap)
-        constant_tuples = (
-            tuple(mapping[c] for c in source_constants)
-            for source_constants in iter_product(source_els, repeat=system.constants)
-        )
+        if want_witnesses:
+            source_tuples = iter_product(source_els, repeat=system.constants)
+        else:
+            led = leader_first(G, source_els, system.constants, cap, inner=True)
+            source_tuples = (t for _, t in led)
+        constant_tuples = (tuple(mapping[c] for c in t) for t in source_tuples)
         failing, witnesses = _scan_constants(
             system, constant_tuples, domain, H.degree, want_witnesses,
             _root_types(H, system, want_witnesses),

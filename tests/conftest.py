@@ -253,6 +253,12 @@ def element_scan_constants(system, constant_tuples, els, degree, want_witnesses,
     return None, witnesses
 
 
+def every_tuple(G, items, r, cap=DEFAULT_ELEMENT_CAP, inner=False):
+    """``characters.leader_first`` before orbit leaders: every r-tuple over
+    ``items`` in canonical order, each with its 1-based position."""
+    return enumerate(iter_product(items, repeat=r), start=1)
+
+
 def is_conjugation_canonical(items, elements) -> bool:
     """The conjugation-canonical predicate before its class-aware form: no
     simultaneous conjugate g^-1 x g (g in elements) of the tuple has a
@@ -265,9 +271,9 @@ def is_conjugation_canonical(items, elements) -> bool:
 
 
 def element_search_separating_hom(p, n, catalog, budget, prune_conjugates=False):
-    """The separating-hom search before its raw-tuple kernel: every
-    assignment evaluates its words with ``evaluate_word`` and runs a fresh
-    ``is_n_separated``."""
+    """The separating-hom search before its raw-tuple kernel and orbit
+    leaders: every assignment is tested, evaluates its words with
+    ``evaluate_word`` and runs a fresh ``is_n_separated``."""
     rank = len(p.generators)
     count = 0
     per_group = []
@@ -300,20 +306,23 @@ def element_search_separating_hom(p, n, catalog, budget, prune_conjugates=False)
 
 
 def element_search_sofic_instance(p, epsilon, catalog, budget):
-    """The sofic search before its raw-tuple kernel: symmetric candidates
-    are doubled into the alternating group and every length is a Fraction."""
+    """The sofic search before its raw-tuple kernel and orbit leaders: every
+    assignment is tested, symmetric candidates are doubled into the
+    alternating group and every length is a Fraction."""
     epsilon = Fraction(epsilon)
     if len(p.outside) != 1:
         raise ValueError("sofic search needs exactly one outside word")
     y_word = p.outside[0]
+    for H in catalog:
+        if H.kind not in ("symmetric", "alternating"):
+            raise ValueError(
+                f"sofic search catalogs hold symmetric or alternating groups, "
+                f"not {H.kind}: {H.name}"
+            )
     rank = len(p.generators)
     count = 0
     per_group = []
     for H in catalog:
-        if H.kind not in ("symmetric", "alternating"):
-            raise ValueError(
-                f"sofic search catalogs hold symmetric or alternating groups, not {H.kind}"
-            )
         group_count = 0
         els = H.elements()
         embed = H.kind == "symmetric"

@@ -2,6 +2,7 @@
 machinery it replaced for ``covering-constant``, and against the identities
 its character tables must satisfy."""
 
+from itertools import product as iter_product
 from math import factorial, prod
 
 import pytest
@@ -13,13 +14,58 @@ from groupapprox.characters import (
     _centralizer_order,
     conjugate_partition,
     cycle_type,
+    leader_first,
+    orbit_leaders,
     partitions,
     power_types,
     symmetric_character,
 )
 from groupapprox.coverage import covering_csv, empirical_covering_constant
 from groupapprox.errors import CapExceeded
-from groupapprox.groups import FiniteGroup
+from groupapprox.groups import FiniteGroup, cyclic
+from groupapprox.perm import conjugate, parse_cycles
+
+
+@pytest.mark.parametrize(
+    "kind, m",
+    [(k, m) for k in ("symmetric", "alternating") for m in range(1, 6)] + [("alternating", 6)],
+)
+def test_orbit_leaders_are_the_least_elements_of_the_orbits(kind, m):
+    """Orbits under S_m (and, with ``inner``, under G itself), formed by
+    conjugating every element by every element; A6 has the split type
+    (5, 1) and the even type (4, 2)."""
+    G = getattr(FiniteGroup, kind)(m)
+    els = G.elements()
+    position = {x: i for i, x in enumerate(els)}
+    for inner in (False, True):
+        by = els if inner else FiniteGroup.symmetric(m).elements()
+        least = {min(position[conjugate(x, g)] for g in by) for x in els}
+        assert orbit_leaders(G, inner=inner) == sorted(least)
+
+
+@pytest.mark.parametrize("name", ["D4", "Z3xK4", "degree 0"])
+def test_orbit_leaders_of_other_groups_are_their_class_representatives(name):
+    k4 = [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)]
+    G = {
+        "D4": lambda: FiniteGroup.generated(4, [parse_cycles("(1 2 3 4)", 4), k4[1]]),
+        "Z3xK4": lambda: FiniteGroup.direct_product([cyclic(3), FiniteGroup.generated(4, k4)]),
+        "degree 0": lambda: FiniteGroup.generated(0, []),
+    }[name]()
+    els = G.elements()
+    reps = sorted(els.index(G.class_representative(i)) for i in range(len(G.conjugacy_classes())))
+    for inner in (False, True):
+        assert orbit_leaders(G, inner=inner) == reps
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_leader_first_positions_index_every_tuple(r):
+    G = FiniteGroup.alternating(4)
+    items = G.elements()
+    every = list(iter_product(items, repeat=r))
+    led = list(leader_first(G, items, r))
+    leaders = {items[i] for i in orbit_leaders(G)}
+    assert [every[position - 1] for position, _ in led] == [t for _, t in led]
+    assert [t for _, t in led] == [t for t in every if not t or t[0] in leaders]
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "alternating"])

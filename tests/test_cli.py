@@ -550,6 +550,35 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("A_10: 529 class pairs, max ratio 2\n")
 
+    def test_bench_pairs_toy(self):
+        """One toy pair of the repository against itself: both sides run,
+        every run is correct, and each metric gets its summary line."""
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+             "--workload", "sweep", "--seed", "1", "--pairs", "1", "--seconds", "0.1", "--toy"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("pair 1, parent first: setup_s ")
+        for name in ("setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb"):
+            summary = [line for line in lines if line.startswith(f"  {name}: parent ")]
+            assert len(summary) == 1 and "change wins " in summary[0]
+        assert "  change: 0 of 1 runs not correct or with failed steps" in lines
+
+    def test_bench_pairs_refuses_paths_of_unequal_length(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT / "src"),
+             "--workload", "scan", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "checkout paths differ in length" in proc.stderr
+        assert proc.stdout == ""
+
     def test_sofic_demo(self):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "sofic_demo.py")],

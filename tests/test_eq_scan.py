@@ -1,5 +1,6 @@
-"""Differential tests: the compiled assignment scan of ``equations`` against
-the word-by-word ``evaluate_word`` scan it replaced (conftest.py), the
+"""Differential tests: the compiled assignment scan of ``equations``, over
+the constant tuples led by orbit leaders, against the word-by-word
+``evaluate_word`` scan of every tuple it replaced (conftest.py), the
 streamed ``S_m``/``A_m`` overgroups of ``solvable_over_bounded`` against
 the same scan over the overgroup listed in canonical order, and power
 words over ``S_m``/``A_m``, decided from cycle types, against both."""
@@ -10,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import element_scan_constants
+from conftest import element_scan_constants, every_tuple
 
 from groupapprox import cli, equations, groups
 from groupapprox.characters import power_types
@@ -94,8 +95,10 @@ def _systems(G):
 
 
 def _oracle(monkeypatch, fn, *args, scan=element_scan_constants, **kwargs):
+    """``fn`` with the element scan over every constant tuple."""
     with monkeypatch.context() as m:
         m.setattr(equations, "_scan_constants", scan)
+        m.setattr(equations, "leader_first", every_tuple)
         return fn(*args, **kwargs)
 
 
@@ -134,6 +137,103 @@ def test_power_words_match_element_scan(name, monkeypatch):
                 assert solvable_in(G, system, **kw) == expected, (key, kw)
                 verdicts.add(expected.verdict)
     assert verdicts == {"solvable", "unsolvable"} or G.order() == 1
+
+
+# Witness-free systems that are not power words, so their constant tuples
+# are scanned, those led by an orbit leader only.  A 5-cycle and its square
+# are S5- but not A5-conjugate, so "conjugacy" fails across the split halves
+# of A5; "fifth root" first fails at the least 5-cycle, the leader of a type
+# that splits in A5 and A6.
+NOT_POWER_WORDS = {
+    "conjugacy": "constants 2; variables 1;\nx1 a1 x1^-1 a2^-1\n",
+    "commutator with a constant": "constants 2; variables 1;\nx1 a1 x1^-1 a1^-1 a2^-1\n",
+    "fifth root": "constants 1; variables 1;\nx1 x1 x1 x1 x1 a1^-1\nx1 a1 x1^-1 a1^-1\n",
+    "common centralizer": "constants 2; variables 1;\nx1 a1 x1^-1 a1^-1\nx1 a2 x1^-1 a2^-1\n",
+}
+
+LEADER_GROUPS = {
+    **{f"S{m}": (lambda m=m: FiniteGroup.symmetric(m)) for m in range(1, 6)},
+    **{f"A{m}": (lambda m=m: FiniteGroup.alternating(m)) for m in range(1, 7)},
+    "D4": lambda: FiniteGroup.generated(
+        4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4)], name="D4"
+    ),
+    "Z3xK4": _z3_x_k4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEADER_GROUPS))
+def test_leader_scan_matches_the_full_scan(name, monkeypatch):
+    G = LEADER_GROUPS[name]()
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # so that --jobs 2 starts two workers
+    verdicts = set()
+    for key, text in NOT_POWER_WORDS.items():
+        if key == "common centralizer" and G.order() > 120:
+            continue  # the oracle would solve all 360**2 constant pairs of A6 (2 s)
+        system = parse_equation_system(text)
+        assert equations._root_types(G, system, want_witnesses=False) is None, key
+        for reduce in (False, True):
+            kw = dict(budget=10**8, constants_up_to_conjugacy=reduce)  # A6 has 360**3 assignments
+            expected = _oracle(monkeypatch, solvable_in, G, system, **kw)
+            for jobs in (1, 2):
+                assert solvable_in(G, system, jobs=jobs, **kw) == expected, (key, reduce, jobs)
+            verdicts.add(expected.verdict)
+    assert "unsolvable" in verdicts or G.order() == 1
+    assert "solvable" in verdicts or G.order() > 120
+
+
+def test_split_halves_fail_the_conjugacy_system():
+    G = FiniteGroup.alternating(5)
+    system = parse_equation_system(NOT_POWER_WORDS["conjugacy"])
+    five = parse_cycles("(1 2 3 4 5)", 5)
+    els = G.elements()
+    assert equations._scan_constants(system, [(five, five * five)], els, 5, False)[0]
+    assert equations._scan_constants(system, [(five, five.inverse())], els, 5, False)[0] is None
+    report = solvable_in(G, parse_equation_system(NOT_POWER_WORDS["fifth root"]))
+    assert report.counterexample == (five,)
+
+
+@pytest.mark.parametrize("command", ["eq-solve", "eq-sys"])
+def test_leader_scan_reports_match_the_full_scan(command, monkeypatch, tmp_path):
+    """Whole CLI reports, against the element scan of every constant tuple."""
+    catalog = tmp_path / "groups.catalog"
+    catalog.write_text("S4 symmetric 4\nA5 alternating 5\nD4 generated 4 (1 2 3 4), (1 3)\n")
+    for key, text in NOT_POWER_WORDS.items():
+        system = tmp_path / "system.eqn"
+        system.write_text(text)
+        targets = [["--catalog", str(catalog)]] if command == "eq-sys" else [
+            ["--group", name] for name in ("S4", "A5")
+        ]
+        for target in targets:
+            argv = [command, *target, "--system", str(system)]
+            reports = []
+            for oracle in (True, False):
+                out = tmp_path / f"report-{oracle}"
+                if oracle:
+                    code = _oracle(monkeypatch, cli.run, argv + ["--out", str(out)])
+                else:
+                    code = cli.run(argv + ["--out", str(out)])
+                reports.append((code, out.read_bytes()))
+            assert reports[0] == reports[1], (key, target)
+
+
+def test_one_constant_binds_only_the_leaders(monkeypatch, tmp_path):
+    """The commutator system on A5 binds its words once per leader: the
+    identity, a 3-cycle, a double transposition and a 5-cycle."""
+    system = tmp_path / "commutator.eqn"
+    system.write_text("constants 1; variables 2;\nx1 x2 x1^-1 x2^-1 a1^-1\n")
+    bound = []
+
+    def counting(system, constants, *args):
+        bound.append(constants)
+        return bind(system, constants, *args)
+
+    bind = equations._bind_words
+    monkeypatch.setattr(equations, "_bind_words", counting)
+    out = tmp_path / "report"
+    argv = ["eq-solve", "--group", "A5", "--system", str(system), "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert len(bound) == 4
+    assert b"verdict: solvable" in out.read_bytes()
 
 
 @pytest.mark.parametrize("name", ["S3", "A4", "Z3xK4"])

@@ -194,6 +194,22 @@ def test_presentation_with_dangling_caret_exits_1(tmp_path, capsys):
     assert f"{path}:2:" in err and "bad exponent '' on 'a'" in err
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "3"]], ids=["default budget", "budget 3"])
+def test_sofic_catalog_with_a_generated_group_exits_1(budget, tmp_path, capsys):
+    """Every group is checked before any is scanned: z3.pres is answered
+    inside S3 at the default budget, and budget 3 runs out inside S3, and
+    neither may hide the bad group behind it."""
+    catalog = tmp_path / "mixed.catalog"
+    catalog.write_text("S3 symmetric 3\nZ3 generated 3 (1 2 3)\n")
+    code, err = _run(
+        capsys, "sofic-search", "--presentation", str(MANIFESTS / "z3.pres"),
+        "--eps", "1/4", "--catalog", str(catalog), *budget, "--out", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert "symmetric or alternating groups, not generated: Z3" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_system_error_column_is_the_file_column(tmp_path, capsys):
     path = tmp_path / "caret.eqn"
     path.write_text("constants 1; variables 1;\n  x1^x x1 a1^-1\n")

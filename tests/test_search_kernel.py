@@ -1,6 +1,7 @@
 """Differential tests: the raw-tuple kernels of ``search_separating_hom``,
 ``search_sofic_instance`` and ``FiniteGroup.is_conjugation_canonical``
-against the loops they replaced (conftest.py)."""
+against the loops they replaced (conftest.py).  The searches test only
+the assignments led by an orbit leader; the loops test every assignment."""
 
 import random
 from fractions import Fraction
@@ -13,19 +14,22 @@ from conftest import (
     is_conjugation_canonical,
 )
 
+from groupapprox import approximation, cli
 from groupapprox.approximation import (
     Exhausted,
     FoundHomomorphism,
     Presentation,
     SoficCertificate,
+    parse_presentation,
     search_separating_hom,
     search_sofic_instance,
     verify_sofic_certificate,
 )
+from groupapprox.characters import cycle_type, orbit_leaders
 from groupapprox.errors import BudgetExceeded
 from groupapprox.groups import FiniteGroup, cyclic
 from groupapprox.perm import parse_cycles
-from groupapprox.words import reduce_word
+from groupapprox.words import evaluate_compiled, reduce_word
 
 
 def _generated(name, degree, *cycles):
@@ -62,17 +66,40 @@ def _word(rng, rank, max_length):
     )
 
 
-def _presentation(seed, inside=None, outside=None):
-    """A seeded two-generator presentation; ``inside``/``outside`` fix a count."""
+def _presentation(seed, inside=None, outside=None, rank=2):
+    """A seeded presentation on ``rank`` generators; ``inside``/``outside``
+    fix a count."""
     rng = random.Random(seed)
     n_inside = rng.randint(0, 2) if inside is None else inside
     n_outside = rng.randint(1, 2) if outside is None else outside
     return Presentation(
-        generators=("a", "b"),
+        generators=("a", "b", "c")[:rank],
         relators=(),
-        inside=tuple(_word(rng, 2, 4) for _ in range(n_inside)),
-        outside=tuple(_word(rng, 2, 5) for _ in range(n_outside)),
+        inside=tuple(_word(rng, rank, 4) for _ in range(n_inside)),
+        outside=tuple(_word(rng, rank, 5) for _ in range(n_outside)),
     )
+
+
+def _text(gens, inside, outside):
+    lines = [f"generators {gens}"]
+    lines += [f"inside {w}" for w in inside] + [f"outside {w}" for w in outside]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+def _skipped_budgets(catalog, rank):
+    """Budgets that fall in a stretch the searches skip: between two leader
+    blocks, or after a group's last one."""
+    out = []
+    count = 0
+    for H in catalog:
+        size = len(H.elements())
+        block = size ** (rank - 1)
+        starts = [i * block for i in orbit_leaders(H)] + [size**rank]
+        for end, start in zip([i + block for i in starts], starts[1:]):
+            if start > end:  # positions end + 1 .. start are skipped
+                out.append(count + (end + start) // 2)
+        count += size**rank
+    return out
 
 
 def _hard_presentation(seed):
@@ -131,6 +158,50 @@ class TestSeparatingSearch:
         catalog = [GROUPS[name]() for name in ("Z3", "K4", "S3", "S4")]
         got = _same_separating(_hard_presentation("budget"), 2, catalog, budget, prune)
         assert got[0] == "budget exceeded"
+
+    @pytest.mark.parametrize("name", ["Z3", "K4", "S3", "D4", "A4", "Z3xK4"])
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_rank_one_and_three(self, name, prune):
+        G = GROUPS[name]()
+        for rank in (1, 3):
+            for k in range(3):
+                p = _presentation(f"rank {rank}/{name}/{k}", rank=rank)
+                _same_separating(p, 2, [G], 10**6, prune)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_found_on_split_types(self, prune):
+        # only 5- and 7-cycles have trivial fifth or seventh powers and move
+        # points, and their types split into two A_m classes
+        cases = [
+            ("A5", _text("a", ["a^5"], ["a"])),
+            ("A5", _text("a b", ["a^5", "b a b^-1 a^-4"], ["a", "b"])),
+            ("A6", _text("a", ["a^5"], ["a"])),
+            ("A7", _text("a", ["a^7"], ["a"])),
+        ]
+        for name, p in cases:
+            G = FiniteGroup.alternating(int(name[1:]))
+            got = _same_separating(p, 2, [G], 10**6, prune)
+            assert isinstance(got, FoundHomomorphism)
+            assert cycle_type(got.images[0])[0] in (5, 7)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_budget_at_group_boundaries(self, prune):
+        catalog = [GROUPS[name]() for name in ("S3", "A4", "Z3xK4", "S4")]
+        p = _hard_presentation("boundaries")
+        total = 0
+        for H in catalog:
+            total += len(H.elements()) ** 2
+            for budget in (total - 1, total, total + 1):
+                _same_separating(p, 2, catalog, budget, prune)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_budget_in_a_skipped_stretch(self, prune):
+        catalog = [GROUPS[name]() for name in ("S3", "A4", "D4", "S4")]
+        budgets = _skipped_budgets(catalog, 2)
+        assert len(budgets) >= 6
+        for budget in budgets:
+            got = _same_separating(_hard_presentation("skipped"), 2, catalog, budget, prune)
+            assert got[0] == "budget exceeded"
 
     @pytest.mark.parametrize("prune", [False, True])
     def test_catalog_order_and_per_group_counts(self, prune):
@@ -195,6 +266,88 @@ class TestSoficSearch:
         catalog = [GROUPS[name]() for name in ("S3", "A4", "S4")]
         got = _same_sofic(p, Fraction(1, 2), catalog, budget)
         assert got[0] == "budget exceeded"
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "A4", "A5"])
+    def test_rank_one_and_three(self, name):
+        G = GROUPS[name]()
+        ranks = (1, 3) if G.order() <= 24 else (1,)
+        for rank in ranks:
+            for k in range(4):
+                p = _presentation(f"sofic rank {rank}/{name}/{k}", outside=1, rank=rank)
+                _same_sofic(p, Fraction(1, 2), [G], 10**6)
+
+    def test_found_on_split_types(self):
+        # the first image has a trivial fifth or seventh power, so it is a 5-
+        # or 7-cycle, whose type splits into two A_m classes
+        cases = [
+            ("A5", _text("a b", ["a^5", "b a b^-1 a^-4"], ["a"])),
+            ("A6", _text("a", ["a^5"], ["a"])),
+            ("A7", _text("a", ["a^7"], ["a"])),
+        ]
+        for name, p in cases:
+            G = FiniteGroup.alternating(int(name[1:]))
+            got = _same_sofic(p, Fraction(1, 2), [G], 10**6)
+            assert isinstance(got, SoficCertificate) and not got.embedded
+            assert cycle_type(got.images[0])[0] in (5, 7)
+            assert got.stats.assignments > len(G.elements()) ** (len(p.generators) - 1)
+
+    def test_found_with_embedding(self):
+        cases = [
+            (FiniteGroup.symmetric(5), _text("a b", ["a^3", "b a b^-1 a^-2"], ["a"])),
+            (FiniteGroup.symmetric(4), _text("a b c", ["a^4", "b a b^-1 a^-3", "c c"], ["a"])),
+        ]
+        for G, p in cases:
+            got = _same_sofic(p, Fraction(1, 2), [G], 10**6)
+            assert isinstance(got, SoficCertificate) and got.embedded
+            assert got.stats.assignments > len(G.elements()) ** (len(p.generators) - 1)
+
+    def test_budget_at_group_boundaries(self):
+        p = Presentation(("a", "b"), (), ((1, 2, 1, -2),), ((2, 1, -2, 1),))
+        catalog = [GROUPS[name]() for name in ("S3", "A4", "S4")]
+        total = 0
+        for H in catalog:
+            total += len(H.elements()) ** 2
+            for budget in (total - 1, total, total + 1):
+                _same_sofic(p, Fraction(1, 2), catalog, budget)
+
+    def test_budget_in_a_skipped_stretch(self):
+        p = Presentation(("a", "b"), (), ((1, 2, 1, -2),), ((2, 1, -2, 1),))
+        catalog = [GROUPS[name]() for name in ("S3", "A4", "S4")]
+        budgets = _skipped_budgets(catalog, 2)
+        assert len(budgets) >= 5
+        for budget in budgets:
+            got = _same_sofic(p, Fraction(1, 2), catalog, budget)
+            assert got[0] == "budget exceeded"
+
+
+# The sofic-search steps of the benchmark's scan workload: two generators,
+# an outside word conjugate to the inside word, and a catalog S4, A5.
+SCAN_SOFIC = "generators a b\ninside a b a b^-1\noutside b a b^-1 a\n"
+
+
+def test_sofic_scan_tests_only_leader_assignments(monkeypatch, tmp_path):
+    """The scan's sofic search tests 5 * 24 + 4 * 60 = 360 of the
+    24**2 + 60**2 = 4176 assignments and reports all 4176."""
+    pres = tmp_path / "sofic.pres"
+    pres.write_text(SCAN_SOFIC)
+    cat = tmp_path / "sofic.catalog"
+    cat.write_text("S4 symmetric 4\nA5 alternating 5\n")
+    outside = approximation.compile_word(parse_presentation(SCAN_SOFIC).outside[0])
+    tested = []
+
+    def counting(slots, vals, points):
+        if slots == outside:
+            tested.append(vals)
+        return evaluate_compiled(slots, vals, points)
+
+    monkeypatch.setattr(approximation, "evaluate_compiled", counting)
+    out = tmp_path / "report"
+    argv = ["sofic-search", "--presentation", str(pres), "--eps", "1/2",
+            "--catalog", str(cat), "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert len(tested) == 360
+    text = out.read_text()
+    assert "status: exhausted" in text and "assignments: 4176" in text
 
 
 class TestConjugationCanonical:

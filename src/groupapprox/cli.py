@@ -207,6 +207,22 @@ def _emit(args, data):
         sys.stdout.write(text)
 
 
+def _cayley_length(G, args):
+    """The Cayley conjugation length of G from --X and --n."""
+    if args.n is None:
+        raise ParseError("cayley length needs --n")
+    return lengths.cayley_conjugation_length(G, _parse_elements(args.X, G, "--X"), args.n)
+
+
+def _exhausted(outcome):
+    """The result of a search that tried every assignment within its budget."""
+    return {
+        "status": "exhausted",
+        "assignments": outcome.stats.assignments,
+        "per-group": [{"group": name, "assignments": n} for name, n in outcome.stats.per_group],
+    }
+
+
 def _sorted_cycles(elements):
     return [cycle_string(x) for x in sorted(elements, key=lambda p: p.sort_key())]
 
@@ -220,11 +236,7 @@ def _cmd_length(args):
     if h not in G:
         raise ParseError(f"--perm element is not in {G.name}")
     if args.length_kind == "cayley":
-        if args.n is None:
-            raise ParseError("cayley length needs --n")
-        base = _parse_elements(args.X, G, "--X")
-        ell = lengths.cayley_conjugation_length(G, base, args.n)
-        value = ell(h)
+        value = _cayley_length(G, args)(h)
     else:
         value = hamming_length(h)
     data = {
@@ -369,9 +381,7 @@ def _cmd_axioms_check(args):
     if args.length_kind == "hamming":
         ell = lengths.hamming(G)
     elif args.length_kind == "cayley":
-        if args.n is None:
-            raise ParseError("cayley length needs --n")
-        ell = lengths.cayley_conjugation_length(G, _parse_elements(args.X, G, "--X"), args.n)
+        ell = _cayley_length(G, args)
     else:
         if not args.table:
             raise ParseError("table length needs --table FILE")
@@ -459,13 +469,7 @@ def _cmd_approx_search(args):
             },
         }
     else:
-        result = {
-            "status": "exhausted",
-            "assignments": outcome.stats.assignments,
-            "per-group": [
-                {"group": name, "assignments": n} for name, n in outcome.stats.per_group
-            ],
-        }
+        result = _exhausted(outcome)
     _emit(args, {"command": "approx-search", "params": params, "result": result})
     return 0
 
@@ -486,13 +490,7 @@ def _cmd_sofic_search(args):
         result = {"status": "found", "certificate": sofic_certificate_to_data(outcome)}
         result["certificate"]["assignments"] = outcome.stats.assignments
     else:
-        result = {
-            "status": "exhausted",
-            "assignments": outcome.stats.assignments,
-            "per-group": [
-                {"group": name, "assignments": n} for name, n in outcome.stats.per_group
-            ],
-        }
+        result = _exhausted(outcome)
     _emit(args, {"command": "sofic-search", "params": params, "result": result})
     return 0
 

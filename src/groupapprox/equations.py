@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from itertools import product as iter_product
 
 from .characters import cycle_type, leader_first, power_types
@@ -52,10 +52,11 @@ class EquationSystem:
                 raise ValueError(f"word {w} uses symbols beyond the declared arities")
 
     def symbol_names(self) -> tuple[str, ...]:
-        return tuple(
-            [f"a{i + 1}" for i in range(self.constants)]
-            + [f"x{j + 1}" for j in range(self.variables)]
-        )
+        return _symbol_names(self.constants, self.variables)
+
+
+def _symbol_names(constants: int, variables: int) -> tuple[str, ...]:
+    return tuple([f"a{i + 1}" for i in range(constants)] + [f"x{j + 1}" for j in range(variables)])
 
 
 _HEADER_RE = re.compile(r"^constants\s+(\d+)\s*;\s*variables\s+(\d+)\s*;\s*$")
@@ -78,10 +79,7 @@ def parse_equation_system(text: str, source=None) -> EquationSystem:
                     'expected header "constants r; variables k;"', line=ln, source=source
                 )
             header = (int(match.group(1)), int(match.group(2)))
-            names = tuple(
-                [f"a{i + 1}" for i in range(header[0])]
-                + [f"x{j + 1}" for j in range(header[1])]
-            )
+            names = _symbol_names(*header)
             continue
         words.append(parse_word(text, names, line=ln, source=source))
     if header is None:
@@ -129,70 +127,64 @@ def solvable_in(
     Constants iterate outermost in canonical order with an early exit per
     tuple, so an unsolvable system surfaces its canonically least failing
     constant tuple.  When the worst-case scan size |G|^r * |G|^k exceeds
-    the budget the verdict is unknown.
+    the budget the verdict is unknown.  Without witnesses only the tuples
+    led by an orbit leader are scanned (``_constant_tuples``); with
+    witnesses every tuple is, as each records its first solution.
 
-    Solvability of a constant tuple is invariant under conjugating the
-    whole tuple, by ``S_m`` too when G is ``A_m``, so the least failing
-    tuple is led by an orbit leader: without witnesses only such tuples are
-    scanned (``leader_first``).  With witnesses every tuple is scanned, as
-    each records its first solution.
-
-    constants_up_to_conjugacy is an opt-in accelerator: only the
-    canonically least tuple of each conjugation orbit is scanned.  The
-    verdict and the counterexample are unchanged (the least failing tuple
-    overall is always orbit-canonical); witnesses are recorded for the
-    orbit representatives only.
+    constants_up_to_conjugacy scans only the canonically least tuple of
+    each orbit under G's own conjugation, with or without witnesses.  Such
+    a tuple is led by a class representative of G, so only the tuples led
+    by one are listed and tested.  The verdict and the counterexample are
+    unchanged (the least failing tuple overall is always orbit-canonical);
+    witnesses are recorded for the orbit representatives only.
 
     A witness-free power word over ``S_m`` or ``A_m`` is decided per
     constant tuple from cycle types (``_root_types``), in process.
     """
     els = G.elements(cap)
     size = len(els)
-    worst = size ** system.constants * size ** system.variables
+    r = system.constants
+    domains = dict(
+        constants_domain=size ** r, variables_domain=size ** system.variables, budget=budget
+    )
+    worst = size ** r * size ** system.variables
     if worst > budget:
         return SolvabilityReport(
-            verdict="unknown",
-            reason=f"worst-case scan {worst} exceeds budget {budget}",
-            constants_domain=size ** system.constants,
-            variables_domain=size ** system.variables,
-            budget=budget,
+            verdict="unknown", reason=f"worst-case scan {worst} exceeds budget {budget}", **domains
         )
-    degree = G.degree
     reason = ""
     if constants_up_to_conjugacy:
-        constant_tuples = [
-            t for t in iter_product(els, repeat=system.constants) if G.is_conjugation_canonical(t)
-        ]
+        led = _constant_tuples(G, els, r, cap, every=False, inner=True)
+        constant_tuples = [t for t in led if G.is_conjugation_canonical(t)]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
-    elif want_witnesses:
-        constant_tuples = list(iter_product(els, repeat=system.constants))
     else:
-        constant_tuples = [t for _, t in leader_first(G, els, system.constants, cap)]
+        constant_tuples = list(_constant_tuples(G, els, r, cap, every=want_witnesses))
     workers = worker_count(jobs, len(constant_tuples))
     roots = _root_types(G, system, want_witnesses)
+    scan_args = (system, constant_tuples, els, G.degree, want_witnesses)
     if workers > 1 and roots is None:
-        failing, witnesses = _scan_parallel(G, system, constant_tuples, want_witnesses, workers)
+        failing, witnesses = _scan_parallel(*scan_args, workers)
     else:
-        failing, witnesses = _scan_constants(
-            system, constant_tuples, els, degree, want_witnesses, roots
-        )
-    if failing is not None:
-        return SolvabilityReport(
-            verdict="unsolvable",
-            counterexample=failing,
-            reason=reason,
-            constants_domain=size ** system.constants,
-            variables_domain=size ** system.variables,
-            budget=budget,
-        )
+        failing, witnesses = _scan_constants(*scan_args, roots)
     return SolvabilityReport(
-        verdict="solvable",
-        witnesses=tuple(witnesses) if want_witnesses else (),
+        verdict="solvable" if failing is None else "unsolvable",
+        counterexample=failing,
+        witnesses=tuple(witnesses),
         reason=reason,
-        constants_domain=size ** system.constants,
-        variables_domain=size ** system.variables,
-        budget=budget,
+        **domains,
     )
+
+
+def _constant_tuples(G, els, r, cap, every, inner=False):
+    """The constant r-tuples over ``els`` to scan, in canonical order: all
+    of them when ``every`` tuple records a witness, else those led by an
+    orbit leader (``leader_first``).  Solvability of a tuple does not change
+    when the whole tuple is conjugated, by ``S_m`` too when G is ``A_m``
+    unless ``inner``, so the least failing tuple is among them.
+    """
+    if every:
+        return iter_product(els, repeat=r)
+    return (t for _, t in leader_first(G, els, r, cap, inner))
 
 
 def _scan_constants(system, constant_tuples, domain, degree, want_witnesses, roots=None):
@@ -345,38 +337,31 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def _scan_parallel(G, system, constant_tuples, want_witnesses, workers):
-    """Partition the constant tuples; least failing index wins deterministically.
+def _scan_parallel(system, constant_tuples, els, degree, want_witnesses, workers):
+    """Scan round-robin slices of the constant tuples in worker processes;
+    the least failing tuple wins, so the result does not depend on
+    ``workers``.
 
-    Each task carries the element image tuples in canonical order, so no
-    worker enumerates the group again.  The pool is imported here, so only
-    a scan that starts one pays for loading it.
+    Every worker gets the listed elements, so none enumerates the group
+    again.  The pool is imported here, so only a scan that starts one pays
+    for loading it.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    images = tuple(map(tuple, G.elements()))
-    tasks = [
-        (images, G.degree, system, constant_tuples[i::workers], want_witnesses)
-        for i in range(workers)
-    ]
+    slices = [constant_tuples[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_scan_task, tasks))
-    failing = [r[0] for r in results if r[0] is not None]
+        results = list(
+            pool.map(
+                _scan_constants,
+                repeat(system), slices, repeat(els), repeat(degree), repeat(want_witnesses),
+            )
+        )
+    failing = [f for f, _ in results if f is not None]
     if failing:
-        least = min(failing, key=lambda t: tuple(p.sort_key() for p in t))
-        return least, []
-    witnesses = []
-    if want_witnesses:
-        for r in results:
-            witnesses.extend(r[1])
-        witnesses.sort(key=lambda cw: tuple(p.sort_key() for p in cw[0]))
+        return min(failing, key=lambda t: tuple(p.sort_key() for p in t)), []
+    witnesses = [w for _, found in results for w in found]
+    witnesses.sort(key=lambda cw: tuple(p.sort_key() for p in cw[0]))
     return None, witnesses
-
-
-def _scan_task(task):
-    images, degree, system, chunk, want_witnesses = task
-    els = [Permutation(x) for x in images]
-    return _scan_constants(system, chunk, els, degree, want_witnesses)
 
 
 @dataclass(frozen=True)
@@ -495,11 +480,9 @@ def solvable_over_bounded(
         # g in G maps to an element of H, so G's own conjugation keeps the
         # verdict, which an outer automorphism of A_m need not.
         domain = H.elements(cap) if want_witnesses else H.iter_elements(cap)
-        if want_witnesses:
-            source_tuples = iter_product(source_els, repeat=system.constants)
-        else:
-            led = leader_first(G, source_els, system.constants, cap, inner=True)
-            source_tuples = (t for _, t in led)
+        source_tuples = _constant_tuples(
+            G, source_els, system.constants, cap, every=want_witnesses, inner=True
+        )
         constant_tuples = (tuple(mapping[c] for c in t) for t in source_tuples)
         failing, witnesses = _scan_constants(
             system, constant_tuples, domain, H.degree, want_witnesses,
@@ -508,7 +491,7 @@ def solvable_over_bounded(
         if failing is None:
             return SolvabilityReport(
                 verdict="solvable",
-                witnesses=tuple(witnesses) if want_witnesses else (),
+                witnesses=tuple(witnesses),
                 reason=f"witnessed inside {H.name}",
                 constants_domain=len(source_els) ** system.constants,
                 variables_domain=h_order ** system.variables,

@@ -336,11 +336,7 @@ def certificate_to_data(cert, verdict=None) -> dict:
             ]
             length_data["scale"] = length.params["scale"]
         elif length.kind == "table":
-            length_data["values"] = {
-                cycle_string(x): Fraction(v) for x, v in sorted(
-                    length.table().items(), key=lambda kv: kv[0].sort_key()
-                )
-            }
+            length_data["values"] = length_table_to_data(length)["values"]
         data["mode"] = {
             "type": "metric",
             "epsilon": Fraction(mode.epsilon),

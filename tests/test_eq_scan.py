@@ -171,11 +171,13 @@ def test_leader_scan_matches_the_full_scan(name, monkeypatch):
             continue  # the oracle would solve all 360**2 constant pairs of A6 (2 s)
         system = parse_equation_system(text)
         assert equations._root_types(G, system, want_witnesses=False) is None, key
-        for reduce in (False, True):
-            kw = dict(budget=10**8, constants_up_to_conjugacy=reduce)  # A6 has 360**3 assignments
+        for reduce, witnesses in ((False, False), (True, False), (True, True)):
+            kw = dict(  # A6 has 360**3 assignments
+                budget=10**8, constants_up_to_conjugacy=reduce, want_witnesses=witnesses
+            )
             expected = _oracle(monkeypatch, solvable_in, G, system, **kw)
-            for jobs in (1, 2):
-                assert solvable_in(G, system, jobs=jobs, **kw) == expected, (key, reduce, jobs)
+            for jobs in (2,) if witnesses else (1, 2):
+                assert solvable_in(G, system, jobs=jobs, **kw) == expected, (key, kw, jobs)
             verdicts.add(expected.verdict)
     assert "unsolvable" in verdicts or G.order() == 1
     assert "solvable" in verdicts or G.order() > 120
@@ -234,6 +236,26 @@ def test_one_constant_binds_only_the_leaders(monkeypatch, tmp_path):
     assert cli.run(argv) == 0
     assert len(bound) == 4
     assert b"verdict: solvable" in out.read_bytes()
+
+
+def test_reduced_constants_check_only_tuples_led_by_a_class_representative(monkeypatch):
+    """--reduce-constants on A6 with two constants tests the 7 * 360 tuples
+    led by a class representative of A6 for canonicity, not all 360**2."""
+    checked = []
+
+    def counting(self, items):
+        if len(items) == 2:  # not the recursive call on the rest of a tuple
+            checked.append(items)
+        return canonical(self, items)
+
+    canonical = FiniteGroup.is_conjugation_canonical
+    monkeypatch.setattr(FiniteGroup, "is_conjugation_canonical", counting)
+    system = parse_equation_system(NOT_POWER_WORDS["conjugacy"])
+    report = solvable_in(
+        FiniteGroup.alternating(6), system, budget=10**8, constants_up_to_conjugacy=True
+    )
+    assert len(checked) == 2520
+    assert report.reason == "constants reduced to 400 orbit representatives"
 
 
 @pytest.mark.parametrize("name", ["S3", "A4", "Z3xK4"])

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, for a before/after claim.
 
-    python scripts/bench_pairs.py PARENT CHANGE --workload scan --seed 4 --pairs 10 --seconds 40
+    python scripts/bench_pairs.py PARENT CHANGE --workload scan --seed 4 --pairs 10 --seconds 40 \
+        [--json BENCH.json]
 
 Runs ``perfbench/run.py`` once in each checkout per pair, with the side
 that runs first alternating from pair to pair, so that a drift of the
@@ -10,6 +11,11 @@ BENCHMARK.json it prints both sides' median and quartiles, the median of
 the change minus the median of the parent, the parent's interquartile
 range, and the number of pairs the change wins (a strictly better value,
 lower or higher as the metric says).
+
+``--json PATH`` also records that summary, per metric, under the
+workload's name in the JSON file PATH, with every run's value, the seed,
+the pair count and the host; the other workloads already in PATH are
+kept, so one file can hold the pairs of several workloads.
 
 The two checkout paths must have the same length: ``peak_rss_mb`` moves
 by about 0.2 MB with the length of the path the benchmark runs from, so
@@ -22,6 +28,7 @@ when one does not or a run fails, and 2 on bad arguments.
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -50,6 +57,37 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def host():
+    """What the runs' times depend on, besides the code."""
+    return {
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
+def write_json(path, args, summary, bad):
+    """Record this workload's pairs in ``path``, beside the workloads already there."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        record = {"workloads": {}}
+    record["workloads"][args.workload] = {
+        "host": host(),
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "toy": args.toy,
+        "metrics": summary,
+        "runs-not-correct-or-failed": bad,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -59,6 +97,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--toy", action="store_true", help="toy-size workloads, for a quick check")
+    parser.add_argument("--json", metavar="PATH", help="also record the summary in this JSON file")
     args = parser.parse_args(argv)
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -94,6 +133,7 @@ def main(argv=None):
         ) + " (parent/change)")
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds}:")
+    summary = {}
     for m in spec:
         name = m["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
@@ -106,9 +146,22 @@ def main(argv=None):
             f"median diff {change[1] - parent[1]:+.4g}, parent IQR {parent[2] - parent[0]:.4g}, "
             f"change wins {wins}/{args.pairs}"
         )
+        summary[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            **{
+                side: {"q1": q[0], "median": q[1], "q3": q[2], "runs": values[side]}
+                for side, q in (("parent", parent), ("change", change))
+            },
+            "median-diff": change[1] - parent[1],
+            "parent-iqr": parent[2] - parent[0],
+            "change-wins": wins,
+        }
+    bad = {side: sum(not r["correct"] or r["failed"] > 0 for r in runs[side]) for side in runs}
     for side in runs:
-        bad = sum(not r["correct"] or r["failed"] for r in runs[side])
-        print(f"  {side}: {bad} of {args.pairs} runs not correct or with failed steps")
+        print(f"  {side}: {bad[side]} of {args.pairs} runs not correct or with failed steps")
+    if args.json:
+        write_json(args.json, args, summary, bad)
     return 0 if healthy else 1
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 from math import lcm
-from operator import itemgetter, ne, sub
+from operator import itemgetter, sub
 
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -117,17 +117,17 @@ def verify_axioms(
     max_violations witnesses per axiom, in canonical (g, h) order, but
     any failure makes the report invalid.
 
-    Every ordered pair is evaluated, on element indices rather than
-    permutation products.  The elements are numbered in canonical order
-    and values are compared as integers over their common denominator, so
-    the check stays exact.  Down a spanning tree of the right Cayley graph
-    (g = p*s), the row S_g[h] = ||g*h|| is S_p gathered by idx(s*h), and
-    the row U_g[x] = ||g*x*g^-1|| is U_p gathered by idx(s*x*s^-1); each
-    gather is one ``operator.itemgetter`` call, and each row is tested by
-    one C-level scan.  U_g covers the pairs (x, g^-1), so one tree serves
-    both axioms.  The tree is walked depth first, so only O(diameter) rows
-    are alive at once.  The witnesses of the failing rows are then listed
-    by direct lookups.  ``pairs_checked`` counts the 2*|G|^2 pairs.
+    Every ordered pair is settled on element indices, with values compared
+    as integers over their common denominator, so the check stays exact.
+    The generator conjugations idx(s*x*s^-1) union into orbits, the
+    classes, and x fails invariance iff its class is not constant.  If no
+    class fails, ||k*r*k^-1 * h|| <= ||r|| + ||h|| is ||r*h'|| <= ||r|| +
+    ||h'|| for h' = k^-1*h*k, so one row S_r[h] = ||r*h|| per class
+    decides the class; otherwise every row is tested.  Down a BFS spanning
+    tree of the right Cayley graph (g = p*s), S_g is S_p gathered by
+    idx(s*h) in one ``operator.itemgetter`` call and tested by one C-level
+    scan, walked depth first into the subtrees that hold a row to test.
+    ``pairs_checked`` counts the 2*|G|^2 pairs so settled.
     """
     G = ell.group
     els = G.elements(cap)
@@ -136,29 +136,39 @@ def verify_axioms(
     values = [ell(x) for x in els]
     denominator = lcm(*(v.denominator for v in values))
     scaled = tuple(v.numerator * (denominator // v.denominator) for v in values)
-    gens = G.generators or (G.identity(),)
+    gens = G.generators if n > 1 else ()  # an itemgetter of one item returns no tuple
     root = index[G.identity()]
-    rmul = [[index[x * s] for x in els] for s in gens]  # idx(x s)
-    conj = [[index[conjugate(x, t)] for x in els] for t in map(Permutation.inverse, gens)]
-    children = _spanning_tree(rmul, root, n)
-    # One gather per generator and row kind: idx(s x s^-1), and idx(s x)
-    # read as idx((s x s^-1) s).  A one-element group has no tree edge, so
-    # the bare item itemgetter returns for n == 1 is never used.
-    inner = [itemgetter(*c) for c in conj]
-    left = [itemgetter(*map(r.__getitem__, c)) for r, c in zip(rmul, conj)]
-    not_subadditive = []  # g with ||g h|| > ||g|| + ||h|| for some h
-    not_invariant = set()  # x with ||g x g^-1|| != ||x|| for some g
-    stack = [(root, None, scaled, scaled)]
+    # idx(s x) and idx(x s) from image tuples: (s x)[i] = x[s[i]], (x s)[i] = s[x[i]].
+    lmul = [list(map(index.__getitem__, map(itemgetter(*s), els))) for s in gens]
+    rmul = [[index[itemgetter(*x)(s)] for x in els] for s in gens]
+    rinv = [sorted(range(n), key=r.__getitem__) for r in rmul]  # idx(x s^-1)
+    conj = [list(map(ri.__getitem__, l)) for l, ri in zip(lmul, rinv)]  # idx(s x s^-1)
+    order, _, edge = _search(rmul, [root], n)  # the spanning tree
+    if len(order) != n:
+        raise RuntimeError(f"generators reach {len(order)} of {n} elements")
+    _, orbit, _ = _search(conj, order, n)  # the classes, each labelled by its shallowest element
+    variant = {c for c, v in zip(orbit, scaled) if v != scaled[c]}
+    not_invariant = [x for x, c in enumerate(orbit) if c in variant]
+    needed = range(n) if variant else set(orbit)
+    children, walked = {}, {root}  # the tree edges (h, k), h = p*s_k, toward needed rows
+    for h in needed:
+        while h not in walked:
+            walked.add(h)
+            p, k = divmod(edge[h], len(gens))
+            children.setdefault(p, []).append((h, k))
+            h = p
+    left = [itemgetter(*l) for l in lmul]  # S_p gathered into S_{p s}
+    failing = []  # tested g with ||g h|| > ||g|| + ||h|| for some h
+    stack = [(root, None, scaled)]
     while stack:
-        g, k, srow, urow = stack.pop()
-        if k is not None:  # g = p*s_k, and srow, urow are p's rows
-            srow, urow = left[k](srow), inner[k](urow)
-        if max(map(sub, srow, scaled)) > scaled[g]:
-            not_subadditive.append(g)
-        if urow != scaled:
-            not_invariant.update(compress(range(n), map(ne, urow, scaled)))
-        for h, k in children[g]:
-            stack.append((h, k, srow, urow))
+        g, k, srow = stack.pop()
+        if k is not None:  # g = p*s_k, and srow is p's row
+            srow = left[k](srow)
+        if g in needed and _row_excess(srow, scaled) > scaled[g]:
+            failing.append(g)
+        stack.extend((h, k, srow) for h, k in children.get(g, ()))
+    failed = {orbit[g] for g in failing}
+    not_subadditive = failing if variant else [x for x, c in enumerate(orbit) if c in failed]
 
     identity = []
     if values[root] != 0:
@@ -195,28 +205,31 @@ def verify_axioms(
     return AxiomReport(valid=valid, violations=tuple(violations), pairs_checked=2 * n * n)
 
 
-def _spanning_tree(rmul, root, n):
-    """children[p]: the (h, k) with h = p*s_k that a BFS over rmul first
-    reaches from p; breadth first keeps the tree as shallow as the graph."""
-    reached = [False] * n
-    reached[root] = True
-    children = [[] for _ in range(n)]
-    frontier = [root]
-    count = 1
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k, step in enumerate(rmul):
-                h = step[p]
-                if not reached[h]:
-                    reached[h] = True
-                    children[p].append((h, k))
-                    nxt.append(h)
-        frontier = nxt
-        count += len(nxt)
-    if count != n:
-        raise RuntimeError(f"generators reach {count} of {n} elements")
-    return children
+def _row_excess(srow, scaled):
+    """max over h of ||g h|| - ||h||, for the row srow[h] = ||g h||."""
+    return max(map(sub, srow, scaled))
+
+
+def _search(maps, seeds, n):
+    """Breadth first along the index maps from each seed not reached yet: the
+    visiting order; label[x], the seed that reached x; and edge[h] =
+    p*len(maps) + k when h = maps[k][p] was first reached so (None at a seed)."""
+    label = [None] * n
+    edge = [None] * n
+    order = []
+    for x in seeds:
+        if label[x] is None:
+            label[x] = x
+            reached = [x]
+            for p in reached:
+                for k, step in enumerate(maps):
+                    h = step[p]
+                    if label[h] is None:
+                        label[h] = x
+                        edge[h] = p * len(maps) + k
+                        reached.append(h)
+            order += reached
+    return order, label, edge
 
 
 def ball(ell: LengthFunction, radius, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import ne
 
 from .errors import CapExceeded, ParseError
 
@@ -161,7 +162,7 @@ def hamming_length(h: Permutation) -> Fraction:
     m = len(h)
     if m == 0:
         return Fraction(0)
-    moved = sum(1 for i, j in enumerate(h) if i != j)
+    moved = sum(map(ne, h, range(m)))
     return Fraction(moved, m)
 
 

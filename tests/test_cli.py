@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -550,12 +551,16 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("A_10: 529 class pairs, max ratio 2\n")
 
-    def test_bench_pairs_toy(self):
+    def test_bench_pairs_toy(self, tmp_path):
         """One toy pair of the repository against itself: both sides run,
-        every run is correct, and each metric gets its summary line."""
+        every run is correct, and each metric gets its summary line and its
+        record in the JSON file, beside the workloads already there."""
+        record = tmp_path / "bench.json"
+        record.write_text('{"workloads": {"scan": {"seed": 4}}}')
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
-             "--workload", "sweep", "--seed", "1", "--pairs", "1", "--seconds", "0.1", "--toy"],
+             "--workload", "sweep", "--seed", "1", "--pairs", "1", "--seconds", "0.1", "--toy",
+             "--json", str(record)],
             capture_output=True,
             text=True,
             timeout=300,
@@ -567,6 +572,18 @@ class TestScripts:
             summary = [line for line in lines if line.startswith(f"  {name}: parent ")]
             assert len(summary) == 1 and "change wins " in summary[0]
         assert "  change: 0 of 1 runs not correct or with failed steps" in lines
+        workloads = json.loads(record.read_text())["workloads"]
+        assert workloads["scan"] == {"seed": 4}
+        sweep = workloads["sweep"]
+        assert sweep["seed"] == 1 and sweep["pairs"] == 1 and sweep["toy"] is True
+        assert set(sweep["host"]) == {"machine", "system", "cpus", "python"}
+        assert sweep["runs-not-correct-or-failed"] == {"parent": 0, "change": 0}
+        for name in ("setup_s", "wall_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb"):
+            metric = sweep["metrics"][name]
+            assert {"unit", "better", "median-diff", "parent-iqr", "change-wins"} <= set(metric)
+            for side in ("parent", "change"):
+                assert set(metric[side]) == {"q1", "median", "q3", "runs"}
+                assert len(metric[side]["runs"]) == 1
 
     def test_bench_pairs_refuses_paths_of_unequal_length(self, tmp_path):
         proc = subprocess.run(

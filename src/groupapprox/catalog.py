@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import re
 
+from . import store
 from .errors import ParseError
 from .groups import FiniteGroup, cyclic
 from .perm import parse_cycles
@@ -30,7 +31,7 @@ _BUILTIN_RE = re.compile(r"^([SAZ])(\d+)$")
 
 
 def parse_catalog(text: str, source=None) -> dict:
-    """Ordered name -> FiniteGroup mapping."""
+    """Ordered name -> FiniteGroup mapping; each group goes through ``store.share``."""
     groups: dict[str, FiniteGroup] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -45,9 +46,11 @@ def parse_catalog(text: str, source=None) -> dict:
         if kind in ("symmetric", "alternating"):
             if len(parts) != 3 or not parts[2].strip().isdigit():
                 raise ParseError(f"{kind} record needs a degree", line=ln, source=source)
-            m = int(parts[2])
             maker = FiniteGroup.symmetric if kind == "symmetric" else FiniteGroup.alternating
-            groups[name] = maker(m, name=name)
+            try:
+                G = maker(int(parts[2]), name=name)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=ln, source=source) from None
         elif kind == "generated":
             if len(parts) != 3:
                 raise ParseError(
@@ -62,7 +65,7 @@ def parse_catalog(text: str, source=None) -> dict:
                 chunk = chunk.strip()
                 if chunk:
                     gens.append(parse_cycles(chunk, degree, line=ln, source=source))
-            groups[name] = FiniteGroup.generated(degree, gens, name=name)
+            G = FiniteGroup.generated(degree, gens, name=name)
         elif kind == "product":
             if len(parts) != 3:
                 raise ParseError(
@@ -76,11 +79,10 @@ def parse_catalog(text: str, source=None) -> dict:
                     line=ln,
                     source=source,
                 )
-            groups[name] = FiniteGroup.direct_product(
-                [groups[r] for r in refs], name=name
-            )
+            G = FiniteGroup.direct_product([groups[r] for r in refs], name=name)
         else:
             raise ParseError(f"unknown group kind {kind!r}", line=ln, source=source)
+        groups[name] = store.share(G)
     return groups
 
 
@@ -97,10 +99,12 @@ def builtin_group(name: str) -> FiniteGroup | None:
     if number < 1:
         return None
     if letter == "S":
-        return FiniteGroup.symmetric(number, name=name)
-    if letter == "A":
-        return FiniteGroup.alternating(number, name=name)
-    return cyclic(number, name=name)
+        G = FiniteGroup.symmetric(number, name=name)
+    elif letter == "A":
+        G = FiniteGroup.alternating(number, name=name)
+    else:
+        G = cyclic(number, name=name)
+    return store.share(G)
 
 
 def resolve_group(name: str, catalogs=()) -> FiniteGroup:

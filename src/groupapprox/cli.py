@@ -15,7 +15,7 @@ import sys
 from functools import cache
 
 from . import approximation as approx
-from . import coverage, equations, lengths
+from . import coverage, equations, lengths, store
 from .catalog import load_catalog_file, resolve_group
 from .errors import BudgetExceeded, CapExceeded, ParseError
 from .groups import DEFAULT_ELEMENT_CAP, consequences, is_n_separated
@@ -670,6 +670,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    store.admit(getattr(args, "cap", DEFAULT_ELEMENT_CAP))
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, ValueError) as exc:
@@ -681,6 +682,8 @@ def run(argv) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 2
+    finally:
+        store.trim()
 
 
 def main():

@@ -20,9 +20,10 @@ a pair once, from its smaller class (``FiniteGroup.class_product``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
-from math import factorial
+from math import factorial, prod
 from operator import eq
 
 from .errors import CapExceeded
@@ -129,7 +130,9 @@ class FiniteGroup:
         return identity(self.degree)
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-        """|G|; structural (m!, m!/2) for S_m and A_m, past the same cap check."""
+        """|G|, past the same cap check as ``elements``.  Structural (m!, m!/2)
+        for S_m and A_m; an unlisted direct product multiplies its component
+        orders, so it is refused before any of its elements is formed."""
         m = self.degree
         if self.kind == "symmetric":
             _check_factorial_cap(m, 1, cap, self.name)
@@ -137,6 +140,11 @@ class FiniteGroup:
         if self.kind == "alternating":
             _check_factorial_cap(m, 2, cap, self.name)
             return factorial(m) // 2 if m >= 2 else 1
+        if self.kind == "product" and self._elements is None:
+            size = prod(c.order(cap) for c in self.components)
+            if size > cap:
+                raise CapExceeded(f"{self.name} enumeration passed cap {cap}")
+            return size
         return len(self.elements(cap))
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
@@ -177,21 +185,13 @@ class FiniteGroup:
         return self.elements(cap)
 
     def _enumerate(self, cap):
-        m = self.degree
-        if self.kind in ("symmetric", "alternating"):
-            self.order(cap)
-            return list(_lexicographic(m, even=self.kind == "alternating"))
+        if self.kind == "generated":
+            return _closure(self.generators, self.degree, cap, self.name)
+        self.order(cap)  # refuses S_m, A_m and products before any element is formed
         if self.kind == "product":
-            out = []
-            for combo in iter_product(*(c.elements(cap) for c in self.components)):
-                x = combo[0]
-                for part in combo[1:]:
-                    x = direct_sum(x, part)
-                out.append(x)
-                if len(out) > cap:
-                    raise CapExceeded(f"{self.name} enumeration passed cap {cap}")
-            return out
-        return _closure(self.generators, m, cap, self.name)
+            lists = [c.elements(cap) for c in self.components]
+            return [reduce(direct_sum, combo) for combo in iter_product(*lists)]
+        return list(_lexicographic(self.degree, even=self.kind == "alternating"))
 
     def __contains__(self, x) -> bool:
         """Membership; structural for S_m and A_m, which are never enumerated here."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import store
 from .errors import ParseError
 from .groups import FiniteGroup
 from .perm import Permutation, cycle_string, parse_cycles
@@ -235,20 +236,27 @@ def group_to_data(G: FiniteGroup) -> dict:
 
 
 def group_from_data(data: dict) -> FiniteGroup:
+    """The group a report describes, through ``store.share``; a degree or
+    generator that the constructor refuses is a ParseError."""
     kind = data["kind"]
     name = _field(data, "name", str) if "name" in data else None
-    if kind == "symmetric":
-        return FiniteGroup.symmetric(_field(data, "degree", int), name=name)
-    if kind == "alternating":
-        return FiniteGroup.alternating(_field(data, "degree", int), name=name)
-    if kind == "generated":
-        degree = _field(data, "degree", int)
-        texts = _field(data, "generators", list, str) if "generators" in data else []
-        return FiniteGroup.generated(degree, [parse_cycles(t, degree) for t in texts], name=name)
-    if kind == "product":
-        components = _field(data, "components", list, dict)
-        return FiniteGroup.direct_product([group_from_data(c) for c in components], name=name)
-    raise ParseError(f"unknown group kind {kind!r}")
+    try:
+        if kind == "symmetric":
+            G = FiniteGroup.symmetric(_field(data, "degree", int), name=name)
+        elif kind == "alternating":
+            G = FiniteGroup.alternating(_field(data, "degree", int), name=name)
+        elif kind == "generated":
+            degree = _field(data, "degree", int)
+            texts = _field(data, "generators", list, str) if "generators" in data else []
+            G = FiniteGroup.generated(degree, [parse_cycles(t, degree) for t in texts], name=name)
+        elif kind == "product":
+            components = _field(data, "components", list, dict)
+            G = FiniteGroup.direct_product([group_from_data(c) for c in components], name=name)
+        else:
+            raise ParseError(f"unknown group kind {kind!r}")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return store.share(G)
 
 
 _RATIONAL = (int, Fraction)

@@ -8,7 +8,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from groupapprox import coverage, groups
+import pytest
+
+from groupapprox import coverage, groups, store
 from groupapprox.approximation import (
     Exhausted,
     FoundHomomorphism,
@@ -27,6 +29,13 @@ from groupapprox.groups import (
 from groupapprox.lengths import AxiomReport, AxiomViolation
 from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
 from groupapprox.words import evaluate_word
+
+
+@pytest.fixture(autouse=True)
+def _fresh_store():
+    """Each test starts with no stored groups, so a test that patches a
+    group method sees the groups it names built afresh."""
+    store.clear()
 
 
 @lru_cache(maxsize=None)

@@ -202,6 +202,26 @@ class TestExitCodes:
         assert code == 2
         assert "S12 has more than 1000000 elements" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["eq-sys", "--system", str(MANIFESTS / "sq.eqn")],
+        ["length", "--group", "P", "--perm", "()"],
+    ], ids=["eq-sys", "length"])
+    def test_product_past_the_cap_is_refused_before_listing(self, command, monkeypatch, tmp_path, capsys):
+        # 6**11 elements; the catalog embeds P's 22 generators with two direct sums each
+        catalog = tmp_path / "big.catalog"
+        catalog.write_text("S3 symmetric 3\nP product" + " S3" * 11 + "\n")
+        formed = []
+        direct_sum = groups.direct_sum
+
+        def counted(a, b):
+            formed.append(1)
+            assert len(formed) <= 100, "P was listed"
+            return direct_sum(a, b)
+
+        monkeypatch.setattr(groups, "direct_sum", counted)
+        code = cli.run([*command, "--catalog", str(catalog)])
+        assert (code, capsys.readouterr().err) == (2, "cap exceeded: P enumeration passed cap 1000000\n")
+
     def test_eq_over_budget_trips_before_enumerating(self, monkeypatch, tmp_path):
         # |S3| * |S9| = 2177280 is past the budget, known from 9! without listing S9
         listed = groups.iter_permutations

@@ -4,6 +4,7 @@ from itertools import product as iter_product
 import pytest
 from conftest import brute_consequences
 
+from groupapprox import groups
 from groupapprox.errors import CapExceeded
 from groupapprox.groups import (
     FiniteGroup,
@@ -62,6 +63,30 @@ class TestEnumeration:
         x = next(iter(P.elements()))
         assert P.project(x, 0).degree == 3
         assert P.project(x, 1).degree == 4
+
+    def test_product_order_is_known_before_listing(self):
+        P = FiniteGroup.direct_product([S3, KLEIN, S3])
+        assert P.order() == 144 and P._elements is None
+        assert len(P.elements()) == 144
+
+    def test_product_past_the_cap_is_refused_before_listing(self, monkeypatch):
+        P = FiniteGroup.direct_product([S3] * 11, name="P")  # 6**11 elements
+        Q = FiniteGroup.direct_product([S3] * 3, name="Q")
+
+        def refuse(*args):
+            raise AssertionError("an element was formed")
+
+        monkeypatch.setattr(groups, "direct_sum", refuse)
+        for call in (P.order, P.elements, P.conjugacy_classes):
+            with pytest.raises(CapExceeded, match="^P enumeration passed cap 1000000$"):
+                call()
+        with pytest.raises(CapExceeded, match="^Q enumeration passed cap 100$"):
+            Q.elements(cap=100)
+
+    def test_product_refuses_a_component_past_the_cap_first(self):
+        P = FiniteGroup.direct_product([S3, FiniteGroup.symmetric(5)], name="P")
+        with pytest.raises(CapExceeded, match="^S5 has more than 100 elements$"):
+            P.elements(cap=100)
 
     def test_closure_is_group(self):
         els = set(KLEIN.elements())

@@ -210,6 +210,28 @@ def test_sofic_catalog_with_a_generated_group_exits_1(budget, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("record, message", [
+    ("S0 symmetric 0", "symmetric degree must be >= 1"),
+    ("A0 alternating 0", "alternating degree must be >= 1"),
+])
+def test_catalog_degree_zero_exits_1_at_its_line(record, message, tmp_path, capsys):
+    catalog = tmp_path / "zero.catalog"
+    catalog.write_text(f"S3 symmetric 3\n{record}\n")
+    code, err = _run(
+        capsys, "eq-sys", "--catalog", str(catalog), "--system", str(MANIFESTS / "sq.eqn")
+    )
+    assert (code, err) == (1, f"error: {catalog}:2: {message}\n")
+
+
+def test_certificate_target_of_degree_zero_exits_1_at_its_source(tmp_path, capsys):
+    text = _metric_certificate_text()
+    assert "  kind: alternating\n  degree: 4\n" in text
+    path = tmp_path / "zero.report"
+    path.write_text(text.replace("  degree: 4\n", "  degree: 0\n", 1))
+    code, err = _run(capsys, "approx-check", "--certificate", str(path))
+    assert (code, err) == (1, f"error: {path}: alternating degree must be >= 1\n")
+
+
 def test_system_error_column_is_the_file_column(tmp_path, capsys):
     path = tmp_path / "caret.eqn"
     path.write_text("constants 1; variables 1;\n  x1^x x1 a1^-1\n")

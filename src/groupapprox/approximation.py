@@ -44,6 +44,7 @@ from .perm import (
     embed_sym_in_alt,
     hamming_length,
     is_even,
+    replicate,
 )
 from .words import (
     Word,
@@ -588,16 +589,7 @@ def merge_homomorphisms(homs):
     common = 1
     for degree, _ in homs:
         common = math.lcm(common, degree)
-    blocks = []
-    for degree, images in homs:
-        copies = common // degree
-        replicated = []
-        for x in images:
-            acc = x
-            for _ in range(copies - 1):
-                acc = direct_sum(acc, x)
-            replicated.append(acc)
-        blocks.append(replicated)
+    blocks = [[replicate(x, common // degree) for x in images] for degree, images in homs]
     merged = blocks[0]
     for block in blocks[1:]:
         merged = [direct_sum(a, b) for a, b in zip(merged, block)]

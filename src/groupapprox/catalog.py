@@ -86,9 +86,17 @@ def parse_catalog(text: str, source=None) -> dict:
     return groups
 
 
+def read_text(path) -> str:
+    """The text of an input file; a file that cannot be read is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}", source=path) from None
+
+
 def load_catalog_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog(fh.read(), source=str(path))
+    return parse_catalog(read_text(path), source=str(path))
 
 
 def builtin_group(name: str) -> FiniteGroup | None:

@@ -2,7 +2,8 @@
 
 Every subcommand reads groups/systems from text files (or builtin names),
 computes one verdict, and writes one structured report (stdout or --out).
-Exit codes: 0 verdict computed, 1 input error, 2 cap or budget exceeded.
+Exit codes: 0 verdict computed, 1 input error or a file that cannot be
+read or written, 2 cap or budget exceeded.
 Reports never contain timestamps; identical inputs give identical bytes.
 """
 
@@ -16,10 +17,10 @@ from functools import cache
 
 from . import approximation as approx
 from . import coverage, equations, lengths, store
-from .catalog import load_catalog_file, resolve_group
+from .catalog import load_catalog_file, read_text, resolve_group
 from .errors import BudgetExceeded, CapExceeded, ParseError
 from .groups import DEFAULT_ELEMENT_CAP, consequences, is_n_separated
-from .perm import cycle_string, hamming_length, parse_cycles
+from .perm import Permutation, hamming_length, parse_cycles
 from .report import (
     certificate_from_data,
     dump_report,
@@ -64,29 +65,26 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, group=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write the report to this file")
+        if group:
+            p.add_argument("--group", required=True)
+            p.add_argument("--catalog", action="append", default=[])
         return p
 
-    p = add("length", "evaluate a length function at a permutation")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", action="append", default=[])
+    p = add("length", "evaluate a length function at a permutation", group=True)
     p.add_argument("--perm", required=True, help='cycle notation, e.g. "(1 2 3)"')
     p.add_argument("--length-kind", choices=["hamming", "cayley"], default="hamming")
     p.add_argument("--X", action="append", default=[], help="base elements for cayley")
     p.add_argument("--n", type=int, help="scale for the cayley construction")
 
-    p = add("consequences", "exact-depth consequence set of a base set")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", action="append", default=[])
+    p = add("consequences", "exact-depth consequence set of a base set", group=True)
     p.add_argument("--X", action="append", default=[], required=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
 
-    p = add("separate", "is Y disjoint from the depth-n consequences of X?")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", action="append", default=[])
+    p = add("separate", "is Y disjoint from the depth-n consequences of X?", group=True)
     p.add_argument("--X", action="append", default=[])
     p.add_argument("--Y", action="append", default=[], required=True)
     p.add_argument("--n", type=int, required=True)
@@ -105,9 +103,7 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--csv", help="also write the table as CSV")
 
-    p = add("axioms-check", "verify the three length-function axioms exhaustively")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", action="append", default=[])
+    p = add("axioms-check", "verify the three length-function axioms exhaustively", group=True)
     p.add_argument("--length-kind", choices=["hamming", "cayley", "table"], default="hamming")
     p.add_argument("--X", action="append", default=[])
     p.add_argument("--n", type=int)
@@ -130,9 +126,7 @@ def _build_parser():
     p.add_argument("--catalog", action="append", default=[], required=True)
     p.add_argument("--budget", type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)
 
-    p = add("eq-solve", "universal-existential solvability in one group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", action="append", default=[])
+    p = add("eq-solve", "universal-existential solvability in one group", group=True)
     p.add_argument("--system", required=True)
     p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
     p.add_argument("--witnesses", action="store_true")
@@ -148,9 +142,7 @@ def _build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
 
-    p = add("eq-over", "solvability over a group via supplied overgroup embeddings")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", action="append", default=[])
+    p = add("eq-over", "solvability over a group via supplied overgroup embeddings", group=True)
     p.add_argument("--system", required=True)
     p.add_argument(
         "--diagonal",
@@ -171,13 +163,13 @@ def _build_parser():
     return parser
 
 
-def _load_catalogs(paths):
-    return [load_catalog_file(p) for p in paths]
-
-
 def _get_group(args):
-    catalogs = _load_catalogs(args.catalog)
-    return resolve_group(args.group, catalogs)
+    return resolve_group(args.group, [load_catalog_file(p) for p in args.catalog])
+
+
+def _catalog_groups(paths):
+    """The groups of the catalog files, in file then record order."""
+    return [g for p in paths for g in load_catalog_file(p).values()]
 
 
 def _parse_elements(texts, group, flag):
@@ -190,21 +182,12 @@ def _parse_elements(texts, group, flag):
     return out
 
 
-def _read(path):
+def _write(path, text):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", source=path)
-
-
-def _emit(args, data):
-    text = dump_report(data)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}", source=path) from None
 
 
 def _cayley_length(G, args):
@@ -223,11 +206,10 @@ def _exhausted(outcome):
     }
 
 
-def _sorted_cycles(elements):
-    return [cycle_string(x) for x in sorted(elements, key=lambda p: p.sort_key())]
-
-
 # --- command handlers ----------------------------------------------------------
+#
+# Each handler returns its report's params and result, plus an exit code
+# when that can be other than 0; ``run`` writes the report.
 
 
 def _cmd_length(args):
@@ -239,19 +221,14 @@ def _cmd_length(args):
         value = _cayley_length(G, args)(h)
     else:
         value = hamming_length(h)
-    data = {
-        "command": "length",
-        "params": {
-            "group": G.name,
-            "perm": h,
-            "length-kind": args.length_kind,
-            "X": [parse_cycles(t, G.degree) for t in args.X],
-            "n": args.n,
-        },
-        "result": {"value": value},
+    params = {
+        "group": G.name,
+        "perm": h,
+        "length-kind": args.length_kind,
+        "X": [parse_cycles(t, G.degree) for t in args.X],
+        "n": args.n,
     }
-    _emit(args, data)
-    return 0
+    return params, {"value": value}
 
 
 def _cmd_consequences(args):
@@ -259,23 +236,13 @@ def _cmd_consequences(args):
     base = _parse_elements(args.X, G, "--X")
     cons = consequences(G, base, args.n, cap=args.cap)
     sizes = cons.layer_sizes
-    data = {
-        "command": "consequences",
-        "params": {
-            "group": G.name,
-            "X": list(map(cycle_string, base)),
-            "n": args.n,
-            "cap": args.cap,
-        },
-        "result": {
-            "layer-sizes": list(sizes),
-            "depth-size": sizes[-1],
-            "cumulative-size": len(cons.cumulative),
-            "elements": _sorted_cycles(cons.elements) if sizes[-1] <= 1000 else [],
-        },
+    params = {"group": G.name, "X": base, "n": args.n, "cap": args.cap}
+    return params, {
+        "layer-sizes": list(sizes),
+        "depth-size": sizes[-1],
+        "cumulative-size": len(cons.cumulative),
+        "elements": sorted(cons.elements, key=Permutation.sort_key) if sizes[-1] <= 1000 else [],
     }
-    _emit(args, data)
-    return 0
 
 
 def _cmd_separate(args):
@@ -283,46 +250,25 @@ def _cmd_separate(args):
     base = _parse_elements(args.X, G, "--X")
     targets = _parse_elements(args.Y, G, "--Y")
     rep = is_n_separated(G, targets, base, args.n, cap=args.cap)
-    data = {
-        "command": "separate",
-        "params": {
-            "group": G.name,
-            "X": list(map(cycle_string, base)),
-            "Y": list(map(cycle_string, targets)),
-            "n": args.n,
-            "cap": args.cap,
-        },
-        "result": {
-            "verdict": rep.verdict,
-            "witness": rep.witness,
-            "violated-depths": list(rep.violated_depths),
-            "cumulative-separated": rep.cumulative_separated,
-        },
+    params = {"group": G.name, "X": base, "Y": targets, "n": args.n, "cap": args.cap}
+    return params, {
+        "verdict": rep.verdict,
+        "witness": rep.witness,
+        "violated-depths": list(rep.violated_depths),
+        "cumulative-separated": rep.cumulative_separated,
     }
-    _emit(args, data)
-    return 0
 
 
 def _cmd_brenner_verify(args):
     base = [parse_cycles(t, args.m) for t in args.X]
     rep = coverage.verify_brenner_bound(args.m, base, args.n)
-    data = {
-        "command": "brenner-verify",
-        "params": {
-            "m": args.m,
-            "X": list(map(cycle_string, rep.base)),
-            "n": args.n,
-        },
-        "result": {
-            "epsilon": rep.epsilon,
-            "threshold": rep.threshold,
-            "ball-size": rep.ball_size,
-            "holds": rep.holds,
-            "violations": list(map(cycle_string, rep.violations)),
-        },
+    return {"m": args.m, "X": rep.base, "n": args.n}, {
+        "epsilon": rep.epsilon,
+        "threshold": rep.threshold,
+        "ball-size": rep.ball_size,
+        "holds": rep.holds,
+        "violations": rep.violations,
     }
-    _emit(args, data)
-    return 0
 
 
 def _cmd_support_cover(args):
@@ -330,50 +276,26 @@ def _cmd_support_cover(args):
         reports = [coverage.verify_support_cover(args.m, parse_cycles(args.x, args.m))]
     else:
         reports = coverage.support_cover_sweep(args.m)
-    data = {
-        "command": "support-cover",
-        "params": {"m": args.m, "x": args.x},
-        "result": {
-            "all-hold": all(r.holds for r in reports),
-            "cases": [
-                {
-                    "x": cycle_string(r.x),
-                    "targets": r.target_size,
-                    "holds": r.holds,
-                    "violations": list(map(cycle_string, r.violations)),
-                }
-                for r in reports
-            ],
-        },
+    return {"m": args.m, "x": args.x}, {
+        "all-hold": all(r.holds for r in reports),
+        "cases": [
+            {"x": r.x, "targets": r.target_size, "holds": r.holds, "violations": r.violations}
+            for r in reports
+        ],
     }
-    _emit(args, data)
-    return 0
 
 
 def _cmd_covering_constant(args):
     table = coverage.empirical_covering_constant(args.m)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(coverage.covering_csv(table))
-    data = {
-        "command": "covering-constant",
-        "params": {"m": args.m},
-        "result": {
-            "max-ratio": table.max_ratio,
-            "rows": [
-                {
-                    "x": cycle_string(row.x),
-                    "y": cycle_string(row.y),
-                    "depth": row.depth,
-                    "steps": row.steps,
-                    "ratio": row.ratio,
-                }
-                for row in table.rows
-            ],
-        },
+        _write(args.csv, coverage.covering_csv(table))
+    return {"m": args.m}, {
+        "max-ratio": table.max_ratio,
+        "rows": [
+            {"x": row.x, "y": row.y, "depth": row.depth, "steps": row.steps, "ratio": row.ratio}
+            for row in table.rows
+        ],
     }
-    _emit(args, data)
-    return 0
 
 
 def _cmd_axioms_check(args):
@@ -385,37 +307,27 @@ def _cmd_axioms_check(args):
     else:
         if not args.table:
             raise ParseError("table length needs --table FILE")
-        table_data = load_report(_read(args.table), source=args.table)
+        table_data = load_report(read_text(args.table), source=args.table)
         ell = length_table_from_data(table_data, G, source=args.table)
     rep = lengths.verify_axioms(ell, cap=args.cap)
-    data = {
-        "command": "axioms-check",
-        "params": {
-            "group": G.name,
-            "length-kind": args.length_kind,
-            "X": args.X,
-            "n": args.n,
-            "cap": args.cap,
-        },
-        "result": {
-            "valid": rep.valid,
-            "pairs-checked": rep.pairs_checked,
-            "violations": [
-                {
-                    "axiom": v.axiom,
-                    "witness": [cycle_string(x) for x in v.witness],
-                    "detail": v.detail,
-                }
-                for v in rep.violations
-            ],
-        },
+    params = {
+        "group": G.name,
+        "length-kind": args.length_kind,
+        "X": args.X,
+        "n": args.n,
+        "cap": args.cap,
     }
-    _emit(args, data)
-    return 0
+    return params, {
+        "valid": rep.valid,
+        "pairs-checked": rep.pairs_checked,
+        "violations": [
+            {"axiom": v.axiom, "witness": v.witness, "detail": v.detail} for v in rep.violations
+        ],
+    }
 
 
 def _cmd_approx_check(args):
-    data_in = load_report(_read(args.certificate), source=args.certificate)
+    data_in = load_report(read_text(args.certificate), source=args.certificate)
     kind = data_in.get("kind")
     if kind == "approximation-certificate":
         cert = certificate_from_data(data_in, source=args.certificate)
@@ -434,19 +346,12 @@ def _cmd_approx_check(args):
         body = {"holds": ok, "reason": "recomputed all certificate quantities"}
     else:
         raise ParseError(f"unknown certificate kind {kind!r}", source=args.certificate)
-    data = {
-        "command": "approx-check",
-        "params": {"certificate": os.path.basename(args.certificate)},
-        "result": body,
-    }
-    _emit(args, data)
-    return 0
+    return {"certificate": os.path.basename(args.certificate)}, body
 
 
 def _cmd_approx_search(args):
-    p = approx.parse_presentation(_read(args.presentation), source=args.presentation)
-    catalogs = _load_catalogs(args.catalog)
-    groups = [g for cat in catalogs for g in cat.values()]
+    p = approx.parse_presentation(read_text(args.presentation), source=args.presentation)
+    groups = _catalog_groups(args.catalog)
     outcome = approx.search_separating_hom(
         p, args.n, groups, budget=args.budget, prune_conjugates=args.prune
     )
@@ -457,27 +362,23 @@ def _cmd_approx_search(args):
         "prune": args.prune,
         "catalog-order": [g.name for g in groups],
     }
-    if isinstance(outcome, approx.FoundHomomorphism):
-        result = {
-            "status": "found",
-            "group": outcome.group.name,
-            "images": [cycle_string(x) for x in outcome.images],
-            "assignments": outcome.stats.assignments,
-            "separation": {
-                "verdict": outcome.separation.verdict,
-                "violated-depths": list(outcome.separation.violated_depths),
-            },
-        }
-    else:
-        result = _exhausted(outcome)
-    _emit(args, {"command": "approx-search", "params": params, "result": result})
-    return 0
+    if not isinstance(outcome, approx.FoundHomomorphism):
+        return params, _exhausted(outcome)
+    return params, {
+        "status": "found",
+        "group": outcome.group.name,
+        "images": outcome.images,
+        "assignments": outcome.stats.assignments,
+        "separation": {
+            "verdict": outcome.separation.verdict,
+            "violated-depths": list(outcome.separation.violated_depths),
+        },
+    }
 
 
 def _cmd_sofic_search(args):
-    p = approx.parse_presentation(_read(args.presentation), source=args.presentation)
-    catalogs = _load_catalogs(args.catalog)
-    groups = [g for cat in catalogs for g in cat.values()]
+    p = approx.parse_presentation(read_text(args.presentation), source=args.presentation)
+    groups = _catalog_groups(args.catalog)
     eps = parse_rational(args.eps, source="--eps")
     outcome = approx.search_sofic_instance(p, eps, groups, budget=args.budget)
     params = {
@@ -486,40 +387,30 @@ def _cmd_sofic_search(args):
         "budget": args.budget,
         "catalog-order": [g.name for g in groups],
     }
-    if isinstance(outcome, approx.SoficCertificate):
-        result = {"status": "found", "certificate": sofic_certificate_to_data(outcome)}
-        result["certificate"]["assignments"] = outcome.stats.assignments
-    else:
-        result = _exhausted(outcome)
-    _emit(args, {"command": "sofic-search", "params": params, "result": result})
-    return 0
+    if not isinstance(outcome, approx.SoficCertificate):
+        return params, _exhausted(outcome)
+    certificate = sofic_certificate_to_data(outcome)
+    certificate["assignments"] = outcome.stats.assignments
+    return params, {"status": "found", "certificate": certificate}
 
 
 def _eq_report_body(report):
     body = {
         "verdict": report.verdict,
-        "counterexample": list(map(cycle_string, report.counterexample))
-        if report.counterexample
-        else None,
+        "counterexample": report.counterexample or None,
         "reason": report.reason or None,
         "constants-domain": report.constants_domain,
         "variables-domain": report.variables_domain,
         "budget": report.budget,
     }
     if report.witnesses:
-        body["witnesses"] = [
-            {
-                "constants": list(map(cycle_string, c)),
-                "variables": list(map(cycle_string, v)),
-            }
-            for c, v in report.witnesses
-        ]
+        body["witnesses"] = [{"constants": c, "variables": v} for c, v in report.witnesses]
     return body
 
 
 def _cmd_eq_solve(args):
     G = _get_group(args)
-    system = equations.parse_equation_system(_read(args.system), source=args.system)
+    system = equations.parse_equation_system(read_text(args.system), source=args.system)
     report = equations.solvable_in(
         G,
         system,
@@ -528,69 +419,52 @@ def _cmd_eq_solve(args):
         jobs=args.jobs,
         constants_up_to_conjugacy=args.reduce_constants,
     )
-    data = {
-        "command": "eq-solve",
-        "params": {
-            "group": G.name,
-            "system": os.path.basename(args.system),
-            "words": [word_str(w, system.symbol_names()) for w in system.words],
-            "budget": args.budget,
-            "reduce-constants": args.reduce_constants,
-        },
-        "result": _eq_report_body(report),
+    params = {
+        "group": G.name,
+        "system": os.path.basename(args.system),
+        "words": [word_str(w, system.symbol_names()) for w in system.words],
+        "budget": args.budget,
+        "reduce-constants": args.reduce_constants,
     }
-    _emit(args, data)
-    return 2 if report.verdict == "unknown" else 0
+    return params, _eq_report_body(report), 2 if report.verdict == "unknown" else 0
 
 
 def _cmd_eq_sys(args):
-    catalogs = _load_catalogs(args.catalog)
-    groups = [g for cat in catalogs for g in cat.values()]
-    system = equations.parse_equation_system(_read(args.system), source=args.system)
+    groups = _catalog_groups(args.catalog)
+    system = equations.parse_equation_system(read_text(args.system), source=args.system)
     table = equations.sys_membership(groups, system, budget=args.budget)
-    data = {
-        "command": "eq-sys",
-        "params": {
-            "system": os.path.basename(args.system),
-            "catalog-order": [g.name for g in groups],
-            "budget": args.budget,
-        },
-        "result": {
-            "overall": table.overall,
-            "per-group": [
-                {"group": name, "verdict": rep.verdict} for name, rep in table.entries
-            ],
-        },
+    params = {
+        "system": os.path.basename(args.system),
+        "catalog-order": [g.name for g in groups],
+        "budget": args.budget,
     }
-    _emit(args, data)
-    return 2 if table.overall == "unknown" else 0
+    result = {
+        "overall": table.overall,
+        "per-group": [{"group": name, "verdict": rep.verdict} for name, rep in table.entries],
+    }
+    return params, result, 2 if table.overall == "unknown" else 0
 
 
 def _cmd_eq_over(args):
     G = _get_group(args)
-    system = equations.parse_equation_system(_read(args.system), source=args.system)
+    system = equations.parse_equation_system(read_text(args.system), source=args.system)
     embeddings = [equations.diagonal_embedding(G, k) for k in args.diagonal]
     report = equations.solvable_over_bounded(
         G, system, embeddings, budget=args.budget, want_witnesses=args.witnesses
     )
-    data = {
-        "command": "eq-over",
-        "params": {
-            "group": G.name,
-            "system": os.path.basename(args.system),
-            "diagonal-copies": list(args.diagonal),
-            "overgroups": [e.target.name for e in embeddings],
-            "budget": args.budget,
-        },
-        "result": _eq_report_body(report),
+    params = {
+        "group": G.name,
+        "system": os.path.basename(args.system),
+        "diagonal-copies": list(args.diagonal),
+        "overgroups": [e.target.name for e in embeddings],
+        "budget": args.budget,
     }
-    _emit(args, data)
     budget_limited = report.verdict == "unknown" and "skipped over budget" in report.reason
-    return 2 if budget_limited else 0
+    return params, _eq_report_body(report), 2 if budget_limited else 0
 
 
 def _cmd_manifest_replay(args):
-    text = _read(args.manifest)
+    text = read_text(args.manifest)
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty manifest", line=1, source=args.manifest)
@@ -608,7 +482,12 @@ def _cmd_manifest_replay(args):
         )
         return 1
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(
+            f"cannot create {args.out_dir}: {exc.strerror}", source=args.out_dir
+        ) from None
     worst = 0
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
@@ -660,7 +539,6 @@ _HANDLERS = {
     "eq-solve": _cmd_eq_solve,
     "eq-sys": _cmd_eq_sys,
     "eq-over": _cmd_eq_over,
-    "manifest-replay": _cmd_manifest_replay,
 }
 
 
@@ -672,7 +550,15 @@ def run(argv) -> int:
         return 1 if exc.code not in (0, None) else 0
     store.admit(getattr(args, "cap", DEFAULT_ELEMENT_CAP))
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "manifest-replay":
+            return _cmd_manifest_replay(args)
+        params, result, *code = _HANDLERS[args.command](args)
+        text = dump_report({"command": args.command, "params": params, "result": result})
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
+        return code[0] if code else 0
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -26,7 +26,7 @@ from itertools import product as iter_product
 from .characters import cycle_type, leader_first, power_types
 from .errors import ParseError
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
-from .perm import Permutation, direct_sum
+from .perm import Permutation, replicate
 from .words import Word, evaluate_word, max_symbol, paired_images, parse_word, reduce_word
 
 DEFAULT_EQ_BUDGET = 10**7
@@ -440,13 +440,8 @@ def diagonal_embedding(G: FiniteGroup, copies: int, cap: int = DEFAULT_ELEMENT_C
     if copies < 1:
         raise ValueError("need at least one copy")
     target = FiniteGroup.symmetric(G.degree * copies)
-    pairs = []
-    for g in G.elements(cap):
-        img = g
-        for _ in range(copies - 1):
-            img = direct_sum(img, g)
-        pairs.append((g, img))
-    return Embedding(source=G, target=target, pairs=tuple(pairs))
+    pairs = tuple((g, replicate(g, copies)) for g in G.elements(cap))
+    return Embedding(source=G, target=target, pairs=pairs)
 
 
 def solvable_over_bounded(

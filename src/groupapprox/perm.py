@@ -176,6 +176,12 @@ def direct_sum(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(tuple(a) + tuple(j + r for j in b))
 
 
+def replicate(p: Permutation, copies: int) -> Permutation:
+    """p (+) p (+) ... (+) p with ``copies`` blocks, built in one pass."""
+    m = len(p)
+    return Permutation([j + k * m for k in range(copies) for j in p])
+
+
 def tensor_power(h: Permutation, r: int, cap: int = DEFAULT_DEGREE_CAP) -> Permutation:
     """Coordinatewise action of h on m^r tuples, enumerated lexicographically.
 

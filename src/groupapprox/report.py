@@ -23,9 +23,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import store
+from .approximation import (
+    Certificate,
+    ConsequenceMode,
+    MetricMode,
+    SearchStats,
+    SoficCertificate,
+    window_from_texts,
+)
 from .errors import ParseError
 from .groups import FiniteGroup
+from .lengths import cayley_conjugation_length, from_table, hamming
 from .perm import Permutation, cycle_string, parse_cycles
+from .words import parse_word, word_str
 
 FORMAT_HEADER = "groupapprox-report"
 FORMAT_VERSION = 1
@@ -301,8 +311,6 @@ def length_table_from_data(data: dict, group: FiniteGroup, source=None):
 
 
 def _table_length(data, group):
-    from .lengths import from_table
-
     values = _field(data, "values", dict, _RATIONAL).items()
     return from_table(group, {parse_cycles(k, group.degree): Fraction(v) for k, v in values})
 
@@ -313,13 +321,9 @@ def certificate_to_data(cert, verdict=None) -> dict:
     When a verdict is supplied it is stored for audit; re-verification
     recomputes it from the rest of the data and flags disagreement.
     """
-    from .approximation import Certificate, ConsequenceMode, MetricMode
-
     assert isinstance(cert, Certificate)
     window = cert.window
     names = window.names
-    from .words import word_str
-
     data = {
         "kind": "approximation-certificate",
         "window": {
@@ -375,9 +379,6 @@ def certificate_from_data(data: dict, source=None):
 
 
 def _certificate_from_data(data):
-    from .approximation import Certificate, ConsequenceMode, MetricMode, window_from_texts
-    from .lengths import cayley_conjugation_length, hamming
-
     if data.get("kind") != "approximation-certificate":
         raise ParseError("not an approximation certificate")
     window_data = _field(data, "window", dict)
@@ -411,8 +412,6 @@ def _certificate_from_data(data):
 
 
 def sofic_certificate_to_data(cert) -> dict:
-    from .words import word_str
-
     names = [f"g{i + 1}" for i in range(len(cert.images))]
     return {
         "kind": "sofic-certificate",
@@ -435,9 +434,6 @@ def sofic_certificate_from_data(data: dict, source=None):
 
 
 def _sofic_certificate_from_data(data):
-    from .approximation import SoficCertificate, SearchStats
-    from .words import parse_word
-
     if data.get("kind") != "sofic-certificate":
         raise ParseError("not a sofic certificate")
     degree = _field(data, "degree", int)

@@ -3,6 +3,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from groupapprox import approximation
 from groupapprox.approximation import (
     Certificate,
     ConsequenceMode,
@@ -293,6 +294,21 @@ class TestMergeHomomorphisms:
         degree, images = merge_homomorphisms([strong, weak])
         count = 2
         assert hamming_length(images[0]) >= Fraction(1, 2 * count)
+
+    def test_blocks_replicate_in_one_pass(self, monkeypatch):
+        # one direct sum joins the two blocks; replicating y into 50 copies
+        # by pairwise direct sums would make 49 more
+        calls = []
+        direct_sum = approximation.direct_sum
+
+        def counted(a, b):
+            calls.append(1)
+            return direct_sum(a, b)
+
+        monkeypatch.setattr(approximation, "direct_sum", counted)
+        x, y = s("(1 2)", 50), s("()", 1)
+        degree, images = merge_homomorphisms([(50, (x,)), (1, (y,))])
+        assert (degree, images[0], len(calls)) == (100, s("(1 2)", 100), 1)
 
     def test_preserves_products(self):
         a, b = s("(1 2 3)", 3), s("(1 2)", 3)

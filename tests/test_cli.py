@@ -121,6 +121,59 @@ class TestBasicCommands:
         assert load_report(out.read_text())["result"]["max-ratio"] is not None
 
 
+SQ = str(MANIFESTS / "sq.eqn")
+DEMO = str(MANIFESTS / "demo.catalog")
+CERTIFICATE = object()  # stands for a sofic certificate file written by the test
+REPORT_COMMANDS = {
+    "length": (["--group", "A5", "--perm", "(1 2 3)"], 0),
+    "consequences": (["--group", "S3", "--X", "(1 2)", "--n", "2"], 0),
+    "separate": (["--group", "A4", "--X", "(1 2)(3 4)", "--Y", "(1 2 3)", "--n", "8"], 0),
+    "brenner-verify": (["--m", "5", "--X", "(1 2 3)", "--n", "17"], 0),
+    "support-cover": (["--m", "5"], 0),
+    "covering-constant": (["--m", "5"], 0),
+    "axioms-check": (["--group", "S4"], 0),
+    "approx-check": (["--certificate", CERTIFICATE], 0),
+    "approx-search": (["--presentation", str(MANIFESTS / "z3.pres"), "--n", "2", "--catalog", DEMO], 0),
+    "sofic-search": (
+        ["--presentation", str(MANIFESTS / "free1.pres"), "--eps", "1/4",
+         "--catalog", str(MANIFESTS / "alt.catalog")],
+        0,
+    ),
+    "eq-solve": (["--group", "A8", "--system", SQ], 2),
+    "eq-sys": (["--catalog", DEMO, "--system", SQ], 0),
+    "eq-over": (["--group", "S3", "--system", SQ, "--diagonal", "2"], 0),
+}
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_run_writes_the_same_report_to_out_and_stdout(command, tmp_path, capsys):
+    from groupapprox.approximation import parse_presentation, search_sofic_instance
+    from groupapprox.groups import FiniteGroup
+    from groupapprox.report import sofic_certificate_to_data
+
+    args, code = REPORT_COMMANDS[command]
+    if CERTIFICATE in args:
+        p = parse_presentation("generators a\noutside a\n")
+        cert = search_sofic_instance(p, Fraction(1, 4), [FiniteGroup.alternating(4)])
+        certificate = tmp_path / "sofic.report"
+        certificate.write_text(dump_report(sofic_certificate_to_data(cert)))
+        args = [str(certificate) if a is CERTIFICATE else a for a in args]
+    argv = [command, *args]
+    assert cli.run(argv) == code
+    printed = capsys.readouterr()
+    out = tmp_path / "r.report"
+    assert cli.run([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == printed.err == ""
+    assert out.read_bytes() == printed.out.encode("utf-8")
+    assert next(iter(load_report(printed.out).items())) == ("command", command)
+    # an unwritable --out is an input error, whatever the command
+    unwritable = tmp_path / "missing" / "r.report"
+    assert cli.run([*argv, "--out", str(unwritable)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {unwritable}: cannot write {unwritable}: No such file or directory\n"
+    )
+
+
 class TestExitCodes:
     def test_bad_cycle_notation_is_input_error(self):
         proc = run_cli("length", "--group", "A5", "--perm", "(1 2")

@@ -1,5 +1,6 @@
 import pytest
 
+from groupapprox import equations, perm
 from groupapprox.equations import (
     EquationSystem,
     bridge_report,
@@ -203,6 +204,22 @@ class TestSolvableOver:
         emb = diagonal_embedding(S3, 1)
         report = solvable_over_bounded(S3, SINGLE_VAR, [emb])
         assert report.verdict == "solvable"
+
+    def test_diagonal_replicates_each_element_in_one_pass(self, monkeypatch):
+        # a block copy by pairwise direct sums makes copies - 1 of them per element
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return perm.direct_sum(a, b)
+
+        monkeypatch.setattr(equations, "direct_sum", counted, raising=False)
+        emb = diagonal_embedding(S3, 50)
+        assert len(calls) == 0
+        g = parse_cycles("(1 2 3)", 3)
+        assert emb.mapping()[g] == parse_cycles(
+            "".join(f"({3 * k + 1} {3 * k + 2} {3 * k + 3})" for k in range(50)), 150
+        )
 
     def test_square_over_s3_via_diagonal(self):
         emb = diagonal_embedding(S3, 2)

@@ -223,6 +223,41 @@ def test_catalog_degree_zero_exits_1_at_its_line(record, message, tmp_path, caps
     assert (code, err) == (1, f"error: {catalog}:2: {message}\n")
 
 
+def test_missing_catalog_exits_1_like_a_missing_system(tmp_path, capsys):
+    missing = tmp_path / "none.catalog"
+    code, err = _run(
+        capsys, "eq-sys", "--catalog", str(missing), "--system", str(MANIFESTS / "sq.eqn")
+    )
+    assert (code, err) == (1, f"error: {missing}: cannot read {missing}: No such file or directory\n")
+
+
+def test_unreadable_catalog_in_the_catalog_dir_exits_1(monkeypatch, tmp_path, capsys):
+    unreadable = tmp_path / "a.catalog"
+    unreadable.mkdir()
+    monkeypatch.setenv("GROUPAPPROX_CATALOG_DIR", str(tmp_path))
+    code, err = _run(capsys, "length", "--group", "K4", "--perm", "()")
+    assert (code, err) == (1, f"error: {unreadable}: cannot read {unreadable}: Is a directory\n")
+
+
+def test_unwritable_csv_exits_1(tmp_path, capsys):
+    # an unwritable --out is tested for every command in test_cli.py
+    path = tmp_path / "missing" / "x.csv"
+    code = cli.run(["covering-constant", "--m", "5", "--csv", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: {path}: cannot write {path}: No such file or directory\n"
+    )
+
+
+def test_replay_into_an_uncreatable_directory_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+    manifest = MANIFESTS / "acceptance.manifest"
+    code, err = _run(capsys, "manifest-replay", str(manifest), "--out-dir", str(out_dir))
+    assert (code, err) == (1, f"error: {out_dir}: cannot create {out_dir}: Not a directory\n")
+
+
 def test_certificate_target_of_degree_zero_exits_1_at_its_source(tmp_path, capsys):
     text = _metric_certificate_text()
     assert "  kind: alternating\n  degree: 4\n" in text

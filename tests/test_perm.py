@@ -18,6 +18,7 @@ from groupapprox.perm import (
     parity,
     parse_cycles,
     permutation,
+    replicate,
     tensor_power,
 )
 
@@ -140,6 +141,15 @@ class TestDirectSum:
         r, k = a.degree, b.degree
         expected = (r * hamming_length(a) + k * hamming_length(b)) / Fraction(r + k)
         assert hamming_length(direct_sum(a, b)) == expected
+
+    @pytest.mark.parametrize("copies", [1, 2, 5])
+    def test_replicate_is_the_pairwise_direct_sum(self, copies):
+        for h in all_perms(3):
+            folded = h
+            for _ in range(copies - 1):
+                folded = direct_sum(folded, h)
+            assert replicate(h, copies) == folded
+            assert isinstance(replicate(h, copies), Permutation)
 
 
 class TestTensorPower:

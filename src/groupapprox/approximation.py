@@ -22,7 +22,6 @@ permutations, exact lengths and reports for the one they return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -46,6 +45,7 @@ from .perm import (
     is_even,
     replicate,
 )
+from .records import Record
 from .words import (
     Word,
     compile_word,
@@ -63,8 +63,7 @@ from .words import (
 DEFAULT_SEARCH_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Finite word set with its partial multiplication table."""
 
     names: tuple[str, ...]
@@ -107,20 +106,17 @@ def window_from_texts(names, texts) -> Window:
     return Window(names, tuple(parse_word(t, names) for t in texts))
 
 
-@dataclass(frozen=True)
-class ConsequenceMode:
+class ConsequenceMode(Record):
     depth: int
 
 
-@dataclass(frozen=True)
-class MetricMode:
+class MetricMode(Record):
     length: LengthFunction
     alpha: tuple  # Fractions aligned with window.words
     epsilon: Fraction
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A window map plus everything needed to re-verify the verdict."""
 
     window: Window
@@ -143,8 +139,7 @@ class Certificate:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     holds: bool
     reason: str
     separation: SeparationReport | None = None
@@ -213,8 +208,7 @@ def check_metric_instance(cert: Certificate) -> CheckResult:
 # --- presentations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Free generators, relators, and the declared test word sets.
 
     ``inside`` words are asserted by the caller to be consequences of the
@@ -308,22 +302,19 @@ def verify_inside_declarations(
 # --- searches ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     assignments: int
     per_group: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class FoundHomomorphism:
+class FoundHomomorphism(Record):
     group: FiniteGroup
     images: tuple  # generator images, aligned with presentation generators
     separation: SeparationReport
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(Record):
     stats: SearchStats
 
 
@@ -421,8 +412,7 @@ def _budget_exceeded(budget, H):
     )
 
 
-@dataclass(frozen=True)
-class SoficCertificate:
+class SoficCertificate(Record):
     """Witness that one outside word can be made long while inside words stay short.
 
     ``images`` are even permutations of the stated degree (symmetric-group

@@ -55,112 +55,143 @@ def _int_at_least(low):
     return parse
 
 
+_OUT = (("--out", dict(help="write the report to this file")),)
+_GROUP = _OUT + (
+    ("--group", dict(required=True)),
+    ("--catalog", dict(action="append", default=[])),
+)
+
+# Every subcommand: its help line and its arguments, as (flag, keywords of
+# add_argument).  Append options share their default list; argparse copies it
+# before appending.
+_COMMANDS = {
+    "length": ("evaluate a length function at a permutation", _GROUP + (
+        ("--perm", dict(required=True, help='cycle notation, e.g. "(1 2 3)"')),
+        ("--length-kind", dict(choices=["hamming", "cayley"], default="hamming")),
+        ("--X", dict(action="append", default=[], help="base elements for cayley")),
+        ("--n", dict(type=int, help="scale for the cayley construction")),
+    )),
+    "consequences": ("exact-depth consequence set of a base set", _GROUP + (
+        ("--X", dict(action="append", default=[], required=False)),
+        ("--n", dict(type=int, required=True)),
+        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
+    )),
+    "separate": ("is Y disjoint from the depth-n consequences of X?", _GROUP + (
+        ("--X", dict(action="append", default=[])),
+        ("--Y", dict(action="append", default=[], required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
+    )),
+    "brenner-verify": ("ball of radius (n-1)*eps/16 inside the depth-n set", _OUT + (
+        ("--m", dict(type=int, required=True)),
+        ("--X", dict(action="append", default=[], required=True)),
+        ("--n", dict(type=int, required=True)),
+    )),
+    "support-cover": ("fourth class power against the support of x", _OUT + (
+        ("--m", dict(type=int, required=True)),
+        ("--x", dict(help="one element; default sweeps all class representatives")),
+    )),
+    "covering-constant": ("empirical covering ratios over class pairs", _OUT + (
+        ("--m", dict(type=int, required=True)),
+        ("--csv", dict(help="also write the table as CSV")),
+    )),
+    "axioms-check": ("verify the three length-function axioms exhaustively", _GROUP + (
+        ("--length-kind", dict(choices=["hamming", "cayley", "table"], default="hamming")),
+        ("--X", dict(action="append", default=[])),
+        ("--n", dict(type=int)),
+        ("--table", dict(help="length-table report file")),
+        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
+    )),
+    "approx-check": ("re-verify a stored certificate", _OUT + (
+        ("--certificate", dict(required=True)),
+    )),
+    "approx-search": ("search for a separating homomorphism", _OUT + (
+        ("--presentation", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--catalog", dict(action="append", default=[], required=True)),
+        ("--budget", dict(type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)),
+        ("--prune", dict(action="store_true", help="skip conjugate image tuples")),
+    )),
+    "sofic-search": ("search for a long-outside/short-inside homomorphism", _OUT + (
+        ("--presentation", dict(required=True)),
+        ("--eps", dict(required=True, help="rational threshold p/q")),
+        ("--catalog", dict(action="append", default=[], required=True)),
+        ("--budget", dict(type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)),
+    )),
+    "eq-solve": ("universal-existential solvability in one group", _GROUP + (
+        ("--system", dict(required=True)),
+        ("--budget", dict(type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)),
+        ("--witnesses", dict(action="store_true")),
+        ("--jobs", dict(type=_int_at_least(1), default=1)),
+        ("--reduce-constants", dict(
+            action="store_true", help="scan one constant tuple per conjugation orbit"
+        )),
+    )),
+    "eq-sys": ("solvability across a whole catalog", _OUT + (
+        ("--catalog", dict(action="append", default=[], required=True)),
+        ("--system", dict(required=True)),
+        ("--budget", dict(type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)),
+    )),
+    "eq-over": ("solvability over a group via supplied overgroup embeddings", _GROUP + (
+        ("--system", dict(required=True)),
+        ("--diagonal", dict(
+            action="append",
+            type=int,
+            default=[],
+            required=True,
+            help="diagonal embedding with this many copies (repeatable)",
+        )),
+        ("--budget", dict(type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)),
+        ("--witnesses", dict(action="store_true")),
+    )),
+    # no --out: replay writes into --out-dir
+    "manifest-replay": ("re-run a pinned list of subcommands", (
+        ("manifest", dict()),
+        ("--out-dir", dict(required=True)),
+        ("--jobs", dict(type=_int_at_least(1), default=None)),
+    )),
+}
+
+
 @cache
-def _build_parser():
-    """The argument parser, built once per process: parsing never changes it,
-    and append options copy their default list before adding to it."""
+def _build_parser(command=None):
+    """The parser of one subcommand, prog ``groupapprox <command>``, or with
+    no command the full parser over all of them; each built at most once
+    per process.  The one-command parser prints the same help and errors as
+    the full parser's subparser for that command.  ``manifest-replay`` takes
+    no abbreviations, so that ``--out`` is not read as ``--out-dir``."""
+    if command is not None:
+        parser = argparse.ArgumentParser(
+            prog=f"groupapprox {command}", allow_abbrev=command != "manifest-replay"
+        )
+        return _add_arguments(parser, command)
     parser = argparse.ArgumentParser(
         prog="groupapprox",
         description="Finite-group approximation workbench (exact rational arithmetic).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, group=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", help="write the report to this file")
-        if group:
-            p.add_argument("--group", required=True)
-            p.add_argument("--catalog", action="append", default=[])
-        return p
-
-    p = add("length", "evaluate a length function at a permutation", group=True)
-    p.add_argument("--perm", required=True, help='cycle notation, e.g. "(1 2 3)"')
-    p.add_argument("--length-kind", choices=["hamming", "cayley"], default="hamming")
-    p.add_argument("--X", action="append", default=[], help="base elements for cayley")
-    p.add_argument("--n", type=int, help="scale for the cayley construction")
-
-    p = add("consequences", "exact-depth consequence set of a base set", group=True)
-    p.add_argument("--X", action="append", default=[], required=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
-
-    p = add("separate", "is Y disjoint from the depth-n consequences of X?", group=True)
-    p.add_argument("--X", action="append", default=[])
-    p.add_argument("--Y", action="append", default=[], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
-
-    p = add("brenner-verify", "ball of radius (n-1)*eps/16 inside the depth-n set")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--X", action="append", default=[], required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("support-cover", "fourth class power against the support of x")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x", help="one element; default sweeps all class representatives")
-
-    p = add("covering-constant", "empirical covering ratios over class pairs")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--csv", help="also write the table as CSV")
-
-    p = add("axioms-check", "verify the three length-function axioms exhaustively", group=True)
-    p.add_argument("--length-kind", choices=["hamming", "cayley", "table"], default="hamming")
-    p.add_argument("--X", action="append", default=[])
-    p.add_argument("--n", type=int)
-    p.add_argument("--table", help="length-table report file")
-    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)
-
-    p = add("approx-check", "re-verify a stored certificate")
-    p.add_argument("--certificate", required=True)
-
-    p = add("approx-search", "search for a separating homomorphism")
-    p.add_argument("--presentation", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--budget", type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--prune", action="store_true", help="skip conjugate image tuples")
-
-    p = add("sofic-search", "search for a long-outside/short-inside homomorphism")
-    p.add_argument("--presentation", required=True)
-    p.add_argument("--eps", required=True, help="rational threshold p/q")
-    p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--budget", type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)
-
-    p = add("eq-solve", "universal-existential solvability in one group", group=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
-    p.add_argument("--witnesses", action="store_true")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument(
-        "--reduce-constants",
-        action="store_true",
-        help="scan one constant tuple per conjugation orbit",
-    )
-
-    p = add("eq-sys", "solvability across a whole catalog")
-    p.add_argument("--catalog", action="append", default=[], required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
-
-    p = add("eq-over", "solvability over a group via supplied overgroup embeddings", group=True)
-    p.add_argument("--system", required=True)
-    p.add_argument(
-        "--diagonal",
-        action="append",
-        type=int,
-        default=[],
-        required=True,
-        help="diagonal embedding with this many copies (repeatable)",
-    )
-    p.add_argument("--budget", type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)
-    p.add_argument("--witnesses", action="store_true")
-
-    p = add("manifest-replay", "re-run a pinned list of subcommands")
-    p.add_argument("manifest")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=None)
-
+    for name, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=name != "manifest-replay")
+        _add_arguments(p, name)
     return parser
+
+
+def _add_arguments(parser, command):
+    for flag, kwargs in _COMMANDS[command][1]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _parse_args(argv):
+    """The parse of argv by its subcommand's parser alone.  The full parser
+    takes over when argv names no subcommand, and when arguments are left
+    unrecognized, because it words that error."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _get_group(args):
@@ -313,7 +344,7 @@ def _cmd_axioms_check(args):
     params = {
         "group": G.name,
         "length-kind": args.length_kind,
-        "X": args.X,
+        "X": [parse_cycles(t, G.degree) for t in args.X],
         "n": args.n,
         "cap": args.cap,
     }
@@ -543,9 +574,8 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     store.admit(getattr(args, "cap", DEFAULT_ELEMENT_CAP))

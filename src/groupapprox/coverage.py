@@ -15,7 +15,6 @@ coverage statement of this shape can hold there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,6 +28,7 @@ from .groups import (
     iter_consequence_class_layers,  # patched by name in perfbench/tracing.py
 )
 from .perm import Permutation, cycle_string, hamming_length, is_even
+from .records import Record
 
 
 def _group_and_table(m: int) -> tuple[FiniteGroup, AlternatingTable]:
@@ -62,8 +62,7 @@ def _class_members(table: AlternatingTable, classes, points) -> tuple[Permutatio
     return tuple(sorted(out, key=Permutation.sort_key))
 
 
-@dataclass(frozen=True)
-class SupportCoverReport:
+class SupportCoverReport(Record):
     m: int
     x: Permutation
     power: int
@@ -111,8 +110,7 @@ def verify_support_cover(m: int, x: Permutation) -> SupportCoverReport:
     )
 
 
-@dataclass(frozen=True)
-class BrennerReport:
+class BrennerReport(Record):
     m: int
     base: tuple[Permutation, ...]
     depth: int
@@ -168,8 +166,7 @@ def verify_brenner_bound(m: int, X, n: int) -> BrennerReport:
 # --- covering-ratio sweeps ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringRow:
+class CoveringRow(Record):
     x: Permutation
     y: Permutation
     depth: int | None
@@ -177,8 +174,7 @@ class CoveringRow:
     ratio: Fraction | None  # depth / steps
 
 
-@dataclass(frozen=True)
-class CoveringTable:
+class CoveringTable(Record):
     m: int
     rows: tuple[CoveringRow, ...]
     max_ratio: Fraction | None

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from itertools import chain, repeat
 from itertools import product as iter_product
 
@@ -27,13 +26,13 @@ from .characters import cycle_type, leader_first, power_types
 from .errors import ParseError
 from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from .perm import Permutation, replicate
+from .records import Record
 from .words import Word, evaluate_word, max_symbol, paired_images, parse_word, reduce_word
 
 DEFAULT_EQ_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Record):
     """Words over constants 1..r and variables r+1..r+k (signed symbols)."""
 
     constants: int
@@ -98,8 +97,7 @@ def evaluate_system_word(
     return evaluate_word(word, tuple(constants) + tuple(variables), degree)
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
+class SolvabilityReport(Record):
     verdict: str  # "solvable" | "unsolvable" | "unknown"
     counterexample: tuple | None = None
     witnesses: tuple = ()  # (constants, variables) pairs, sparse
@@ -364,8 +362,7 @@ def _scan_parallel(system, constant_tuples, els, degree, want_witnesses, workers
     return None, witnesses
 
 
-@dataclass(frozen=True)
-class MembershipTable:
+class MembershipTable(Record):
     """Per-group verdict table for one system across a catalog."""
 
     entries: tuple  # (group name, SolvabilityReport)
@@ -398,8 +395,7 @@ def sys_membership(
 # --- overgroup embeddings -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """A verified injective homomorphism between enumerated groups."""
 
     source: FiniteGroup
@@ -502,8 +498,7 @@ def solvable_over_bounded(
 # --- catalog bridge report ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(Record):
     """Cross-check: systems solvable across an alternating catalog should be
     solvable over the supplied test groups; misses flag catalog shortfall,
     never a refutation."""

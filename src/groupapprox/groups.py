@@ -19,7 +19,6 @@ a pair once, from its smaller class (``FiniteGroup.class_product``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
@@ -28,6 +27,7 @@ from operator import eq
 
 from .errors import CapExceeded
 from .perm import Permutation, check_degree, conjugate, direct_sum, identity, is_even
+from .records import Record
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -460,8 +460,7 @@ def cyclic(k: int, name=None) -> FiniteGroup:
 # --- consequence sets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsequenceSet:
+class ConsequenceSet(Record):
     """Exact-depth n-fold product of conjugates of a base set (or inverses).
 
     ``class_layers[j-1]`` holds the class indices of the depth-j set; the
@@ -619,8 +618,7 @@ def min_consequence_depth(
     return None
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     """Verdict of the query "is Y disjoint from C_n(X, G)?".
 
     ``separated`` refers to the exact depth n; ``violated_depths`` lists

@@ -10,7 +10,6 @@ of a base set, scaled by 1/n and clamped at 1), and explicit tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -23,6 +22,7 @@ from .groups import (
     iter_consequence_class_layers,
 )
 from .perm import Permutation, conjugate, hamming_length
+from .records import Record
 
 
 class LengthFunction:
@@ -93,15 +93,13 @@ def cayley_conjugation_length(
     return LengthFunction(G, "cayley-conjugation", values=values, params={"base": base, "scale": n})
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     axiom: str  # "identity" | "nonnegative" | "subadditive" | "invariant"
     witness: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     valid: bool
     violations: tuple[AxiomViolation, ...]
     pairs_checked: int

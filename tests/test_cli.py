@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,6 +78,14 @@ class TestBasicCommands:
         proc = run_cli("axioms-check", "--group", "S4")
         assert proc.returncode == 0
         assert load_report(proc.stdout)["result"]["valid"] is True
+
+    def test_axioms_check_reports_canonical_x(self, capsys):
+        argv = ["axioms-check", "--group", "S3", "--length-kind", "cayley", "--n", "1"]
+        assert cli.run([*argv, "--X", "(2 1)"]) == 0
+        out = capsys.readouterr().out
+        assert "  X:\n    - (1 2)\n" in out
+        assert cli.run([*argv, "--X", "(1 2)"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_axioms_check_table_file(self, tmp_path):
         from groupapprox.groups import FiniteGroup
@@ -416,6 +426,81 @@ class TestParserReuse:
         assert b"(1 2 3)" not in together[1]
 
 
+class TestOneCommandParser:
+    """``cli.run`` parses with its subcommand's parser alone; the full parser
+    must print and exit the same for every argument list."""
+
+    @staticmethod
+    def _cases():
+        yield "top --help", ["--help"]
+        yield "top no arguments", []
+        yield "top unknown command", ["frobnicate", "--m", "5"]
+        for name, (_, options) in cli._COMMANDS.items():
+            required = []
+            for flag, kwargs in options:
+                value = "1" if "type" in kwargs else "M"
+                if not flag.startswith("-"):
+                    required.append(value)
+                elif kwargs.get("required"):
+                    required += [flag, value]
+            yield f"{name} --help", [name, "--help"]
+            yield f"{name} abbreviated --help", [name, "--he"]
+            yield f"{name} missing required", [name]
+            yield f"{name} unknown option", [name, *required, "--bogus", "x"]
+            yield f"{name} unknown option alone", [name, "--bogus"]
+            yield f"{name} extra positional", [name, *required, "stray"]
+            for flag, kwargs in options:
+                if "type" in kwargs:
+                    yield f"{name} {flag} bad type", [name, flag, "x"]
+                if "choices" in kwargs:
+                    yield f"{name} {flag} bad choice", [name, flag, "nope"]
+
+    CASES = dict(_cases())
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_output_as_the_full_parser(self, case, capsys):
+        argv = self.CASES[case]
+        code = cli.run(argv)
+        by_run = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        by_full = capsys.readouterr()
+        assert (by_run.out, by_run.err) == (by_full.out, by_full.err)
+        assert code == (1 if exc.value.code not in (0, None) else 0)
+        assert by_run.out or by_run.err
+
+    def test_every_command_is_covered(self):
+        assert {argv[0] for argv in self.CASES.values() if argv} >= set(cli._COMMANDS)
+        assert len(cli._COMMANDS) == 14
+
+    def test_one_parser_per_process_and_command(self, monkeypatch, capsys):
+        cli._build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.run(["covering-constant", "--m", "5"]) == 0
+        assert built == ["groupapprox covering-constant"]
+        assert cli.run(["covering-constant", "--m", "5"]) == 0
+        assert len(built) == 1
+        capsys.readouterr()
+
+    def test_manifest_replay_has_no_out(self, tmp_path, capsys):
+        manifest, out = MANIFESTS / "acceptance.manifest", tmp_path / "F"
+        argv = ["manifest-replay", str(manifest), "--out-dir", str(tmp_path / "d")]
+        assert cli.run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"groupapprox: error: unrecognized arguments: --out {out}\n")
+        assert not out.exists() and not (tmp_path / "d").exists()
+        assert cli.run(["manifest-replay", "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert "--out-dir OUT_DIR" in help_text and "--out OUT" not in help_text
+
+
 class TestCertificates:
     def test_sofic_search_then_recheck(self, tmp_path):
         pres = tmp_path / "free.pres"
@@ -600,6 +685,13 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        code = "import sys, groupapprox.cli\nprint('dataclasses' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestScripts:

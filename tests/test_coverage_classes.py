@@ -2,7 +2,6 @@
 ``brenner-verify`` checks of ``coverage``, read off the character table,
 against the element loops they replaced (conftest.py)."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -165,7 +164,7 @@ def test_brenner_violations_match(m, base, n, dropped, monkeypatch):
     def oracle_without_class(G, X, depth):
         cons = full(G, X, depth)
         last = cons.class_layers[-1] - {G.class_index_of(dropped_element)}
-        return dataclasses.replace(cons, class_layers=cons.class_layers[:-1] + (last,))
+        return groups.ConsequenceSet(cons.group, cons.base, cons.depth, cons.class_layers[:-1] + (last,))
 
     monkeypatch.setattr(coverage, "exact_depth_layers", library_without_class)
     monkeypatch.setattr(groups, "consequences", oracle_without_class)

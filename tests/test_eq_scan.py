@@ -7,7 +7,6 @@ words over ``S_m``/``A_m``, decided from cycle types, against both."""
 
 import hashlib
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from conftest import element_scan_constants, every_tuple
 from groupapprox import cli, equations, groups
 from groupapprox.characters import power_types
 from groupapprox.equations import (
+    Embedding,
     EquationSystem,
     diagonal_embedding,
     parse_equation_system,
@@ -301,7 +301,8 @@ def _s3_into_s6():
 def _a4_into_a8():
     """g -> g (+) g, whose image is always even, into a streamed A8."""
     G = FiniteGroup.alternating(4)
-    return G, replace(diagonal_embedding(G, 2), target=FiniteGroup.alternating(8))
+    embedding = diagonal_embedding(G, 2)
+    return G, Embedding(embedding.source, FiniteGroup.alternating(8), embedding.pairs)
 
 
 OVERGROUPS = {"S3 -> S6": _s3_into_s6, "A4 -> A8": _a4_into_a8}

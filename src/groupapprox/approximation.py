@@ -458,13 +458,13 @@ def search_sofic_instance(
 ):
     """Find a map into an alternating group with the outside word long.
 
-    Requires exactly one outside word, and a catalog of builtin symmetric
-    and alternating groups only, checked before any is scanned.  The
-    assignments are those of ``_assignments``.  Candidates whose raw outside
-    length is at least 1/2 are taken as they stand; shorter nonzero ones
-    are amplified coordinatewise until they clear 1/2, provided every
-    inside word still lands strictly below epsilon after the same
-    amplification.
+    Requires exactly one outside word, a positive epsilon, and a catalog of
+    builtin symmetric and alternating groups only, checked before any is
+    scanned.  The assignments are those of ``_assignments``.  Candidates
+    whose raw outside length is at least 1/2 are taken as they stand;
+    shorter nonzero ones are amplified coordinatewise until they clear 1/2,
+    provided every inside word still lands strictly below epsilon after the
+    same amplification.
 
     Lengths are tested as moved-point counts on the candidate's own
     degree: doubling a symmetric candidate into the alternating group
@@ -475,6 +475,8 @@ def search_sofic_instance(
     epsilon = Fraction(epsilon)
     if len(p.outside) != 1:
         raise ValueError("sofic search needs exactly one outside word")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     catalog = tuple(catalog)
     for H in catalog:
         if H.kind not in ("symmetric", "alternating"):

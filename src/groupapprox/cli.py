@@ -9,15 +9,14 @@ Reports never contain timestamps; identical inputs give identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shlex
 import sys
-from functools import cache
 
 from . import approximation as approx
 from . import coverage, equations, lengths, store
 from .catalog import load_catalog_file, read_text, resolve_group
+from .commands import parse_args
 from .errors import BudgetExceeded, CapExceeded, ParseError
 from .groups import DEFAULT_ELEMENT_CAP, consequences, is_n_separated
 from .perm import Permutation, hamming_length, parse_cycles
@@ -37,161 +36,6 @@ MANIFEST_VERSION = 1
 
 _FILE_FLAGS = {"--system", "--catalog", "--presentation", "--certificate", "--table"}
 _OUT_FLAGS = {"--out", "--csv"}
-
-
-def _int_at_least(low):
-    """An argparse type for integers >= low: 0 is a real cap or budget,
-    while a worker count must be positive."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
-_OUT = (("--out", dict(help="write the report to this file")),)
-_GROUP = _OUT + (
-    ("--group", dict(required=True)),
-    ("--catalog", dict(action="append", default=[])),
-)
-
-# Every subcommand: its help line and its arguments, as (flag, keywords of
-# add_argument).  Append options share their default list; argparse copies it
-# before appending.
-_COMMANDS = {
-    "length": ("evaluate a length function at a permutation", _GROUP + (
-        ("--perm", dict(required=True, help='cycle notation, e.g. "(1 2 3)"')),
-        ("--length-kind", dict(choices=["hamming", "cayley"], default="hamming")),
-        ("--X", dict(action="append", default=[], help="base elements for cayley")),
-        ("--n", dict(type=int, help="scale for the cayley construction")),
-    )),
-    "consequences": ("exact-depth consequence set of a base set", _GROUP + (
-        ("--X", dict(action="append", default=[], required=False)),
-        ("--n", dict(type=int, required=True)),
-        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
-    )),
-    "separate": ("is Y disjoint from the depth-n consequences of X?", _GROUP + (
-        ("--X", dict(action="append", default=[])),
-        ("--Y", dict(action="append", default=[], required=True)),
-        ("--n", dict(type=int, required=True)),
-        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
-    )),
-    "brenner-verify": ("ball of radius (n-1)*eps/16 inside the depth-n set", _OUT + (
-        ("--m", dict(type=int, required=True)),
-        ("--X", dict(action="append", default=[], required=True)),
-        ("--n", dict(type=int, required=True)),
-    )),
-    "support-cover": ("fourth class power against the support of x", _OUT + (
-        ("--m", dict(type=int, required=True)),
-        ("--x", dict(help="one element; default sweeps all class representatives")),
-    )),
-    "covering-constant": ("empirical covering ratios over class pairs", _OUT + (
-        ("--m", dict(type=int, required=True)),
-        ("--csv", dict(help="also write the table as CSV")),
-    )),
-    "axioms-check": ("verify the three length-function axioms exhaustively", _GROUP + (
-        ("--length-kind", dict(choices=["hamming", "cayley", "table"], default="hamming")),
-        ("--X", dict(action="append", default=[])),
-        ("--n", dict(type=int)),
-        ("--table", dict(help="length-table report file")),
-        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
-    )),
-    "approx-check": ("re-verify a stored certificate", _OUT + (
-        ("--certificate", dict(required=True)),
-    )),
-    "approx-search": ("search for a separating homomorphism", _OUT + (
-        ("--presentation", dict(required=True)),
-        ("--n", dict(type=int, required=True)),
-        ("--catalog", dict(action="append", default=[], required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)),
-        ("--prune", dict(action="store_true", help="skip conjugate image tuples")),
-    )),
-    "sofic-search": ("search for a long-outside/short-inside homomorphism", _OUT + (
-        ("--presentation", dict(required=True)),
-        ("--eps", dict(required=True, help="rational threshold p/q")),
-        ("--catalog", dict(action="append", default=[], required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=approx.DEFAULT_SEARCH_BUDGET)),
-    )),
-    "eq-solve": ("universal-existential solvability in one group", _GROUP + (
-        ("--system", dict(required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)),
-        ("--witnesses", dict(action="store_true")),
-        ("--jobs", dict(type=_int_at_least(1), default=1)),
-        ("--reduce-constants", dict(
-            action="store_true", help="scan one constant tuple per conjugation orbit"
-        )),
-    )),
-    "eq-sys": ("solvability across a whole catalog", _OUT + (
-        ("--catalog", dict(action="append", default=[], required=True)),
-        ("--system", dict(required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)),
-    )),
-    "eq-over": ("solvability over a group via supplied overgroup embeddings", _GROUP + (
-        ("--system", dict(required=True)),
-        ("--diagonal", dict(
-            action="append",
-            type=int,
-            default=[],
-            required=True,
-            help="diagonal embedding with this many copies (repeatable)",
-        )),
-        ("--budget", dict(type=_int_at_least(0), default=equations.DEFAULT_EQ_BUDGET)),
-        ("--witnesses", dict(action="store_true")),
-    )),
-    # no --out: replay writes into --out-dir
-    "manifest-replay": ("re-run a pinned list of subcommands", (
-        ("manifest", dict()),
-        ("--out-dir", dict(required=True)),
-        ("--jobs", dict(type=_int_at_least(1), default=None)),
-    )),
-}
-
-
-@cache
-def _build_parser(command=None):
-    """The parser of one subcommand, prog ``groupapprox <command>``, or with
-    no command the full parser over all of them; each built at most once
-    per process.  The one-command parser prints the same help and errors as
-    the full parser's subparser for that command.  ``manifest-replay`` takes
-    no abbreviations, so that ``--out`` is not read as ``--out-dir``."""
-    if command is not None:
-        parser = argparse.ArgumentParser(
-            prog=f"groupapprox {command}", allow_abbrev=command != "manifest-replay"
-        )
-        return _add_arguments(parser, command)
-    parser = argparse.ArgumentParser(
-        prog="groupapprox",
-        description="Finite-group approximation workbench (exact rational arithmetic).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=name != "manifest-replay")
-        _add_arguments(p, name)
-    return parser
-
-
-def _add_arguments(parser, command):
-    for flag, kwargs in _COMMANDS[command][1]:
-        parser.add_argument(flag, **kwargs)
-    return parser
-
-
-def _parse_args(argv):
-    """The parse of argv by its subcommand's parser alone.  The full parser
-    takes over when argv names no subcommand, and when arguments are left
-    unrecognized, because it words that error."""
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
 
 
 def _get_group(args):
@@ -525,12 +369,12 @@ def _cmd_manifest_replay(args):
         if not line:
             continue
         argv = shlex.split(line)
-        if "--out" not in argv:
+        if not _gives("--out", argv):
             raise ParseError(
                 "every manifest step needs --out", line=ln, source=args.manifest
             )
         argv = _rewrite_paths(argv, manifest_dir, args.out_dir)
-        if args.jobs is not None and argv[0] == "eq-solve" and "--jobs" not in argv:
+        if args.jobs is not None and argv[0] == "eq-solve" and not _gives("--jobs", argv):
             argv += ["--jobs", str(args.jobs)]
         code = run(argv)
         if code == 1:
@@ -540,19 +384,30 @@ def _cmd_manifest_replay(args):
     return worst
 
 
+def _gives(flag, argv):
+    """Whether argv gives flag, as ``flag value`` or ``flag=value``."""
+    return any(t == flag or t.startswith(f"{flag}=") for t in argv)
+
+
 def _rewrite_paths(argv, manifest_dir, out_dir):
-    out = list(argv)
-    i = 0
-    while i < len(out):
-        flag = out[i]
-        if flag in _FILE_FLAGS and i + 1 < len(out) and not os.path.isabs(out[i + 1]):
-            out[i + 1] = os.path.join(manifest_dir, out[i + 1])
-            i += 2
-        elif flag in _OUT_FLAGS and i + 1 < len(out) and not os.path.isabs(out[i + 1]):
-            out[i + 1] = os.path.join(out_dir, out[i + 1])
-            i += 2
+    """argv with each relative path joined to its directory: input files
+    to the manifest's, outputs to out_dir; ``--flag=path`` as ``--flag path``."""
+
+    bases = dict.fromkeys(_FILE_FLAGS, manifest_dir) | dict.fromkeys(_OUT_FLAGS, out_dir)
+
+    def join(directory, path):
+        return path if os.path.isabs(path) else os.path.join(directory, path)
+
+    out, directory = [], None
+    for token in argv:
+        flag, eq, path = token.partition("=")
+        if directory is not None:
+            token, directory = join(directory, token), None
+        elif eq and flag in bases:
+            token = f"{flag}={join(bases[flag], path)}"
         else:
-            i += 1
+            directory = bases.get(token)
+        out.append(token)
     return out
 
 
@@ -575,7 +430,7 @@ _HANDLERS = {
 
 def run(argv) -> int:
     try:
-        args = _parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     store.admit(getattr(args, "cap", DEFAULT_ELEMENT_CAP))

@@ -222,6 +222,12 @@ class TestSearchSoficInstance:
         with pytest.raises(ValueError):
             search_sofic_instance(p, Fraction(1, 2), [A4], budget=10)
 
+    @pytest.mark.parametrize("eps", [0, Fraction(-1, 2)])
+    def test_requires_positive_epsilon(self, eps):
+        p = parse_presentation("generators a\noutside a\n")
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            search_sofic_instance(p, eps, [A4], budget=10)
+
     def test_exhausted_when_epsilon_unreachable(self):
         # killing a^2 in A_4 forces involutions of full support, whose
         # amplified length can never drop below a tiny epsilon

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from groupapprox import cli, groups, perm
+from groupapprox import cli, commands, groups, perm
 from groupapprox.report import dump_report, load_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -399,9 +400,144 @@ class TestCoveringConstantDegree:
         assert capsys.readouterr().err == "error: coverage sweeps require degree >= 5\n"
 
 
+def _value(kwargs, k=0):
+    """A value the option of kwargs takes: its k-th choice, an integer, or text."""
+    if "choices" in kwargs:
+        return kwargs["choices"][k % len(kwargs["choices"])]
+    return str(3 + k) if "type" in kwargs else f"({k + 1} 2)"
+
+
+def _success_argvs():
+    """Argument lists that argparse parses, per subcommand: the required
+    options alone; every option set, each append option twice, store_true
+    set; each choice; each plain int option at 0 and -1, each other typed
+    option at 1; and the positional first or last."""
+    for name, (_, options) in commands._COMMANDS.items():
+        positional = [_value(kw) for flag, kw in options if not flag.startswith("-")]
+
+        def required(skip=None):
+            out = []
+            for flag, kw in options:
+                if flag != skip and flag.startswith("-") and kw.get("required"):
+                    out += [flag, _value(kw)]
+            return out
+
+        every = []
+        for flag, kw in options:
+            action = kw.get("action", "store")
+            if action == "store_true":
+                every.append(flag)
+            elif flag.startswith("-"):
+                every += [flag, _value(kw)]
+                if action == "append":
+                    every += [flag, _value(kw, 1)]
+        yield [name, *positional, *required()]
+        yield [name, *every, *positional]
+        for flag, kw in options:
+            values = []
+            if "choices" in kw:
+                values = kw["choices"]
+            elif "type" in kw:
+                values = ["0", "-1"] if kw["type"] is int else ["1"]
+            for value in values:
+                yield [name, *required(skip=flag), flag, value, *positional]
+
+
+SUCCESS = [
+    *_success_argvs(),
+    # argparse reads an empty string as a value
+    ["length", "--group", "S4", "--perm", ""],
+    ["manifest-replay", "", "--out-dir", ""],
+]
+STEPS = [
+    shlex.split(line)
+    for line in (MANIFESTS / "acceptance.manifest").read_text().splitlines()[1:]
+    if not line.startswith("#")
+]
+# what the table parse must take itself: no value starting with "-"
+WELL_FORMED = [argv for argv in SUCCESS + STEPS if "-1" not in argv]
+
+
+class TestTableParse:
+    """``commands.parse_args`` gives argparse's namespace for every argument
+    list argparse accepts, and leaves to argparse every other one."""
+
+    @pytest.mark.parametrize("argv", SUCCESS + STEPS, ids=" ".join)
+    def test_same_namespace_as_argparse(self, argv):
+        args = commands.parse_args(argv)
+        assert args.command == argv[0]
+        assert vars(args) == vars(commands._build_parser().parse_args(argv))
+
+    def test_well_formed_argvs_are_parsed_from_the_table(self):
+        assert len(STEPS) == 19 and len(WELL_FORMED) > len(STEPS) + 2 * len(commands._COMMANDS)
+        for argv in WELL_FORMED:
+            assert commands._table_parse(argv) is not None, argv
+
+    def test_append_defaults_are_fresh_lists(self):
+        argv = ["separate", "--group", "A4", "--Y", "(1 2 3)", "--n", "1"]
+        commands.parse_args(argv).X.append("(1 2)")
+        assert commands.parse_args(argv).X == []
+
+    # handed to argparse, with a well-formed argv of the same namespace
+    HANDED_OVER = {
+        "flag=value": (["covering-constant", "--m=5"], ["covering-constant", "--m", "5"]),
+        "abbreviations": (
+            ["length", "--grou", "S4", "--per", "(1 2)", "--length-k", "cayley"],
+            ["length", "--group", "S4", "--perm", "(1 2)", "--length-kind", "cayley"],
+        ),
+        "repeated --n": (
+            ["consequences", "--group", "S3", "--n", "1", "--n", "2"],
+            ["consequences", "--group", "S3", "--n", "2"],
+        ),
+        "-- before the positional": (
+            ["manifest-replay", "--out-dir", "D", "--", "M"],
+            ["manifest-replay", "M", "--out-dir", "D"],
+        ),
+        "negative --n": (["length", "--group", "S4", "--perm", "(1 2)", "--n", "-1"], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HANDED_OVER))
+    def test_other_forms_reach_argparse(self, case):
+        argv, same = self.HANDED_OVER[case]
+        assert commands._table_parse(argv) is None
+        args = commands.parse_args(argv)
+        assert vars(args) == vars(commands._build_parser().parse_args(argv))
+        if same is not None:
+            assert commands._table_parse(same) is not None
+            assert vars(args) == vars(commands.parse_args(same))
+
+    REFUSED = {
+        "-h mixed in": ["covering-constant", "--m", "5", "-h", "--out", "x"],
+        "--help after a value": ["eq-solve", "--group", "S3", "--system", "s", "--help"],
+        "trailing --": ["length", "--group", "S4", "--perm", "(1 2)", "--"],
+        "-- before options": ["length", "--group", "S4", "--", "--perm", "(1 2)"],
+        "flag without value": ["covering-constant", "--m"],
+        "value that is a flag": ["length", "--group", "--perm", "(1 2)"],
+        "second positional": ["manifest-replay", "M", "N", "--out-dir", "D"],
+        "store_true with value": ["approx-search", "--presentation", "p", "--n", "1",
+                                  "--catalog", "c", "--prune", "yes"],
+        "bad --jobs": ["manifest-replay", "M", "--out-dir", "D", "--jobs", "0"],
+        "bad --n": ["consequences", "--group", "S3", "--n", "x"],
+        "empty --n": ["consequences", "--group", "S3", "--n", ""],
+        "bad choice": ["length", "--group", "S4", "--perm", "(1 2)", "--length-kind", "table"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_help_and_errors_are_worded_by_argparse(self, case, capsys):
+        argv = self.REFUSED[case]
+        assert commands._table_parse(argv) is None
+        code = cli.run(argv)
+        by_run = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            commands._build_parser().parse_args(argv)
+        assert (by_run.out, by_run.err) == capsys.readouterr()
+        assert code == (1 if exc.value.code not in (0, None) else 0)
+        assert by_run.out or by_run.err
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert commands._build_parser() is commands._build_parser()
 
     def test_append_options_do_not_leak_between_calls(self, tmp_path):
         cat = tmp_path / "c.catalog"
@@ -418,24 +554,24 @@ class TestParserReuse:
 
         alone = []
         for k, argv in enumerate((first, second)):
-            cli._build_parser.cache_clear()
+            commands._build_parser.cache_clear()
             alone.append(emit(argv, f"alone{k}.report"))
-        cli._build_parser.cache_clear()
+        commands._build_parser.cache_clear()
         together = [emit(first, "together0.report"), emit(second, "together1.report")]
         assert together == alone
         assert b"(1 2 3)" not in together[1]
 
 
 class TestOneCommandParser:
-    """``cli.run`` parses with its subcommand's parser alone; the full parser
-    must print and exit the same for every argument list."""
+    """``cli.run`` prints and exits as the full parser does for help and
+    for every malformed argument list."""
 
     @staticmethod
     def _cases():
         yield "top --help", ["--help"]
         yield "top no arguments", []
         yield "top unknown command", ["frobnicate", "--m", "5"]
-        for name, (_, options) in cli._COMMANDS.items():
+        for name, (_, options) in commands._COMMANDS.items():
             required = []
             for flag, kwargs in options:
                 value = "1" if "type" in kwargs else "M"
@@ -463,18 +599,20 @@ class TestOneCommandParser:
         code = cli.run(argv)
         by_run = capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            cli._build_parser().parse_args(argv)
+            commands._build_parser().parse_args(argv)
         by_full = capsys.readouterr()
         assert (by_run.out, by_run.err) == (by_full.out, by_full.err)
         assert code == (1 if exc.value.code not in (0, None) else 0)
         assert by_run.out or by_run.err
 
     def test_every_command_is_covered(self):
-        assert {argv[0] for argv in self.CASES.values() if argv} >= set(cli._COMMANDS)
-        assert len(cli._COMMANDS) == 14
+        assert {argv[0] for argv in self.CASES.values() if argv} >= set(commands._COMMANDS)
+        assert len(commands._COMMANDS) == 14
 
     def test_one_parser_per_process_and_command(self, monkeypatch, capsys):
-        cli._build_parser.cache_clear()
+        """A well-formed argv builds no ArgumentParser; an error or help
+        builds the full parser, with its subparsers, once per process."""
+        commands._build_parser.cache_clear()
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -484,9 +622,15 @@ class TestOneCommandParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert cli.run(["covering-constant", "--m", "5"]) == 0
-        assert built == ["groupapprox covering-constant"]
+        for argv in WELL_FORMED:
+            commands.parse_args(argv)
+        assert built == []
+        assert cli.run(["covering-constant", "--m", "x"]) == 1
+        full = ["groupapprox", *(f"groupapprox {name}" for name in commands._COMMANDS)]
+        assert built == full
+        assert cli.run(["covering-constant", "--help"]) == 0
         assert cli.run(["covering-constant", "--m", "5"]) == 0
-        assert len(built) == 1
+        assert built == full
         capsys.readouterr()
 
     def test_manifest_replay_has_no_out(self, tmp_path, capsys):
@@ -666,6 +810,34 @@ class TestManifests:
         assert code == 0
         assert load_report((out_dir / "support.report").read_text())["result"]["all-hold"] is True
 
+    def test_flag_equals_value_steps(self, tmp_path, monkeypatch):
+        """``--flag=path`` steps are checked and rewritten as ``--flag path``,
+        and a step's own ``--jobs=N`` is kept as ``--jobs N`` is."""
+        (tmp_path / "sq.eqn").write_text("constants 1; variables 1;\nx1 x1 a1^-1\n")
+        solvable_in, jobs = cli.equations.solvable_in, []
+
+        def recording(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return solvable_in(*args, **kwargs)
+
+        monkeypatch.setattr(cli.equations, "solvable_in", recording)
+        steps = [
+            "covering-constant --m 5 --out{}covering.report --csv{}covering.csv",
+            "eq-solve --group S3 --system{}sq.eqn --jobs{}1 --out{}eq.report",
+        ]
+        written = []
+        for k, sep in enumerate(["=", " "]):
+            manifest = tmp_path / f"m{k}.manifest"
+            lines = [step.replace("{}", sep) for step in steps]
+            manifest.write_text("\n".join(["groupapprox-manifest 1", *lines, ""]))
+            out_dir = tmp_path / f"o{k}"
+            argv = ["manifest-replay", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"]
+            assert cli.run(argv) == 0
+            written.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert written[0] == written[1]
+        assert sorted(written[0]) == ["covering.csv", "covering.report", "eq.report"]
+        assert jobs == [1, 1]
+
     def test_empty_manifest_produces_no_reports(self, tmp_path):
         manifest = tmp_path / "m.manifest"
         manifest.write_text("groupapprox-manifest 1\n# nothing\n")
@@ -685,6 +857,19 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_well_formed_run_imports_no_locale(self):
+        """argparse's first parse imports locale (through gettext); a
+        well-formed command line builds no parser."""
+        code = (
+            "import sys\nfrom groupapprox import cli\n"
+            "code = cli.run(['length', '--group', 'S4', '--perm', '(1 2)'])\n"
+            "print(code, 'locale' in sys.modules, file=sys.stderr)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.stderr == "0 False\n"
+        assert load_report(proc.stdout)["result"]["value"] == Fraction(1, 2)
 
     def test_cli_import_loads_no_dataclasses(self):
         code = "import sys, groupapprox.cli\nprint('dataclasses' in sys.modules)"

@@ -345,6 +345,33 @@ def test_sofic_search_eps_with_zero_denominator_exits_1(capsys):
     assert "--eps" in err and "7/0" in err
 
 
+@pytest.mark.parametrize("eps", ["0", "0/5", "1/-2", "-0"])
+def test_sofic_search_eps_not_positive_exits_1(eps, tmp_path, capsys):
+    """No inside word is shorter than a threshold at or below 0."""
+    code, err = _run(
+        capsys,
+        "sofic-search",
+        "--presentation", str(MANIFESTS / "free1.pres"),
+        "--eps", eps,
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+        "--out", str(tmp_path / "r"),
+    )
+    assert (code, err) == (1, "error: epsilon must be positive\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_sofic_search_eps_read_as_an_option_exits_1(capsys):
+    code, err = _run(
+        capsys,
+        "sofic-search",
+        "--presentation", str(MANIFESTS / "free1.pres"),
+        "--eps", "-1/2",
+        "--catalog", str(MANIFESTS / "alt.catalog"),
+    )
+    assert code == 1
+    assert err.endswith("error: argument --eps: expected one argument\n")
+
+
 def test_manifest_with_non_integer_version_exits_1(tmp_path, capsys):
     manifest = tmp_path / "m.manifest"
     manifest.write_text("groupapprox-manifest x\n")

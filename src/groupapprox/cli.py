@@ -18,7 +18,7 @@ from . import coverage, equations, lengths, store
 from .catalog import load_catalog_file, read_text, resolve_group
 from .commands import parse_args
 from .errors import BudgetExceeded, CapExceeded, ParseError
-from .groups import DEFAULT_ELEMENT_CAP, consequences, is_n_separated
+from .groups import consequences, is_n_separated
 from .perm import Permutation, hamming_length, parse_cycles
 from .report import (
     certificate_from_data,
@@ -34,8 +34,10 @@ from .words import word_str
 MANIFEST_HEADER = "groupapprox-manifest"
 MANIFEST_VERSION = 1
 
-_FILE_FLAGS = {"--system", "--catalog", "--presentation", "--certificate", "--table"}
-_OUT_FLAGS = {"--out", "--csv"}
+# The namespace attributes of a manifest step that name files: inputs,
+# read against the manifest's directory, and outputs, written under --out-dir.
+_INPUTS = ("system", "catalog", "presentation", "certificate", "table")
+_OUTPUTS = ("out", "csv")
 
 
 def _get_group(args):
@@ -147,11 +149,12 @@ def _cmd_brenner_verify(args):
 
 
 def _cmd_support_cover(args):
-    if args.x:
-        reports = [coverage.verify_support_cover(args.m, parse_cycles(args.x, args.m))]
+    if args.x is None:
+        x, reports = None, coverage.support_cover_sweep(args.m)
     else:
-        reports = coverage.support_cover_sweep(args.m)
-    return {"m": args.m, "x": args.x}, {
+        x = parse_cycles(args.x, args.m)
+        reports = [coverage.verify_support_cover(args.m, x)]
+    return {"m": args.m, "x": x}, {
         "all-hold": all(r.holds for r in reports),
         "cases": [
             {"x": r.x, "targets": r.target_size, "holds": r.holds, "violations": r.violations}
@@ -291,7 +294,7 @@ def _cmd_eq_solve(args):
         system,
         budget=args.budget,
         want_witnesses=args.witnesses,
-        jobs=args.jobs,
+        jobs=args.jobs or 1,
         constants_up_to_conjugacy=args.reduce_constants,
     )
     params = {
@@ -368,15 +371,19 @@ def _cmd_manifest_replay(args):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        argv = shlex.split(line)
-        if not _gives("--out", argv):
-            raise ParseError(
-                "every manifest step needs --out", line=ln, source=args.manifest
-            )
-        argv = _rewrite_paths(argv, manifest_dir, args.out_dir)
-        if args.jobs is not None and argv[0] == "eq-solve" and not _gives("--jobs", argv):
-            argv += ["--jobs", str(args.jobs)]
-        code = run(argv)
+        try:
+            step = parse_args(shlex.split(line))
+        except SystemExit as exc:
+            code = _exit_code(exc)
+        else:
+            if getattr(step, "out", None) is None:
+                raise ParseError(
+                    "every manifest step needs --out", line=ln, source=args.manifest
+                )
+            _rebase(step, manifest_dir, args.out_dir)
+            if "jobs" in vars(step) and step.jobs is None:
+                step.jobs = args.jobs
+            code = _execute(step)
         if code == 1:
             sys.stderr.write(f"{args.manifest}:{ln}: step failed with input error\n")
             return 1
@@ -384,31 +391,17 @@ def _cmd_manifest_replay(args):
     return worst
 
 
-def _gives(flag, argv):
-    """Whether argv gives flag, as ``flag value`` or ``flag=value``."""
-    return any(t == flag or t.startswith(f"{flag}=") for t in argv)
-
-
-def _rewrite_paths(argv, manifest_dir, out_dir):
-    """argv with each relative path joined to its directory: input files
-    to the manifest's, outputs to out_dir; ``--flag=path`` as ``--flag path``."""
-
-    bases = dict.fromkeys(_FILE_FLAGS, manifest_dir) | dict.fromkeys(_OUT_FLAGS, out_dir)
-
-    def join(directory, path):
-        return path if os.path.isabs(path) else os.path.join(directory, path)
-
-    out, directory = [], None
-    for token in argv:
-        flag, eq, path = token.partition("=")
-        if directory is not None:
-            token, directory = join(directory, token), None
-        elif eq and flag in bases:
-            token = f"{flag}={join(bases[flag], path)}"
-        else:
-            directory = bases.get(token)
-        out.append(token)
-    return out
+def _rebase(step, manifest_dir, out_dir):
+    """Join each relative path of a parsed manifest step to its directory:
+    input files to the manifest's, outputs to out_dir."""
+    fields = vars(step)
+    for names, directory in ((_INPUTS, manifest_dir), (_OUTPUTS, out_dir)):
+        for name in names:
+            value = fields.get(name)
+            if isinstance(value, list):
+                fields[name] = [os.path.join(directory, path) for path in value]
+            elif value is not None:
+                fields[name] = os.path.join(directory, value)
 
 
 _HANDLERS = {
@@ -432,8 +425,18 @@ def run(argv) -> int:
     try:
         args = parse_args(argv)
     except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    store.admit(getattr(args, "cap", DEFAULT_ELEMENT_CAP))
+        return _exit_code(exc)
+    return _execute(args)
+
+
+def _exit_code(exc):
+    """The exit code of argparse's exit: 0 after help, 1 after an error."""
+    return 1 if exc.code not in (0, None) else 0
+
+
+def _execute(args) -> int:
+    """Run the command of a parsed namespace, write its report, and map
+    its errors to exit codes."""
     try:
         if args.command == "manifest-replay":
             return _cmd_manifest_replay(args)

@@ -98,7 +98,8 @@ _COMMANDS = {
         ("--system", dict(required=True)),
         ("--budget", dict(type=_int_at_least(0), default=DEFAULT_EQ_BUDGET)),
         ("--witnesses", dict(action="store_true")),
-        ("--jobs", dict(type=_int_at_least(1), default=1)),
+        # None, read as 1, lets manifest-replay tell a step that gives none
+        ("--jobs", dict(type=_int_at_least(1), default=None)),
         ("--reduce-constants", dict(
             action="store_true", help="scan one constant tuple per conjugation orbit"
         )),

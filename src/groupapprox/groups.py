@@ -131,8 +131,8 @@ class FiniteGroup:
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         """|G|, past the same cap check as ``elements``.  Structural (m!, m!/2)
-        for S_m and A_m; an unlisted direct product multiplies its component
-        orders, so it is refused before any of its elements is formed."""
+        for S_m and A_m; a direct product multiplies its component orders, so
+        it is refused before any of its elements is formed."""
         m = self.degree
         if self.kind == "symmetric":
             _check_factorial_cap(m, 1, cap, self.name)
@@ -140,7 +140,7 @@ class FiniteGroup:
         if self.kind == "alternating":
             _check_factorial_cap(m, 2, cap, self.name)
             return factorial(m) // 2 if m >= 2 else 1
-        if self.kind == "product" and self._elements is None:
+        if self.kind == "product":
             size = prod(c.order(cap) for c in self.components)
             if size > cap:
                 raise CapExceeded(f"{self.name} enumeration passed cap {cap}")
@@ -148,13 +148,11 @@ class FiniteGroup:
         return len(self.elements(cap))
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
-        """All elements in canonical order; raises CapExceeded past the cap."""
-        if self._elements is None:
+        """All elements in canonical order; raises CapExceeded past the cap.
+        Listed elements past the cap are enumerated again under it, which
+        refuses them as it refuses a group never listed."""
+        if self._elements is None or len(self._elements) > cap:
             self._elements = _canonical_order(self._enumerate(cap), self.degree)
-        elif len(self._elements) > cap:
-            raise CapExceeded(
-                f"{self.name} has {len(self._elements)} elements, past cap {cap}"
-            )
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:

@@ -6,12 +6,8 @@ and ``report.group_from_data``) pass each group they build through
 generators, components and name) gets the same instance, with its
 elements, class partition, class products and centralizers already built.
 
-A stored group answers every query as a fresh one does but one: once
-listed, it refuses a cap below its size with that size in the message,
-where a fresh group gives the message of the enumeration that the cap
-stops.  So ``cli.run`` calls ``admit`` with each command's cap before the
-command runs, and ``trim`` after it, to bound what stays stored between
-commands.
+A stored group answers every query as a fresh one does.  ``cli`` calls
+``trim`` after each command, to bound what stays stored between commands.
 """
 
 from __future__ import annotations
@@ -36,16 +32,6 @@ def share(G: FiniteGroup) -> FiniteGroup:
         return G
     _groups.move_to_end(key)
     return stored
-
-
-def admit(cap: int) -> None:
-    """Before a command whose element cap is ``cap``: drop every group that
-    is listed past it, components included, so that the command builds it
-    afresh.  ``trim`` leaves none listed past ``STORE_ELEMENTS``, which is
-    below the default cap, so only a lower cap can meet one."""
-    if cap < STORE_ELEMENTS:
-        for key in [key for key, G in _groups.items() if _listed(G) > cap]:
-            del _groups[key]
 
 
 def trim() -> None:

@@ -88,6 +88,16 @@ class TestBasicCommands:
         assert cli.run([*argv, "--X", "(1 2)"]) == 0
         assert capsys.readouterr().out == out
 
+    def test_support_cover_reports_canonical_x(self, capsys):
+        argv = ["support-cover", "--m", "5"]
+        assert cli.run([*argv, "--x", "(3 1 2)"]) == 0
+        out = capsys.readouterr().out
+        assert "params:\n  m: 5\n  x: (1 2 3)\n" in out
+        assert cli.run([*argv, "--x", "(1 2 3)"]) == 0
+        assert capsys.readouterr().out == out
+        assert cli.run([*argv, "--x", ""]) == 1  # not a sweep, as at --perm ""
+        assert capsys.readouterr().err == 'error: empty permutation text; use "()" for the identity\n'
+
     def test_axioms_check_table_file(self, tmp_path):
         from groupapprox.groups import FiniteGroup
         from groupapprox.lengths import hamming
@@ -811,8 +821,8 @@ class TestManifests:
         assert load_report((out_dir / "support.report").read_text())["result"]["all-hold"] is True
 
     def test_flag_equals_value_steps(self, tmp_path, monkeypatch):
-        """``--flag=path`` steps are checked and rewritten as ``--flag path``,
-        and a step's own ``--jobs=N`` is kept as ``--jobs N`` is."""
+        """``--flag=path`` steps write what ``--flag path`` steps write, and
+        a step's own ``--jobs=N`` is kept as ``--jobs N`` is."""
         (tmp_path / "sq.eqn").write_text("constants 1; variables 1;\nx1 x1 a1^-1\n")
         solvable_in, jobs = cli.equations.solvable_in, []
 
@@ -837,6 +847,96 @@ class TestManifests:
         assert written[0] == written[1]
         assert sorted(written[0]) == ["covering.csv", "covering.report", "eq.report"]
         assert jobs == [1, 1]
+
+    # (step, the same step with every flag spelled out)
+    SHORT_STEPS = [
+        (
+            "eq-solve --group S3 --sys sq.eqn --out a.report",
+            "eq-solve --group S3 --system sq.eqn --out a.report",
+        ),
+        (
+            "covering-constant --m 5 --ou a.report --cs a.csv",
+            "covering-constant --m 5 --out a.report --csv a.csv",
+        ),
+        (
+            "eq-sys --catal demo.catalog --system sq.eqn --out a.report",
+            "eq-sys --catalog demo.catalog --system sq.eqn --out a.report",
+        ),
+        (
+            "approx-search --pres z3.pres --n 2 --catalog demo.catalog --out a.report",
+            "approx-search --presentation z3.pres --n 2 --catalog demo.catalog --out a.report",
+        ),
+        (
+            "eq-solve --group S3 --system=sq.eqn --ou=a.report",
+            "eq-solve --group S3 --system sq.eqn --out a.report",
+        ),
+    ]
+
+    @pytest.mark.parametrize("short, spelled", SHORT_STEPS, ids=[s for s, _ in SHORT_STEPS])
+    def test_steps_replay_as_typed_alone(self, short, spelled, tmp_path, monkeypatch, capsys):
+        """A step is parsed as the same command typed alone, so abbreviated
+        flags and ``--flag=value`` find their files as the spelled-out step
+        does, replayed from a directory other than the manifest's."""
+        here = tmp_path / "manifests"
+        here.mkdir()
+        for name in ("sq.eqn", "demo.catalog", "z3.pres"):
+            (here / name).write_text((MANIFESTS / name).read_text())
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        written = []
+        for k, step in enumerate((short, spelled)):
+            manifest = here / f"m{k}.manifest"
+            manifest.write_text(f"groupapprox-manifest 1\n{step}\n")
+            assert cli.run(["manifest-replay", str(manifest), "--out-dir", f"o{k}"]) == 0
+            written.append({p.name: p.read_bytes() for p in (elsewhere / f"o{k}").iterdir()})
+        assert capsys.readouterr() == ("", "")
+        assert written[0] == written[1] and "a.report" in written[0]
+
+    def test_a_steps_own_jobs_wins(self, tmp_path, monkeypatch):
+        """The replay's ``--jobs`` fills only the ``eq-solve`` steps that
+        give none, however a step spells its own."""
+        (tmp_path / "sq.eqn").write_text((MANIFESTS / "sq.eqn").read_text())
+        solvable_in, jobs = cli.equations.solvable_in, []
+
+        def recording(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return solvable_in(*args, **{**kwargs, "jobs": 1})
+
+        monkeypatch.setattr(cli.equations, "solvable_in", recording)
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(
+            "groupapprox-manifest 1\n"
+            "eq-solve --group S3 --system sq.eqn --job 1 --out a.report\n"
+            "eq-solve --group S3 --system sq.eqn --jobs=3 --out b.report\n"
+            "eq-solve --group S3 --system sq.eqn --out c.report\n"
+            "covering-constant --m 5 --out d.report\n"
+        )
+        for replay_jobs, filled in ((["--jobs", "2"], 2), ([], 1)):
+            argv = ["manifest-replay", str(manifest), "--out-dir", str(tmp_path / "o")]
+            assert cli.run([*argv, *replay_jobs]) == 0
+            assert jobs == [1, 3, filled]
+            jobs.clear()
+
+    def test_a_step_is_parsed_before_its_out_is_checked(self, tmp_path, capsys):
+        """A malformed step exits 1 with argparse's error and the step's
+        line, whether or not it gives ``--out``; a well-formed step without
+        ``--out`` is refused for that."""
+        step_failed = "{m}:3: step failed with input error\n"
+        bad_m = "groupapprox covering-constant: error: argument --m: invalid int value: 'x'\n"
+        cases = [
+            ("covering-constant --m x --out a.report", bad_m + step_failed),
+            ("covering-constant --m x", bad_m + step_failed),
+            ("covering-constant --m 5 --bogus", "groupapprox: error: unrecognized "
+             "arguments: --bogus\n" + step_failed),
+            ("covering-constant --m 5", "error: {m}:3: every manifest step needs --out\n"),
+        ]
+        manifest, out_dir = tmp_path / "m.manifest", tmp_path / "o"
+        for step, err_tail in cases:
+            manifest.write_text(f"groupapprox-manifest 1\n# comment\n{step}\n")
+            assert cli.run(["manifest-replay", str(manifest), "--out-dir", str(out_dir)]) == 1
+            assert capsys.readouterr().err.endswith(err_tail.format(m=manifest)), step
+            assert list(out_dir.iterdir()) == []
 
     def test_empty_manifest_produces_no_reports(self, tmp_path):
         manifest = tmp_path / "m.manifest"

@@ -204,7 +204,7 @@ class TestConsequences:
     def test_partitioned_group_still_refuses_a_cap_below_its_order(self):
         G = FiniteGroup.alternating(5)
         G.conjugacy_classes()
-        with pytest.raises(CapExceeded, match="A5 has 60 elements, past cap 10"):
+        with pytest.raises(CapExceeded, match="^A5 has more than 10 elements$"):
             consequences(G, [s("(1 2 3)", 5)], 1, cap=10)
 
     def test_transposition_class_at_depth_one(self):

@@ -16,6 +16,7 @@ import pytest
 from groupapprox import cli, store
 from groupapprox.approximation import Certificate, MetricMode, window_from_texts
 from groupapprox.catalog import builtin_group, parse_catalog
+from groupapprox.errors import CapExceeded
 from groupapprox.groups import DEFAULT_ELEMENT_CAP, FiniteGroup
 from groupapprox.lengths import hamming
 from groupapprox.perm import cycle_string, parse_cycles
@@ -37,12 +38,16 @@ Q product K4 A4
 def _manifest_steps(out_dir):
     """The steps of the acceptance manifest, their input paths resolved
     and their outputs written under ``out_dir``."""
+    inputs = ("--system", "--catalog", "--presentation", "--certificate", "--table")
+    bases = dict.fromkeys(inputs, MANIFESTS) | dict.fromkeys(("--out", "--csv"), out_dir)
     lines = (MANIFESTS / "acceptance.manifest").read_text().splitlines()[1:]
     steps = []
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if line:
-            steps.append(cli._rewrite_paths(shlex.split(line), str(MANIFESTS), str(out_dir)))
+            argv = shlex.split(line)
+            pairs = zip(argv, argv[1:])  # each token after the one before it
+            steps.append([argv[0], *(str(bases[f] / t) if f in bases else t for f, t in pairs)])
     return steps
 
 
@@ -73,8 +78,7 @@ def _seeded_steps(seed, tmp_path):
     system = str(MANIFESTS / "sq.eqn")
     names = sorted(fresh)
     steps = [
-        # a fresh process refuses with "S5 has more than 100 elements", a
-        # listed S5 with "S5 has 120 elements, past cap 100"
+        # S5, listed by the first step, meets a lower cap in the second
         ["consequences", "--group", "S5", "--X", "(1 2)", "--n", "1"],
         ["consequences", "--group", "S5", "--X", "(1 2)", "--n", "1", "--cap", "100"],
         ["consequences", "--group", "A4", "--X", "(1 2)", "--n", "1"],
@@ -172,19 +176,22 @@ def test_resolvers_share_a_group_by_its_description():
     assert parse_catalog("K generated 4 (1 3)(2 4), (1 2)(3 4)\n")["K"] is not K
 
 
-def test_admit_drops_groups_listed_past_the_cap():
-    S5, A5, S3 = builtin_group("S5"), builtin_group("A5"), builtin_group("S3")
-    P = parse_catalog("A5 alternating 5\nS3 symmetric 3\nP product S3 A5\n")["P"]
-    S5.elements()
-    A5.elements()
-    store.admit(store.STORE_ELEMENTS)  # trim keeps nothing listed past it
-    assert store.stored(S5)
-    store.admit(100)
-    assert not store.stored(S5)
-    assert store.stored(A5) and store.stored(P) and store.stored(S3)
-    store.admit(59)  # A5 is listed, so P is too through its component
-    assert not store.stored(A5) and not store.stored(P) and store.stored(S3)
-    assert builtin_group("A5") is not A5
+def test_a_listed_group_refuses_a_lower_cap_as_a_fresh_one_does():
+    text = "S3 symmetric 3\nA5 alternating 5\nK generated 4 (1 2)(3 4), (1 3)(2 4)\nP product S3 A5\n"
+    listed = parse_catalog(text)
+    for G in listed.values():
+        G.conjugacy_classes()
+    for name, G in listed.items():
+        els = G.elements()
+        for cap in (len(els) - 1, 3, 0):
+            store.clear()
+            messages = []
+            for H in (G, parse_catalog(text)[name]):
+                with pytest.raises(CapExceeded) as refused:
+                    H.elements(cap)
+                messages.append(str(refused.value))
+            assert messages[0] == messages[1]
+        assert G.elements() is els  # the refusals leave the listed elements
 
 
 def test_trim_evicts_the_least_recently_used_past_the_bound(monkeypatch):

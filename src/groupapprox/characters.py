@@ -171,8 +171,8 @@ def _least_element(m: int, mu: tuple[int, ...]) -> Permutation:
     return Permutation(images)
 
 
-def orbit_leaders(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP, inner: bool = False):
-    """Sorted positions in ``G.elements(cap)`` of the leaders of G's
+def orbit_leaders(G: FiniteGroup, inner: bool = False):
+    """Sorted positions in ``G.elements()`` of the leaders of G's
     conjugation orbits, a leader being the canonically least element of its
     orbit.
 
@@ -183,7 +183,7 @@ def orbit_leaders(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP, inner: bool = 
     conjugation, for a verdict that an outer automorphism may change.  Any
     other group, and ``A_m`` with ``inner``, gives its class representatives.
     """
-    els = G.elements(cap)
+    els = G.elements()
     m = G.degree
     if G.kind == "symmetric" or (G.kind == "alternating" and not inner):
         even = G.kind == "alternating"
@@ -191,14 +191,12 @@ def orbit_leaders(G: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP, inner: bool = 
             _least_element(m, mu) for mu in _partitions(m, m) if not (even and (m - len(mu)) % 2)
         ]
     else:
-        leaders = map(G.class_representative, range(len(G.conjugacy_classes(cap))))
+        leaders = map(G.class_representative, range(len(G.conjugacy_classes())))
     return sorted(bisect_left(els, x.sort_key(), key=Permutation.sort_key) for x in leaders)
 
 
-def leader_first(
-    G: FiniteGroup, items, r: int, cap: int = DEFAULT_ELEMENT_CAP, inner: bool = False
-):
-    """The r-tuples over ``items``, a list aligned with ``G.elements(cap)``,
+def leader_first(G: FiniteGroup, items, r: int, inner: bool = False):
+    """The r-tuples over ``items``, a list aligned with ``G.elements()``,
     whose first entry sits at a leader's position (``orbit_leaders``), in
     canonical order, each with its 1-based position among all
     ``len(items) ** r`` tuples: the leader at position i with tail j is at
@@ -212,7 +210,7 @@ def leader_first(
         yield 1, ()
         return
     block = len(items) ** (r - 1)
-    for i in orbit_leaders(G, cap, inner):
+    for i in orbit_leaders(G, inner):
         head = (items[i],)
         for position, tail in enumerate(iter_product(items, repeat=r - 1), start=i * block + 1):
             yield position, head + tail

@@ -67,11 +67,18 @@ def _write(path, text):
         raise ParseError(f"cannot write {path}: {exc.strerror}", source=path) from None
 
 
-def _cayley_length(G, args):
-    """The Cayley conjugation length of G from --X and --n."""
+def _cayley_base(G, args):
+    """The base of a Cayley conjugation length: --X, parsed once --n is known to be given."""
     if args.n is None:
         raise ParseError("cayley length needs --n")
-    return lengths.cayley_conjugation_length(G, _parse_elements(args.X, G, "--X"), args.n)
+    return _parse_elements(args.X, G, "--X")
+
+
+def _list_under_cap(G, args, n=1):
+    """List G under --cap, so that every later read of G holds to it.  For a
+    depth or scale n below 1 nothing is listed: the library refuses it first."""
+    if n >= 1:
+        G.elements(args.cap)
 
 
 def _exhausted(outcome):
@@ -95,7 +102,7 @@ def _cmd_length(args):
     if h not in G:
         raise ParseError(f"--perm element is not in {G.name}")
     if args.length_kind == "cayley":
-        value = _cayley_length(G, args)(h)
+        value = lengths.cayley_conjugation_length(G, _cayley_base(G, args), args.n)(h)
     else:
         value = hamming_length(h)
     params = {
@@ -111,7 +118,8 @@ def _cmd_length(args):
 def _cmd_consequences(args):
     G = _get_group(args)
     base = _parse_elements(args.X, G, "--X")
-    cons = consequences(G, base, args.n, cap=args.cap)
+    _list_under_cap(G, args, args.n)
+    cons = consequences(G, base, args.n)
     sizes = cons.layer_sizes
     params = {"group": G.name, "X": base, "n": args.n, "cap": args.cap}
     return params, {
@@ -126,7 +134,8 @@ def _cmd_separate(args):
     G = _get_group(args)
     base = _parse_elements(args.X, G, "--X")
     targets = _parse_elements(args.Y, G, "--Y")
-    rep = is_n_separated(G, targets, base, args.n, cap=args.cap)
+    _list_under_cap(G, args, args.n)
+    rep = is_n_separated(G, targets, base, args.n)
     params = {"group": G.name, "X": base, "Y": targets, "n": args.n, "cap": args.cap}
     return params, {
         "verdict": rep.verdict,
@@ -179,15 +188,19 @@ def _cmd_covering_constant(args):
 def _cmd_axioms_check(args):
     G = _get_group(args)
     if args.length_kind == "hamming":
+        _list_under_cap(G, args)
         ell = lengths.hamming(G)
     elif args.length_kind == "cayley":
-        ell = _cayley_length(G, args)
+        base = _cayley_base(G, args)
+        _list_under_cap(G, args, args.n)
+        ell = lengths.cayley_conjugation_length(G, base, args.n)
     else:
         if not args.table:
             raise ParseError("table length needs --table FILE")
         table_data = load_report(read_text(args.table), source=args.table)
+        _list_under_cap(G, args)
         ell = length_table_from_data(table_data, G, source=args.table)
-    rep = lengths.verify_axioms(ell, cap=args.cap)
+    rep = lengths.verify_axioms(ell)
     params = {
         "group": G.name,
         "length-kind": args.length_kind,
@@ -373,8 +386,8 @@ def _cmd_manifest_replay(args):
             continue
         try:
             step = parse_args(shlex.split(line))
-        except SystemExit as exc:
-            code = _exit_code(exc)
+        except SystemExit:
+            code = 1  # a parse error, or a help that writes no report
         else:
             if getattr(step, "out", None) is None:
                 raise ParseError(

@@ -24,7 +24,7 @@ from itertools import product as iter_product
 
 from .characters import cycle_type, leader_first, power_types
 from .errors import ParseError
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
+from .groups import FiniteGroup
 from .perm import Permutation, replicate
 from .records import Record
 from .words import Word, evaluate_word, max_symbol, paired_images, parse_word, reduce_word
@@ -116,7 +116,6 @@ def solvable_in(
     system: EquationSystem,
     budget: int = DEFAULT_EQ_BUDGET,
     want_witnesses: bool = False,
-    cap: int = DEFAULT_ELEMENT_CAP,
     jobs: int = 1,
     constants_up_to_conjugacy: bool = False,
 ) -> SolvabilityReport:
@@ -139,7 +138,7 @@ def solvable_in(
     A witness-free power word over ``S_m`` or ``A_m`` is decided per
     constant tuple from cycle types (``_root_types``), in process.
     """
-    els = G.elements(cap)
+    els = G.elements()
     size = len(els)
     r = system.constants
     domains = dict(
@@ -152,11 +151,11 @@ def solvable_in(
         )
     reason = ""
     if constants_up_to_conjugacy:
-        led = _constant_tuples(G, els, r, cap, every=False, inner=True)
+        led = _constant_tuples(G, els, r, every=False, inner=True)
         constant_tuples = [t for t in led if G.is_conjugation_canonical(t)]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
     else:
-        constant_tuples = list(_constant_tuples(G, els, r, cap, every=want_witnesses))
+        constant_tuples = list(_constant_tuples(G, els, r, every=want_witnesses))
     workers = worker_count(jobs, len(constant_tuples))
     roots = _root_types(G, system, want_witnesses)
     scan_args = (system, constant_tuples, els, G.degree, want_witnesses)
@@ -173,7 +172,7 @@ def solvable_in(
     )
 
 
-def _constant_tuples(G, els, r, cap, every, inner=False):
+def _constant_tuples(G, els, r, every, inner=False):
     """The constant r-tuples over ``els`` to scan, in canonical order: all
     of them when ``every`` tuple records a witness, else those led by an
     orbit leader (``leader_first``).  Solvability of a tuple does not change
@@ -182,7 +181,7 @@ def _constant_tuples(G, els, r, cap, every, inner=False):
     """
     if every:
         return iter_product(els, repeat=r)
-    return (t for _, t in leader_first(G, els, r, cap, inner))
+    return (t for _, t in leader_first(G, els, r, inner))
 
 
 def _scan_constants(system, constant_tuples, domain, degree, want_witnesses, roots=None):
@@ -405,18 +404,17 @@ class Embedding(Record):
     def mapping(self) -> dict:
         return dict(self.pairs)
 
-    def check(self, cap: int = DEFAULT_ELEMENT_CAP) -> None:
+    def check(self) -> None:
         """Raise ValueError unless the pairs are an injective homomorphism into the target.
 
-        ``cap`` bounds the enumeration of the source.  Membership in a
-        symmetric or alternating target is structural, so such a target is
-        not enumerated here; ``solvable_over_bounded`` checks its element
-        cap and its scan budget against its order m! or m!/2 before
-        scanning it.  Any other target is
-        enumerated under the default cap by its membership test.
+        Membership in a symmetric or alternating target is structural, so
+        such a target is not enumerated here; ``solvable_over_bounded``
+        checks its element cap and its scan budget against its order m! or
+        m!/2 before scanning it.  Any other target is listed by its
+        membership test.
         """
         mapping = self.mapping()
-        els = self.source.elements(cap)
+        els = self.source.elements()
         if set(mapping) != set(els):
             raise ValueError("embedding must be defined on every source element")
         images = list(mapping.values())
@@ -431,12 +429,12 @@ class Embedding(Record):
                     raise ValueError("embedding is not a homomorphism")
 
 
-def diagonal_embedding(G: FiniteGroup, copies: int, cap: int = DEFAULT_ELEMENT_CAP) -> Embedding:
+def diagonal_embedding(G: FiniteGroup, copies: int) -> Embedding:
     """g -> g (+) g (+) ... (+) g inside the symmetric group of copies * degree."""
     if copies < 1:
         raise ValueError("need at least one copy")
     target = FiniteGroup.symmetric(G.degree * copies)
-    pairs = tuple((g, replicate(g, copies)) for g in G.elements(cap))
+    pairs = tuple((g, replicate(g, copies)) for g in G.elements())
     return Embedding(source=G, target=target, pairs=pairs)
 
 
@@ -446,7 +444,6 @@ def solvable_over_bounded(
     embeddings,
     budget: int = DEFAULT_EQ_BUDGET,
     want_witnesses: bool = False,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SolvabilityReport:
     """Positive-only check: constants from the embedded copy of G, variables
     from the overgroup.
@@ -456,11 +453,11 @@ def solvable_over_bounded(
     """
     skipped = []
     for emb in embeddings:
-        emb.check(cap)
+        emb.check()
         H = emb.target
         mapping = emb.mapping()
-        h_order = H.order(cap)
-        source_els = G.elements(cap)
+        h_order = H.order()
+        source_els = G.elements()
         worst = len(source_els) ** system.constants * h_order ** system.variables
         if worst > budget:
             skipped.append((H.name, worst))
@@ -470,9 +467,9 @@ def solvable_over_bounded(
         # scans only the constant tuples led by an orbit leader of G: each
         # g in G maps to an element of H, so G's own conjugation keeps the
         # verdict, which an outer automorphism of A_m need not.
-        domain = H.elements(cap) if want_witnesses else H.iter_elements(cap)
+        domain = H.elements() if want_witnesses else H.iter_elements()
         source_tuples = _constant_tuples(
-            G, source_els, system.constants, cap, every=want_witnesses, inner=True
+            G, source_els, system.constants, every=want_witnesses, inner=True
         )
         constant_tuples = (tuple(mapping[c] for c in t) for t in source_tuples)
         failing, witnesses = _scan_constants(

@@ -147,40 +147,41 @@ class FiniteGroup:
             return size
         return len(self.elements(cap))
 
-    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
+    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
         """All elements in canonical order; raises CapExceeded past the cap.
-        Listed elements past the cap are enumerated again under it, which
-        refuses them as it refuses a group never listed."""
-        if self._elements is None or len(self._elements) > cap:
-            self._elements = _canonical_order(self._enumerate(cap), self.degree)
+
+        A group not yet listed is listed under ``cap``, or under
+        ``DEFAULT_ELEMENT_CAP`` when none is given.  A listed group is
+        checked only against a given cap, from its stored size, with the
+        message a fresh group gives; so a caller that lists a group under
+        its own cap reads it afterwards with no cap at all.
+        """
+        if self._elements is None:
+            limit = DEFAULT_ELEMENT_CAP if cap is None else cap
+            self._elements = _canonical_order(self._enumerate(limit), self.degree)
+        elif cap is not None and len(self._elements) > cap:
+            if self.kind == "generated":
+                raise _closure_refusal(self.name, cap)
+            self.order(cap)  # refuses S_m, A_m and products as _enumerate does
         return self._elements
 
-    def element_set(self, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:
-        self.elements(cap)
-        return self._members()
-
-    def _members(self) -> frozenset:
-        """The element set; once the elements are built it is read without a
-        cap check, as their builder checked its own cap, which may exceed the
-        default."""
+    def element_set(self) -> frozenset:
         if self._element_set is None:
-            if self._elements is None:
-                self.elements()
-            self._element_set = frozenset(self._elements)
+            self._element_set = frozenset(self.elements())
         return self._element_set
 
-    def iter_elements(self, cap: int = DEFAULT_ELEMENT_CAP):
+    def iter_elements(self):
         """Every element once, for a scan whose outcome does not depend on order.
 
         ``S_m`` and ``A_m`` come in lexicographic image order from a
         re-iterable view that generates them afresh on each ``iter()`` and
         never lists them; any other group gives its canonical ``elements``.
-        The cap is checked against the order first either way.
+        The default cap is checked against the order first either way.
         """
-        self.order(cap)
+        self.order()
         if self.kind in ("symmetric", "alternating"):
             return _Lexicographic(self.degree, even=self.kind == "alternating")
-        return self.elements(cap)
+        return self.elements()
 
     def _enumerate(self, cap):
         if self.kind == "generated":
@@ -199,17 +200,14 @@ class FiniteGroup:
             return set(x) == set(range(self.degree))
         if self.kind == "alternating":
             return set(x) == set(range(self.degree)) and is_even(x)
-        return x in self._members()
+        return x in self.element_set()
 
     # -- conjugacy classes -------------------------------------------------
 
-    def conjugacy_classes(self, cap: int = DEFAULT_ELEMENT_CAP):
-        """Partition into classes; each is a frozenset, ordered by least rep.
-
-        Checks ``cap`` against the order on every call, built or cached.
-        """
-        els = self.elements(cap)
+    def conjugacy_classes(self):
+        """Partition into classes; each is a frozenset, ordered by least rep."""
         if self._classes is None:
+            els = self.elements()
             gens = self.generators or (self.identity(),)
             index = {}
             classes = []
@@ -238,26 +236,19 @@ class FiniteGroup:
             self._class_reps = tuple(reps)
         return self._classes
 
-    def class_of(self, x: Permutation, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:
+    def class_of(self, x: Permutation) -> frozenset:
         """Full conjugacy class {g^-1 x g : g in G}; raises if x outside G."""
         if x not in self:
             raise ValueError(f"{x!r} is not an element of {self.name}")
-        classes = self.conjugacy_classes(cap)
+        classes = self.conjugacy_classes()
         return classes[self._class_index[x]]
-
-    def _partition(self) -> tuple:
-        """The class partition; once built it is read without a cap check,
-        as its builder checked its own cap, which may exceed the default."""
-        if self._classes is None:
-            self.conjugacy_classes()
-        return self._classes
 
     def class_index_of(self, x: Permutation) -> int:
         return self.class_map()[x]
 
     def class_map(self) -> dict:
         """Element -> class index; a raw image tuple indexes it too."""
-        self._partition()
+        self.conjugacy_classes()
         return self._class_index
 
     def is_conjugation_canonical(self, items) -> bool:
@@ -308,7 +299,7 @@ class FiniteGroup:
         return out
 
     def class_representative(self, index: int) -> Permutation:
-        self._partition()
+        self.conjugacy_classes()
         return self._class_reps[index]
 
     def class_product(self, i: int, j: int) -> frozenset:
@@ -320,7 +311,7 @@ class FiniteGroup:
         key = (i, j) if i <= j else (j, i)
         out = self._class_products.get(key)
         if out is None:
-            classes = self._partition()
+            classes = self.conjugacy_classes()
             index, reps = self._class_index, self._class_reps
             if len(classes[i]) <= len(classes[j]):
                 out = frozenset(index[x * reps[j]] for x in classes[i])
@@ -436,12 +427,14 @@ def _closure(generators, degree, cap, name):
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
-                        raise CapExceeded(
-                            f"closure of {name} passed the element cap {cap}"
-                        )
+                        raise _closure_refusal(name, cap)
                     nxt.append(y)
         frontier = nxt
     return list(seen)
+
+
+def _closure_refusal(name, cap):
+    return CapExceeded(f"closure of {name} passed the element cap {cap}")
 
 
 def cyclic(k: int, name=None) -> FiniteGroup:
@@ -473,7 +466,7 @@ class ConsequenceSet(Record):
     class_layers: tuple[frozenset, ...]
 
     def _union(self, class_indices) -> frozenset:
-        classes = self.group._partition()
+        classes = self.group.conjugacy_classes()
         return frozenset().union(*(classes[ci] for ci in class_indices))
 
     @property
@@ -486,7 +479,7 @@ class ConsequenceSet(Record):
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        classes = self.group._partition()
+        classes = self.group.conjugacy_classes()
         return tuple(sum(len(classes[ci]) for ci in l) for l in self.class_layers)
 
     @property
@@ -530,9 +523,9 @@ def iter_class_layers(letters, step):
         layer = nxt
 
 
-def iter_consequence_class_layers(G: FiniteGroup, X, cap: int = DEFAULT_ELEMENT_CAP):
+def iter_consequence_class_layers(G: FiniteGroup, X):
     """``iter_class_layers`` of C_n(X, G), each step a union of class products."""
-    G.conjugacy_classes(cap)  # refuses G past the cap before a partition is built
+    G.conjugacy_classes()
     letters = _letter_class_indices(G, X)
     if not letters:
         return
@@ -564,21 +557,19 @@ def exact_depth_layers(layers, n: int) -> tuple[frozenset, ...]:
     return tuple(class_layers)
 
 
-def consequence_class_layers(
-    G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> tuple[frozenset, ...]:
+def consequence_class_layers(G: FiniteGroup, X, n: int) -> tuple[frozenset, ...]:
     """Class indices of the exact-depth layers 1..n of C_j(X, G); all empty if X is."""
-    return exact_depth_layers(iter_consequence_class_layers(G, X, cap), n)
+    return exact_depth_layers(iter_consequence_class_layers(G, X), n)
 
 
-def consequences(G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> ConsequenceSet:
+def consequences(G: FiniteGroup, X, n: int) -> ConsequenceSet:
     """Exact-depth consequence set C_n(X, G); C_n(empty, G) is empty.
 
     If the identity is a member of X the layers are cumulative (the
     identity letter pads shorter products up to depth n).
     """
     base = frozenset(Permutation(x) for x in X)
-    layers = consequence_class_layers(G, base, n, cap)
+    layers = consequence_class_layers(G, base, n)
     return ConsequenceSet(group=G, base=base, depth=n, class_layers=layers)
 
 
@@ -595,9 +586,7 @@ def class_first_depths(layers) -> dict:
     return first
 
 
-def min_consequence_depth(
-    G: FiniteGroup, X, y: Permutation, max_n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> int | None:
+def min_consequence_depth(G: FiniteGroup, X, y: Permutation, max_n: int) -> int | None:
     """Least depth n <= max_n with y in C_n(X, G); None when not reached.
 
     Layer growth is eventually periodic with period two, so the scan also
@@ -608,7 +597,7 @@ def min_consequence_depth(
     if y not in G:
         raise ValueError(f"{y!r} is not an element of {G.name}")
     target = G.class_index_of(y)
-    for depth, layer in iter_consequence_class_layers(G, X, cap):
+    for depth, layer in iter_consequence_class_layers(G, X):
         if depth > max_n:
             return None
         if target in layer:
@@ -639,13 +628,13 @@ class SeparationReport(Record):
         return not self.violated_depths
 
 
-def is_n_separated(G: FiniteGroup, Y, X, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> SeparationReport:
+def is_n_separated(G: FiniteGroup, Y, X, n: int) -> SeparationReport:
     """Check Y against the depth-n consequence set of X in G."""
     y_set = frozenset(Permutation(y) for y in Y)
     for y in y_set:
         if y not in G:
             raise ValueError(f"{y!r} is not an element of {G.name}")
-    cons = consequences(G, X, n, cap)
+    cons = consequences(G, X, n)
     class_of = G.class_map()
     y_classes = {y: class_of[y] for y in y_set}
     layers = cons.class_layers
@@ -665,7 +654,7 @@ def is_n_separated(G: FiniteGroup, Y, X, n: int, cap: int = DEFAULT_ELEMENT_CAP)
 # --- quotients ---------------------------------------------------------------
 
 
-def quotient(G: FiniteGroup, N, cap: int = DEFAULT_ELEMENT_CAP):
+def quotient(G: FiniteGroup, N):
     """Quotient G/N realized by the right coset action, plus the quotient map.
 
     N must be a normal subgroup given as an element set.  The returned
@@ -673,7 +662,7 @@ def quotient(G: FiniteGroup, N, cap: int = DEFAULT_ELEMENT_CAP):
     is a dict sending each element of G to its image permutation.
     """
     n_set = frozenset(Permutation(x) for x in N)
-    els = G.elements(cap)
+    els = G.elements()
     if G.identity() not in n_set or not n_set <= G.element_set():
         raise ValueError("N is not a subgroup of G containing the identity")
     for x in n_set:

@@ -15,12 +15,7 @@ from itertools import islice
 from math import lcm
 from operator import itemgetter, sub
 
-from .groups import (
-    DEFAULT_ELEMENT_CAP,
-    FiniteGroup,
-    class_first_depths,
-    iter_consequence_class_layers,
-)
+from .groups import FiniteGroup, class_first_depths, iter_consequence_class_layers
 from .perm import Permutation, conjugate, hamming_length
 from .records import Record
 
@@ -57,20 +52,18 @@ def hamming(group: FiniteGroup) -> LengthFunction:
     return LengthFunction(group, "hamming")
 
 
-def from_table(group: FiniteGroup, values, cap: int = DEFAULT_ELEMENT_CAP) -> LengthFunction:
+def from_table(group: FiniteGroup, values) -> LengthFunction:
     """Explicit table; must cover the whole carrier with rationals >= 0."""
     table = {}
     for x, v in dict(values).items():
         table[Permutation(x)] = Fraction(v)
-    missing = group.element_set(cap) - table.keys()
+    missing = group.element_set() - table.keys()
     if missing:
         raise ValueError(f"table misses {len(missing)} elements of {group.name}")
     return LengthFunction(group, "table", values=table)
 
 
-def cayley_conjugation_length(
-    G: FiniteGroup, X, n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> LengthFunction:
+def cayley_conjugation_length(G: FiniteGroup, X, n: int) -> LengthFunction:
     """Distance-based length: min(d(1, h)/n, 1) over the conjugate alphabet.
 
     The alphabet is every conjugate of an element of X or of an inverse,
@@ -85,10 +78,10 @@ def cayley_conjugation_length(
         raise ValueError("scale must be >= 1")
     base = frozenset(Permutation(x) for x in X)
     one = Fraction(1)
-    first = class_first_depths(iter_consequence_class_layers(G, base, cap))
+    first = class_first_depths(iter_consequence_class_layers(G, base))
     scaled = {ci: min(Fraction(d, n), one) for ci, d in first.items()}
     class_of = G.class_map()
-    values = {h: scaled.get(class_of[h], one) for h in G.elements(cap)}
+    values = {h: scaled.get(class_of[h], one) for h in G.elements()}
     values[G.identity()] = Fraction(0)
     return LengthFunction(G, "cayley-conjugation", values=values, params={"base": base, "scale": n})
 
@@ -105,9 +98,7 @@ class AxiomReport(Record):
     pairs_checked: int
 
 
-def verify_axioms(
-    ell: LengthFunction, cap: int = DEFAULT_ELEMENT_CAP, max_violations: int = 20
-) -> AxiomReport:
+def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     """Exhaustively check the three length-function axioms on the carrier.
 
     Checks ||1|| == 0, values >= 0, subadditivity over all ordered pairs,
@@ -128,7 +119,7 @@ def verify_axioms(
     ``pairs_checked`` counts the 2*|G|^2 pairs so settled.
     """
     G = ell.group
-    els = G.elements(cap)
+    els = G.elements()
     n = len(els)
     index = {x: i for i, x in enumerate(els)}
     values = [ell(x) for x in els]
@@ -230,7 +221,7 @@ def _search(maps, seeds, n):
     return order, label, edge
 
 
-def ball(ell: LengthFunction, radius, cap: int = DEFAULT_ELEMENT_CAP) -> frozenset:
+def ball(ell: LengthFunction, radius) -> frozenset:
     """Open ball {h : ||h|| < radius} in the carrier."""
     r = Fraction(radius)
-    return frozenset(h for h in ell.group.elements(cap) if ell(h) < r)
+    return frozenset(h for h in ell.group.elements() if ell(h) < r)

@@ -19,13 +19,7 @@ from groupapprox.approximation import (
     amplification_exponent,
 )
 from groupapprox.errors import BudgetExceeded
-from groupapprox.groups import (
-    DEFAULT_ELEMENT_CAP,
-    FiniteGroup,
-    SeparationReport,
-    consequences,
-    is_n_separated,
-)
+from groupapprox.groups import FiniteGroup, SeparationReport, consequences, is_n_separated
 from groupapprox.lengths import AxiomReport, AxiomViolation
 from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
 from groupapprox.words import evaluate_word
@@ -104,7 +98,7 @@ def brute_cayley_distances(G, X):
     return dist
 
 
-def element_is_n_separated(G, Y, X, n, cap=DEFAULT_ELEMENT_CAP):
+def element_is_n_separated(G, Y, X, n):
     """``is_n_separated`` before it worked on class indices: Y is
     intersected with every element layer of the consequence set."""
     if n < 1:
@@ -113,7 +107,7 @@ def element_is_n_separated(G, Y, X, n, cap=DEFAULT_ELEMENT_CAP):
     for y in y_set:
         if y not in G:
             raise ValueError(f"{y!r} is not an element of {G.name}")
-    cons = consequences(G, X, n, cap)
+    cons = consequences(G, X, n)
     violated = tuple(j for j, layer in enumerate(cons.layers, start=1) if y_set & layer)
     hits = y_set & cons.elements
     witness = min(hits, key=lambda p: p.sort_key()) if hits else None
@@ -262,7 +256,7 @@ def element_scan_constants(system, constant_tuples, els, degree, want_witnesses,
     return None, witnesses
 
 
-def every_tuple(G, items, r, cap=DEFAULT_ELEMENT_CAP, inner=False):
+def every_tuple(G, items, r, inner=False):
     """``characters.leader_first`` before orbit leaders: every r-tuple over
     ``items`` in canonical order, each with its 1-based position."""
     return enumerate(iter_product(items, repeat=r), start=1)

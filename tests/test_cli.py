@@ -938,6 +938,20 @@ class TestManifests:
             assert capsys.readouterr().err.endswith(err_tail.format(m=manifest)), step
             assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "step", ["covering-constant --help --out a.report", "covering-constant -h", "--help"]
+    )
+    def test_a_help_step_stops_the_replay(self, step, tmp_path, capsys):
+        """A help step writes no report, so the replay stops there with an
+        input error and runs no later step."""
+        manifest, out_dir = tmp_path / "m.manifest", tmp_path / "o"
+        manifest.write_text(f"groupapprox-manifest 1\n{step}\ncovering-constant --m 5 --out b.report\n")
+        assert cli.run(["manifest-replay", str(manifest), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: groupapprox")
+        assert captured.err == f"{manifest}:2: step failed with input error\n"
+        assert list(out_dir.iterdir()) == []
+
     def test_empty_manifest_produces_no_reports(self, tmp_path):
         manifest = tmp_path / "m.manifest"
         manifest.write_text("groupapprox-manifest 1\n# nothing\n")

@@ -2,16 +2,22 @@
 ``cayley_conjugation_length`` and ``is_n_separated`` against the element
 loops they replaced (conftest.py), and explicit caps above the default."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import brute_cayley_distances, element_is_n_separated
 
+import groupapprox
+from groupapprox import cli, groups, store
 from groupapprox.errors import CapExceeded
 from groupapprox.groups import FiniteGroup, consequences, cyclic, is_n_separated
-from groupapprox.lengths import cayley_conjugation_length
+from groupapprox.lengths import cayley_conjugation_length, hamming
 from groupapprox.perm import parse_cycles
+from groupapprox.report import dump_report, length_table_to_data
 
 
 def _z3_x_k4():
@@ -78,19 +84,34 @@ def test_separation_matches_element_layers(name):
                 assert got == element_is_n_separated(G, Y, X, n), (X, Y, n)
 
 
+def _lower_the_default_cap(monkeypatch):
+    """Lower the default element cap to 100: the module constant, and every
+    function default in groupapprox that holds it.  S5 (120 elements) then
+    lies past the default, and only an explicit cap admits it."""
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 100)
+    for info in pkgutil.iter_modules(groupapprox.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"groupapprox.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else (obj,)
+            for fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn) and 10**6 in (fn.__defaults__ or ()):
+                    lowered = tuple(100 if d == 10**6 else d for d in fn.__defaults__)
+                    monkeypatch.setattr(fn, "__defaults__", lowered)
+
+
 @pytest.fixture
 def default_cap_100(monkeypatch):
-    """Every group method's default cap lowered to 100, so S5 (120 elements)
-    lies past the default and only an explicit cap admits it."""
-    for name in ("elements", "element_set", "order", "conjugacy_classes", "class_of"):
-        monkeypatch.setattr(getattr(FiniteGroup, name), "__defaults__", (100,))
+    _lower_the_default_cap(monkeypatch)
 
 
 def _refuses_the_default(G):
-    """G, listed under an explicit cap, refuses the default as a copy of it
-    that was never listed does."""
+    """G, listed under an explicit cap, refuses the default cap when asked
+    for it, with the message of a copy of it that was never listed."""
     with pytest.raises(CapExceeded) as listed:
-        G.conjugacy_classes()
+        G.elements(100)
     with pytest.raises(CapExceeded) as fresh:
         FiniteGroup(G.kind, G.degree, G.generators, name=G.name).conjugacy_classes()
     assert str(listed.value) == str(fresh.value)
@@ -99,7 +120,8 @@ def _refuses_the_default(G):
 
 def test_consequences_honour_an_explicit_cap(default_cap_100):
     G = FiniteGroup.symmetric(5)
-    cons = consequences(G, [parse_cycles("(1 2)", 5)], 2, cap=1000)
+    G.elements(1000)
+    cons = consequences(G, [parse_cycles("(1 2)", 5)], 2)
     assert cons.layer_sizes == (10, 36)
     assert len(cons.elements) == 36 and cons.layers[-1] == cons.elements
     assert len(cons.cumulative) == 46
@@ -108,21 +130,48 @@ def test_consequences_honour_an_explicit_cap(default_cap_100):
 
 def test_generated_group_membership_honours_an_explicit_cap(default_cap_100):
     G = FiniteGroup.generated(5, [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)])
-    cons = consequences(G, [parse_cycles("(1 2)", 5)], 2, cap=1000)
+    G.elements(1000)
+    cons = consequences(G, [parse_cycles("(1 2)", 5)], 2)
     assert cons.layer_sizes == (10, 36)
     _refuses_the_default(G)
 
 
 def test_separation_honours_an_explicit_cap(default_cap_100):
     G = FiniteGroup.symmetric(5)
-    rep = is_n_separated(G, [parse_cycles("(1 2 3)", 5)], [parse_cycles("(1 2)", 5)], 2, cap=1000)
+    G.elements(1000)
+    rep = is_n_separated(G, [parse_cycles("(1 2 3)", 5)], [parse_cycles("(1 2)", 5)], 2)
     assert not rep.separated and rep.violated_depths == (2,)
     _refuses_the_default(G)
 
 
 def test_cayley_length_honours_an_explicit_cap(default_cap_100):
     G = FiniteGroup.symmetric(5)
-    ell = cayley_conjugation_length(G, [parse_cycles("(1 2)", 5)], 4, cap=1000)
+    G.elements(1000)
+    ell = cayley_conjugation_length(G, [parse_cycles("(1 2)", 5)], 4)
     assert ell(parse_cycles("(1 2 3 4 5)", 5)) == 1
     assert ell(parse_cycles("(1 2 3)", 5)) == Fraction(1, 2)
     _refuses_the_default(G)
+
+
+def test_axioms_check_honours_a_cap_above_the_default(monkeypatch, tmp_path, capsys):
+    """``axioms-check --cap`` admits a group past the default cap for the
+    cayley and table kinds as for hamming, with the report of a run that
+    needs no cap above the default."""
+    table = tmp_path / "s5.report"
+    table.write_text(dump_report(length_table_to_data(hamming(FiniteGroup.symmetric(5)))))
+    check = ["axioms-check", "--group", "S5"]
+    kinds = {
+        "hamming": [],
+        "cayley": ["--length-kind", "cayley", "--X", "(1 2)", "--n", "2"],
+        "table": ["--length-kind", "table", "--table", str(table)],
+    }
+    for name, kind in kinds.items():
+        assert cli.run([*check, *kind, "--cap", "1000", "--out", str(tmp_path / name)]) == 0
+    _lower_the_default_cap(monkeypatch)
+    for name, kind in kinds.items():
+        store.clear()
+        out = tmp_path / f"{name}-lowered"
+        assert cli.run([*check, *kind, "--cap", "1000", "--out", str(out)]) == 0, capsys.readouterr().err
+        assert out.read_text() == (tmp_path / name).read_text()
+        assert cli.run([*check, *kind, "--cap", "100"]) == 2
+        assert capsys.readouterr().err == "cap exceeded: S5 has more than 100 elements\n"

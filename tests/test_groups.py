@@ -88,6 +88,22 @@ class TestEnumeration:
         with pytest.raises(CapExceeded, match="^S5 has more than 100 elements$"):
             P.elements(cap=100)
 
+    def test_listed_generated_group_refuses_a_lower_cap_from_its_size(self, monkeypatch):
+        K = FiniteGroup.generated(4, [s("(1 2)(3 4)", 4), s("(1 3)(2 4)", 4)], name="K")
+        P = FiniteGroup.direct_product([K, K], name="P")
+        P.elements()  # lists K too
+
+        def refuse(*args):
+            raise AssertionError("a closure was formed again")
+
+        monkeypatch.setattr(groups, "_closure", refuse)
+        for G in (K, P):
+            with pytest.raises(CapExceeded, match="^closure of K passed the element cap 3$"):
+                G.elements(3)
+        with pytest.raises(CapExceeded, match="^P enumeration passed cap 15$"):
+            P.elements(15)
+        assert len(K.elements(4)) == 4 and len(P.elements(16)) == 16
+
     def test_closure_is_group(self):
         els = set(KLEIN.elements())
         for a in els:
@@ -205,7 +221,7 @@ class TestConsequences:
         G = FiniteGroup.alternating(5)
         G.conjugacy_classes()
         with pytest.raises(CapExceeded, match="^A5 has more than 10 elements$"):
-            consequences(G, [s("(1 2 3)", 5)], 1, cap=10)
+            G.elements(10)
 
     def test_transposition_class_at_depth_one(self):
         cons = consequences(S3, [s("(1 2)", 3)], 1)

@@ -152,10 +152,10 @@ def test_two_commands_on_s5_partition_it_once(monkeypatch, tmp_path):
     built = []
     partition = FiniteGroup.conjugacy_classes
 
-    def counted(self, cap=DEFAULT_ELEMENT_CAP):
+    def counted(self):
         if self._classes is None:
             built.append(self.name)
-        return partition(self, cap)
+        return partition(self)
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", counted)
     for n in ("1", "2"):

@@ -50,10 +50,8 @@ from .words import (
     Word,
     compile_word,
     concat,
-    conjugate_word,
     evaluate_compiled,
     evaluate_word,
-    invert_word,
     max_symbol,
     paired_images,
     parse_word,
@@ -213,8 +211,7 @@ class Presentation(Record):
 
     ``inside`` words are asserted by the caller to be consequences of the
     relators (products of their conjugates); ``outside`` words are
-    asserted not to be.  ``verify_inside_declarations`` offers a bounded
-    best-effort check of the first assertion.
+    asserted not to be.
     """
 
     generators: tuple[str, ...]
@@ -258,45 +255,6 @@ def parse_presentation(text: str, source=None) -> Presentation:
         inside=tuple(inside),
         outside=tuple(outside),
     )
-
-
-def verify_inside_declarations(
-    p: Presentation, max_factors: int = 3, conjugator_length: int = 2
-) -> dict:
-    """Bounded rewriting check that inside words are relator consequences.
-
-    Returns word -> True when the word appears as a product of at most
-    max_factors conjugates of relators (conjugators up to the given
-    length), word -> None when the bounded search is inconclusive.
-    """
-    rank = len(p.generators)
-    conjugators = [()]
-    frontier = [()]
-    for _ in range(conjugator_length):
-        nxt = []
-        for w in frontier:
-            for s in range(1, rank + 1):
-                for signed in (s, -s):
-                    ext = reduce_word(w + (signed,))
-                    if len(ext) == len(w) + 1:
-                        conjugators.append(ext)
-                        nxt.append(ext)
-        frontier = nxt
-    letters = set()
-    for r in p.relators:
-        for w in conjugators:
-            letters.add(conjugate_word(r, w))
-            letters.add(conjugate_word(invert_word(r), w))
-    reachable = {()}
-    layer = {()}
-    for _ in range(max_factors):
-        nxt = set()
-        for u in layer:
-            for v in letters:
-                nxt.add(concat(u, v))
-        layer = nxt - reachable
-        reachable |= nxt
-    return {w: (True if w in reachable else None) for w in p.inside}
 
 
 # --- searches ----------------------------------------------------------------

@@ -179,12 +179,6 @@ class CoveringTable(Record):
     rows: tuple[CoveringRow, ...]
     max_ratio: Fraction | None
 
-    def holds_within(self, bound) -> bool:
-        """True when every target was reached within bound * steps."""
-        return all(
-            row.depth is not None and row.ratio <= bound for row in self.rows
-        )
-
 
 def empirical_covering_constant(m: int) -> CoveringTable:
     """Tabulate depth / ceil(||y||/||x||) over all nontrivial class pairs.

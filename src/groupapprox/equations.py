@@ -27,7 +27,8 @@ from .errors import ParseError
 from .groups import FiniteGroup
 from .perm import Permutation, replicate
 from .records import Record
-from .words import Word, evaluate_word, max_symbol, paired_images, parse_word, reduce_word
+from .words import Word, max_symbol, paired_images, parse_word, reduce_word
+from .words import evaluate_word  # patched by name in perfbench/tracing.py
 
 DEFAULT_EQ_BUDGET = 10**7
 
@@ -86,15 +87,6 @@ def parse_equation_system(text: str, source=None) -> EquationSystem:
     if not words:
         raise ParseError("system has no equations", line=len(lines), source=source)
     return EquationSystem(constants=header[0], variables=header[1], words=tuple(words))
-
-
-def evaluate_system_word(
-    word: Word, system: EquationSystem, constants, variables, degree: int
-) -> Permutation:
-    """Evaluate one word under a constant tuple and a variable tuple."""
-    if len(constants) != system.constants or len(variables) != system.variables:
-        raise ValueError("assignment arities do not match the system")
-    return evaluate_word(word, tuple(constants) + tuple(variables), degree)
 
 
 class SolvabilityReport(Record):

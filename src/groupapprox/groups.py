@@ -320,25 +320,6 @@ class FiniteGroup:
             self._class_products[key] = out
         return out
 
-    # -- direct-product projections -----------------------------------------
-
-    def component_offsets(self):
-        if self.kind != "product":
-            raise ValueError(f"{self.name} is not a direct product")
-        offs = []
-        pos = 0
-        for c in self.components:
-            offs.append(pos)
-            pos += c.degree
-        return offs
-
-    def project(self, x: Permutation, block: int) -> Permutation:
-        """Restriction of a product element to one component block."""
-        offs = self.component_offsets()
-        comp = self.components[block]
-        off = offs[block]
-        return Permutation(x[off + i] - off for i in range(comp.degree))
-
 
 class _Lexicographic:
     """The elements of ``S_m``, or of ``A_m`` when ``even``, in lexicographic

@@ -277,17 +277,25 @@ _TYPE_NAMES = {
 
 def _field(data: dict, key, kind, item=None):
     """``data[key]`` when it is a ``kind`` whose items (list entries or
-    mapping values) are each an ``item``, else a ParseError naming the field.
-    Booleans load as ``bool``, a subclass of ``int``: they pass only as bool."""
+    mapping values) are each an ``item``, else a ParseError naming the field
+    and only the offending value: a container by its type, an item by its
+    position or key.  Booleans load as ``bool``, a subclass of ``int``: they
+    pass only as bool."""
 
     def fits(value, want):
         return isinstance(value, want) and (want is bool or not isinstance(value, bool))
 
-    value = data[key]
-    items = () if item is None else value.values() if isinstance(value, dict) else value
-    if not fits(value, kind) or not all(fits(v, item) for v in items):
+    def refuse(shown):
         what = _TYPE_NAMES[kind] + (f" of {_TYPE_NAMES[item]}s" if item is not None else "")
-        raise ParseError(f"field {key!r} must be of type {what}, not {value!r}")
+        raise ParseError(f"field {key!r} must be of type {what}, not {shown}")
+
+    value = data[key]
+    if not fits(value, kind):
+        refuse(f"a {_TYPE_NAMES[type(value)]}" if isinstance(value, (list, dict)) else repr(value))
+    if item is not None:
+        for where, v in value.items() if isinstance(value, dict) else enumerate(value):
+            if not fits(v, item):
+                refuse(f"{v!r} at {'key' if isinstance(value, dict) else 'position'} {where!r}")
     return value
 
 

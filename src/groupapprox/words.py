@@ -39,10 +39,6 @@ def concat(*parts) -> Word:
     return reduce_word(merged)
 
 
-def conjugate_word(w, by) -> Word:
-    return concat(invert_word(by), w, by)
-
-
 def evaluate_word(word, images, degree: int) -> Permutation:
     """Image of a word under symbol i -> images[i-1] (right-action product)."""
     result = None

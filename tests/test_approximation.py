@@ -19,7 +19,6 @@ from groupapprox.approximation import (
     parse_presentation,
     search_separating_hom,
     search_sofic_instance,
-    verify_inside_declarations,
     verify_sofic_certificate,
     window_from_texts,
 )
@@ -342,11 +341,3 @@ class TestPresentations:
             parse_presentation("relator a\n")
         with pytest.raises(ParseError):
             parse_presentation("generators a\nfoo a\n")
-
-    def test_inside_declarations_bounded_check(self):
-        p = parse_presentation(
-            "generators a b\nrelator a a a\ninside a a a\ninside a\n"
-        )
-        verdicts = verify_inside_declarations(p)
-        assert verdicts[(1, 1, 1)] is True
-        assert verdicts[(1,)] is None

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -991,6 +992,26 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, groupapprox\nprint(sorted(m for m in sys.modules if m.startswith('groupapprox.')))"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("name", sorted(
+        info.name for info in pkgutil.iter_modules([str(ROOT / "src" / "groupapprox")])
+        if info.name != "__main__"
+    ))
+    def test_each_module_imports_first(self, name):
+        """Each module imports in a fresh interpreter before any other, so no
+        import cycle hides behind an order that some other import sets up."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import groupapprox.{name}"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestScripts:

@@ -6,7 +6,6 @@ from groupapprox.equations import (
     bridge_report,
     diagonal_embedding,
     Embedding,
-    evaluate_system_word,
     parse_equation_system,
     solvable_in,
     solvable_over_bounded,
@@ -15,6 +14,7 @@ from groupapprox.equations import (
 from groupapprox.errors import ParseError
 from groupapprox.groups import FiniteGroup, cyclic, quotient
 from groupapprox.perm import identity, parse_cycles
+from groupapprox.words import evaluate_word
 
 
 def s(text, degree):
@@ -73,24 +73,17 @@ class TestParsing:
 
 class TestEvaluateWord:
     def test_empty_word_is_identity(self):
-        sys_ = EquationSystem(constants=1, variables=1, words=((),))
-        assert evaluate_system_word(
-            (), sys_, (s("(1 2)", 3),), (s("(1 3)", 3),), 3
-        ) == identity(3)
+        assert evaluate_word((), (s("(1 2)", 3), s("(1 3)", 3)), 3) == identity(3)
 
     def test_commutator_of_equal_elements(self):
         g = s("(1 2 3)", 3)
         word = COMMUTE.words[0]
-        assert evaluate_system_word(word, COMMUTE, (g,), (g,), 3) == identity(3)
+        assert evaluate_word(word, (g, g), 3) == identity(3)
 
     def test_square_root_example(self):
         word = SQUARE.words[0]
         x, a = s("(1 3 2)", 3), s("(1 2 3)", 3)
-        assert evaluate_system_word(word, SQUARE, (a,), (x,), 3) == identity(3)
-
-    def test_arity_check(self):
-        with pytest.raises(ValueError):
-            evaluate_system_word((), SQUARE, (), (), 3)
+        assert evaluate_word(word, (a, x), 3) == identity(3)
 
 
 class TestSolvableIn:
@@ -124,9 +117,7 @@ class TestSolvableIn:
         assert report.verdict == "solvable"
         assert len(report.witnesses) == 5
         for constants, variables in report.witnesses:
-            assert evaluate_system_word(
-                SQUARE.words[0], SQUARE, constants, variables, 5
-            ).is_identity()
+            assert evaluate_word(SQUARE.words[0], constants + variables, 5).is_identity()
 
     def test_parallel_scan_matches_sequential(self):
         for sys_ in (SQUARE, COMMUTE):

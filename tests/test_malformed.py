@@ -169,6 +169,22 @@ def test_malformed_length_table_exits_1(edit, message, tmp_path, capsys):
     assert f"{path}: {message}" in err
 
 
+def test_mistyped_table_entry_is_named_alone(tmp_path, capsys):
+    """The message names the one bad entry, not the whole mapping."""
+    data = length_table_to_data(hamming(FiniteGroup.symmetric(5)))
+    data["values"]["(1 2)"] = "x/y"
+    path = tmp_path / "table.report"
+    path.write_text(dump_report(data))
+    code, err = _run(
+        capsys, "axioms-check", "--group", "S5", "--length-kind", "table", "--table", str(path)
+    )
+    assert code == 1
+    [line] = err.splitlines()
+    assert len(line) < 200 and "Fraction(" not in line
+    assert "field 'values' must be of type mapping of rationals" in line
+    assert "(1 2)" in line and "x/y" in line
+
+
 def test_dangling_caret_is_positioned():
     with pytest.raises(ParseError, match="bad exponent '' on 'a'") as info:
         parse_word("b a^ b", ["a", "b"], line=4)

@@ -131,28 +131,36 @@ _COMMANDS = {
 
 
 @cache
-def _build_parser():
-    """The argparse parser over all subcommands, built at most once per
-    process.  ``manifest-replay`` takes no abbreviations, so that ``--out``
+def _build_parser(command=None):
+    """The argparse parser, with the subparser of ``command`` only or, for
+    None, of every subcommand; each built at most once per process.  With
+    one subparser the usage still names every subcommand, as argparse
+    writes it; only the full parser words an error about the subcommand
+    itself.  ``manifest-replay`` takes no abbreviations, so that ``--out``
     is not read as ``--out-dir``."""
     parser = argparse.ArgumentParser(
         prog="groupapprox",
         description="Finite-group approximation workbench (exact rational arithmetic).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name, (help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=name != "manifest-replay")
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, allow_abbrev=name != "manifest-replay")
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def parse_args(argv):
     """The namespace of argv, as argparse gives it; argparse itself parses
     only what ``_table_parse`` leaves to it, and exits there on help or an
-    error."""
+    error.  A first argument that names a subcommand builds that
+    subcommand's parser alone."""
     args = _table_parse(argv)
-    return args if args is not None else _build_parser().parse_args(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    return args
 
 
 def _table_parse(argv):

@@ -88,19 +88,16 @@ class Permutation(tuple):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, 0-based."""
-        seen = [False] * len(self)
+        seen = set()
         out = []
-        for i in range(len(self)):
-            if seen[i] or self[i] == i:
-                seen[i] = True
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self[j]
-            out.append(tuple(cyc))
+        for i, j in enumerate(self):
+            if j != i and i not in seen:
+                cyc = [i]
+                while j != i:
+                    seen.add(j)
+                    cyc.append(j)
+                    j = self[j]
+                out.append(tuple(cyc))
         return out
 
     def __repr__(self):
@@ -229,11 +226,18 @@ def embed_sym_in_alt(s: Permutation) -> Permutation:
 
 
 def cycle_string(h: Permutation) -> str:
-    """Canonical 1-based cycle notation; "()" for the identity."""
-    cycs = h.cycles()
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
+    """Canonical 1-based cycle notation, in the order of ``cycles``; "()" for the identity."""
+    seen = set()
+    out = ""
+    for i, j in enumerate(h):
+        if j != i and i not in seen:
+            out += "(" + str(i + 1)
+            while j != i:
+                seen.add(j)
+                out += " " + str(j + 1)
+                j = h[j]
+            out += ")"
+    return out or "()"
 
 
 def parse_cycles(text: str, degree: int, line: int | None = None, source=None) -> Permutation:

@@ -13,9 +13,9 @@ The format is a nested key-value tree with two-space indentation::
 
 Scalars are typed on load: integers, rationals written "p/q", booleans
 "true"/"false", "none", everything else a string (double-quoted when it
-would otherwise be mistyped).  Lists render as "- item" lines; a bare "-"
-opens a nested mapping item.  Reports carry no timestamps, so identical
-inputs produce byte-identical files.
+would otherwise be mistyped or holds a line break, which is escaped).
+Lists render as "- item" lines; a bare "-" opens a nested mapping item.
+Reports carry no timestamps, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -41,9 +41,21 @@ FORMAT_HEADER = "groupapprox-report"
 FORMAT_VERSION = 1
 
 
+# A value renders by its type; a subclass renders as the first of these it is
+# an instance of, so a Permutation is a scalar, not a list, and a bool is no int.
+_KINDS = (type(None), bool, int, Fraction, Permutation, str, dict, list, tuple)
+_WORDS = {"none": None, "true": True, "false": False}
+_NAMES = {None: "none", True: "true", False: "false"}
+# escaped inside quotes: the backslash, the quote and each line break of str.splitlines
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"} | {
+    c: f"\\u{ord(c):04x}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+}
+_QUOTE = str.maketrans(_ESCAPES)
+_UNESCAPE = [(esc, c) for c, esc in _ESCAPES.items() if c != "\\"]
+
+
 def format_rational(value) -> str:
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(text: str, line=None, source=None) -> Fraction:
@@ -55,102 +67,92 @@ def parse_rational(text: str, line=None, source=None) -> Fraction:
         raise ParseError(f"bad rational {text!r}", line=line, source=source) from None
 
 
-def _scalar_str(value) -> str:
-    if value is None:
-        return "none"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, Permutation):
-        return cycle_string(value)
-    if isinstance(value, str):
-        if value in ("none", "true", "false", "[]", "{}") or _looks_typed(value) or (
-            value != value.strip() or "\n" in value or value == ""
-        ):
-            return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _scalar_str(value, kind, cycles) -> str:
+    """A scalar's text; ``cycles`` maps each Permutation this dump has rendered to its text."""
+    if kind is str:
+        if not value or value[0] == '"' or value[0].isspace() or value[-1].isspace() or (
+            value in _WORDS or value == "[]" or value == "{}" or value.splitlines()[0] != value
+        ) or (value[0] in "+-" or value[0].isdecimal()) and _number(value) is not None:
+            return '"' + value.translate(_QUOTE) + '"'
         return value
+    if kind is Permutation:
+        text = cycles.get(value)
+        if text is None:
+            text = cycles[value] = cycle_string(value)
+        return text
+    if kind is int:
+        return str(value)
+    if kind is Fraction:
+        return format_rational(value)
+    if kind is bool or value is None:
+        return _NAMES[value]
     raise TypeError(f"cannot serialize {value!r} in a report")
 
 
-def _looks_typed(text: str) -> bool:
-    t = text.strip()
-    if not t:
-        return False
+def _number(text: str):
+    """text as an int p, or as "p/q" with integer parts the pair (p, q), else None."""
+    num, sep, den = text.partition("/")
     try:
-        int(t)
-        return True
+        return (int(num), int(den)) if sep else int(num)
     except ValueError:
-        pass
-    if "/" in t:
-        num, _, den = t.partition("/")
-        try:
-            int(num), int(den)
-            return True
-        except ValueError:
-            pass
-    return t.startswith('"')
+        return None
 
 
-def _parse_scalar(text: str, line, source):
-    t = text.strip()
-    if t.startswith('"'):
+def _parse_scalar(t, line, source):
+    """A stripped scalar's value, told by its first character: a quote opens a string,
+    a sign or a decimal digit a number or a plain string, anything else a keyword or a string."""
+    first = t[:1]
+    if first == '"':
         if not t.endswith('"') or len(t) < 2:
             raise ParseError(f"unterminated string {t!r}", line=line, source=source)
-        body = t[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
-    if t == "none":
-        return None
-    if t == "true":
-        return True
-    if t == "false":
-        return False
-    if t == "[]":
-        return []
-    if t == "{}":
-        return {}
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    if "/" in t and _looks_typed(t):  # "p/q" with integer parts, so q = 0 is an error
-        return parse_rational(t, line=line, source=source)
-    return t
+        # no escape but "\\" holds a second backslash, so once the body is
+        # split at each "\\" the other escapes cannot overlap
+        parts = t[1:-1].split("\\\\")
+        for esc, c in _UNESCAPE:
+            parts = [part.replace(esc, c) for part in parts]
+        return "\\".join(parts)
+    if first == "+" or first == "-" or first.isdecimal():
+        number = _number(t)
+        if type(number) is not tuple:
+            return t if number is None else number
+        if not number[1]:
+            raise ParseError(f"bad rational {t!r}", line=line, source=source)
+        return Fraction(*number)
+    return [] if t == "[]" else {} if t == "{}" else _WORDS.get(t, t)
 
 
-def _dump_into(lines, data, indent):
-    pad = "  " * indent
+def _dump_into(lines, data, pad, cycles):
     for key, value in data.items():
-        if isinstance(value, Permutation):
-            lines.append(f"{pad}{key}: {_scalar_str(value)}")
-        elif isinstance(value, dict):
+        kind = type(value)
+        if kind not in _KINDS:
+            kind = next((k for k in _KINDS if isinstance(value, k)), kind)
+        if kind is dict:
             if value:
                 lines.append(f"{pad}{key}:")
-                _dump_into(lines, value, indent + 1)
+                _dump_into(lines, value, pad + "  ", cycles)
             else:
                 lines.append(f"{pad}{key}: {{}}")
-        elif isinstance(value, (list, tuple)):
+        elif kind is list or kind is tuple:
             if value:
                 lines.append(f"{pad}{key}:")
                 for item in value:
-                    if isinstance(item, dict):
+                    kind = type(item)
+                    if kind not in _KINDS:
+                        kind = next((k for k in _KINDS if isinstance(item, k)), kind)
+                    if kind is dict:
                         lines.append(f"{pad}  -")
-                        _dump_into(lines, item, indent + 2)
+                        _dump_into(lines, item, pad + "    ", cycles)
                     else:
-                        lines.append(f"{pad}  - {_scalar_str(item)}")
+                        lines.append(f"{pad}  - {_scalar_str(item, kind, cycles)}")
             else:
                 lines.append(f"{pad}{key}: []")
         else:
-            lines.append(f"{pad}{key}: {_scalar_str(value)}")
+            lines.append(f"{pad}{key}: {_scalar_str(value, kind, cycles)}")
 
 
 def dump_report(data: dict) -> str:
     lines = [f"{FORMAT_HEADER} {FORMAT_VERSION}"]
-    _dump_into(lines, data, 0)
+    _dump_into(lines, data, "", {})
     return "\n".join(lines) + "\n"
 
 
@@ -171,12 +173,13 @@ def load_report(text: str, source=None) -> dict:
         )
     items = []
     for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        content = raw.strip()
+        if not content:
             continue
         indent = len(raw) - len(raw.lstrip(" "))
         if indent % 2:
             raise ParseError("odd indentation", line=ln, source=source)
-        items.append((indent // 2, raw.strip(), ln))
+        items.append((indent // 2, content, ln))
     data, rest = _parse_block(items, 0, 0, source)
     if rest != len(items):
         raise ParseError("trailing content", line=items[rest][2], source=source)
@@ -185,26 +188,27 @@ def load_report(text: str, source=None) -> dict:
 
 def _parse_block(items, pos, level, source):
     out = {}
-    while pos < len(items):
+    end = len(items)
+    while pos < end:
         depth, content, ln = items[pos]
         if depth < level:
             break
         if depth > level:
             raise ParseError("unexpected indentation", line=ln, source=source)
-        if content.startswith("- ") or content == "-":
+        if content[0] == "-" and (content == "-" or content[1] == " "):
             raise ParseError("list item outside a list", line=ln, source=source)
         key, sep, rest = content.partition(":")
         if not sep:
             raise ParseError(f"expected 'key:' in {content!r}", line=ln, source=source)
-        key = key.strip()
-        rest = rest.strip()
+        key = key.rstrip()
+        rest = rest.lstrip()
         if rest:
             out[key] = _parse_scalar(rest, ln, source)
             pos += 1
             continue
         # nested block: list when the first child is a dash
         pos += 1
-        if pos < len(items) and items[pos][0] == level + 1 and (
+        if pos < end and items[pos][0] == level + 1 and (
             items[pos][1] == "-" or items[pos][1].startswith("- ")
         ):
             value, pos = _parse_list(items, pos, level + 1, source)
@@ -216,7 +220,8 @@ def _parse_block(items, pos, level, source):
 
 def _parse_list(items, pos, level, source):
     out = []
-    while pos < len(items):
+    end = len(items)
+    while pos < end:
         depth, content, ln = items[pos]
         if depth < level:
             break
@@ -226,7 +231,7 @@ def _parse_list(items, pos, level, source):
             sub, pos = _parse_block(items, pos + 1, level + 1, source)
             out.append(sub)
         elif content.startswith("- "):
-            out.append(_parse_scalar(content[2:], ln, source))
+            out.append(_parse_scalar(content[2:].lstrip(), ln, source))
             pos += 1
         else:
             break

@@ -4,6 +4,7 @@ class-level machinery: everything here works element by element."""
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -23,6 +24,11 @@ from groupapprox.groups import FiniteGroup, SeparationReport, consequences, is_n
 from groupapprox.lengths import AxiomReport, AxiomViolation
 from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
 from groupapprox.words import evaluate_word
+
+# Child processes (``python -m groupapprox``, the scripts) import the package
+# from this checkout's src/, as this process does, installed or not.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(autouse=True)

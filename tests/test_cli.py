@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import pkgutil
 import shlex
 import subprocess
@@ -621,8 +620,9 @@ class TestOneCommandParser:
         assert len(commands._COMMANDS) == 14
 
     def test_one_parser_per_process_and_command(self, monkeypatch, capsys):
-        """A well-formed argv builds no ArgumentParser; an error or help
-        builds the full parser, with its subparsers, once per process."""
+        """A well-formed argv builds no ArgumentParser; an error or help in
+        a subcommand builds that subcommand's parser alone, and a top-level
+        one the full parser, each once per process."""
         commands._build_parser.cache_clear()
         built = []
         init = argparse.ArgumentParser.__init__
@@ -637,11 +637,15 @@ class TestOneCommandParser:
             commands.parse_args(argv)
         assert built == []
         assert cli.run(["covering-constant", "--m", "x"]) == 1
-        full = ["groupapprox", *(f"groupapprox {name}" for name in commands._COMMANDS)]
-        assert built == full
+        one = ["groupapprox", "groupapprox covering-constant"]
+        assert built == one
         assert cli.run(["covering-constant", "--help"]) == 0
         assert cli.run(["covering-constant", "--m", "5"]) == 0
-        assert built == full
+        assert built == one
+        assert cli.run(["--help"]) == 0
+        assert cli.run(["frobnicate"]) == 1
+        full = ["groupapprox", *(f"groupapprox {name}" for name in commands._COMMANDS)]
+        assert built == one + full
         capsys.readouterr()
 
     def test_manifest_replay_has_no_out(self, tmp_path, capsys):
@@ -781,6 +785,19 @@ class TestRoundTrip:
         Y = [parse_cycles(t, G.degree) for t in data["params"]["Y"]]
         rep = is_n_separated(G, Y, X, data["params"]["n"])
         assert rep.verdict == data["result"]["verdict"]
+
+    @pytest.mark.parametrize("brk, escaped", [("\n", "\\n"), ("\r", "\\r"), ("\u2028", "\\u2028")])
+    def test_a_system_path_with_a_line_break_loads(self, brk, escaped, tmp_path, capsys):
+        """The report names the system file; a line break in its name is
+        escaped, so the report still loads and round-trips."""
+        system = tmp_path / f"a{brk}b.eqn"
+        system.write_text((MANIFESTS / "sq.eqn").read_text())
+        out = tmp_path / "r.report"
+        assert cli.run(["eq-solve", "--group", "S3", "--system", str(system), "--out", str(out)]) == 0
+        text = out.read_bytes().decode("utf-8")
+        assert f'system: "a{escaped}b.eqn"\n' in text
+        assert load_report(text)["params"]["system"] == system.name
+        assert dump_report(load_report(text)) == text
 
 
 class TestManifests:
@@ -981,22 +998,19 @@ class TestStartUp:
             "code = cli.run(['length', '--group', 'S4', '--perm', '(1 2)'])\n"
             "print(code, 'locale' in sys.modules, file=sys.stderr)"
         )
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.stderr == "0 False\n"
         assert load_report(proc.stdout)["result"]["value"] == Fraction(1, 2)
 
     def test_cli_import_loads_no_dataclasses(self):
         code = "import sys, groupapprox.cli\nprint('dataclasses' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
     def test_package_import_loads_no_submodule(self):
         code = "import sys, groupapprox\nprint(sorted(m for m in sys.modules if m.startswith('groupapprox.')))"
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
@@ -1007,9 +1021,8 @@ class TestStartUp:
     def test_each_module_imports_first(self, name):
         """Each module imports in a fresh interpreter before any other, so no
         import cycle hides behind an order that some other import sets up."""
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run(
-            [sys.executable, "-c", f"import groupapprox.{name}"], capture_output=True, text=True, env=env
+            [sys.executable, "-c", f"import groupapprox.{name}"], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -60,6 +60,31 @@ class TestScalars:
         loaded = load_report(text)
         assert loaded == {"witness": "(1 2)(3 4)", "list": ["(1 2)"]}
 
+    @pytest.mark.parametrize("brk, escaped", [
+        ("\n", "\\n"), ("\r", "\\r"), ("\x0b", "\\u000b"), ("\x0c", "\\u000c"), ("\x1c", "\\u001c"),
+        ("\x1d", "\\u001d"), ("\x1e", "\\u001e"), ("\x85", "\\u0085"), ("\u2028", "\\u2028"),
+        ("\u2029", "\\u2029"),
+    ])
+    def test_line_breaks_are_escaped_inside_quotes(self, brk, escaped):
+        data = {"s": f"a{brk}b", "end": f"x{brk}", "list": [brk, f'"{brk}\\']}
+        text = dump_report(data)
+        assert f's: "a{escaped}b"\n' in text
+        assert text.splitlines() == text.split("\n")[:-1]
+        assert load_report(text) == data
+
+    @pytest.mark.parametrize("body, value", [
+        (r'"\\n"', "\\n"), (r'"\n"', "\n"), (r'"\\\n"', "\\\n"), (r'"\q"', "\\q"),
+        (r'"\"\\"', '"\\'), (r'"\u0041"', "\\u0041"), (r'"\u2028"', "\u2028"), (r'"\u202"', "\\u202"),
+    ])
+    def test_quoted_escapes_read_left_to_right(self, body, value):
+        assert load_report(f"groupapprox-report 1\ns: {body}\n") == {"s": value}
+
+    def test_escape_lookalikes_keep_their_bytes(self):
+        assert dump_report({"s": "\\n", "t": " \\u2028"}) == (
+            'groupapprox-report 1\ns: \\n\nt: " \\\\u2028"\n'
+        )
+        assert load_report(dump_report({"t": " \\u2028"})) == {"t": " \\u2028"}
+
     def test_version_guard(self):
         with pytest.raises(ParseError):
             load_report("groupapprox-report 99\nkey: 1\n")

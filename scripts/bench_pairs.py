@@ -15,7 +15,10 @@ lower or higher as the metric says).
 ``--json PATH`` also records that summary, per metric, under the
 workload's name in the JSON file PATH, with every run's value, the seed,
 the pair count and the host; the other workloads already in PATH are
-kept, so one file can hold the pairs of several workloads.
+kept, so one file can hold the pairs of several workloads.  A workload
+already recorded there on another seed keeps that record, and this run
+goes under ``repeats`` by the workload's name, so that one file holds a
+claim and its repetition on a fresh seed.
 
 The two checkout paths must have the same length: ``peak_rss_mb`` moves
 by about 0.2 MB with the length of the path the benchmark runs from, so
@@ -68,13 +71,16 @@ def host():
 
 
 def write_json(path, args, summary, bad):
-    """Record this workload's pairs in ``path``, beside the workloads already there."""
+    """Record this workload's pairs in ``path``, beside the workloads already
+    there, or as its repeat when it is there on another seed."""
     try:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
     except FileNotFoundError:
         record = {"workloads": {}}
-    record["workloads"][args.workload] = {
+    first = record["workloads"].get(args.workload)
+    section = "workloads" if first is None or first.get("seed") == args.seed else "repeats"
+    record.setdefault(section, {})[args.workload] = {
         "host": host(),
         "seed": args.seed,
         "pairs": args.pairs,

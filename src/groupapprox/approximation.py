@@ -13,9 +13,12 @@ finite permutation group and one of two acceptance modes:
 Searches enumerate generator assignments into catalog groups in canonical
 order (so "first found" is reproducible), with the budget counted in
 candidate assignments, never wall time.  They test only the assignments
-whose first image leads its conjugation orbit, which find the same first
-map, and count every assignment by its canonical position.  They test
-each assignment on raw image tuples (``words.compile_word``) and build
+least in their orbits under simultaneous conjugation
+(``characters.leader_first``), which find the same first map, and count
+every assignment by its canonical position.  So ``approx-search --prune``
+changes neither the work nor the result; it is still accepted and
+reported, as the benchmark's inputs name it.  The searches test each
+assignment on raw image tuples (``words.compile_word``) and build
 permutations, exact lengths and reports for the one they return.
 """
 
@@ -281,16 +284,15 @@ def search_separating_hom(
     n: int,
     catalog,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    prune_conjugates: bool = False,
 ):
     """Scan generator assignments for a map separating outside from inside.
 
     Assignments enumerate lexicographically over canonical element order,
-    group by group in catalog order, with only those led by an orbit
-    leader tested (``_assignments``); every assignment extends to a
-    homomorphism of the free group, so only the separation verdict is
-    checked.  Raises BudgetExceeded when the assignment budget runs out
-    before the space is exhausted.
+    group by group in catalog order, with only the canonical ones tested
+    (``_assignments``); every assignment extends to a homomorphism of the
+    free group, so only the separation verdict is checked.  Raises
+    BudgetExceeded when the assignment budget runs out before the space is
+    exhausted.
 
     The depth-n consequence layer of the inside images is a union of
     classes that depends only on their classes, so it is formed once per
@@ -308,8 +310,6 @@ def search_separating_hom(
         for position, combo in _assignments(H, rank, count, budget):
             if class_of is None:
                 class_of = H.class_map()
-            if prune_conjugates and not H.is_conjugation_canonical([x for x, _ in combo]):
-                continue
             vals = tuple(chain.from_iterable(combo))
             key = frozenset([class_of[evaluate_compiled(w, vals, points)] for w in inside])
             layer = layers.get(key)
@@ -345,12 +345,11 @@ def _assignments(H, rank, count, budget):
     (position, tuple of (image, inverse) pairs), in canonical order.
 
     A search's successes are closed under simultaneous conjugation, so only
-    the assignments whose first image leads its orbit are tested
-    (``leader_first``).  Positions count every assignment, tested or not,
-    across the catalog: ``count`` precede H.  BudgetExceeded is raised at
-    the first position past ``budget``, tested or not, as a scan of every
-    assignment would: after H is listed, and before it is partitioned if
-    that is H's first.
+    the assignments least in their orbits are tested (``leader_first``).
+    Positions count every assignment, tested or not, across the catalog:
+    ``count`` precede H.  BudgetExceeded is raised at the first position
+    past ``budget``, tested or not, as a scan of every assignment would:
+    after H is listed, and before it is partitioned if that is H's first.
     """
     items = paired_images(H.elements())
     if count >= budget:

@@ -1,6 +1,6 @@
 """Conjugacy classes and characters of A_m, built from cycle types alone,
-the cycle types of the k-th powers in S_m and A_m, and the leaders of
-conjugation orbits that the searches and equation scans start from.
+the cycle types of the k-th powers in S_m and A_m, and the tuples least in
+their conjugation orbits, which the searches and equation scans test.
 
 No element of the group is listed.  The classes of ``A_m`` are the even
 cycle types of ``S_m``; a type splits into two halves iff its parts are
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import product as iter_product
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import CapExceeded
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
-from .perm import Permutation, is_even
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, _closure
+from .perm import Permutation, commutes, is_even
+from .words import paired_images
 
 
 def _partitions(n: int, largest: int):
@@ -197,23 +197,148 @@ def orbit_leaders(G: FiniteGroup, inner: bool = False):
 
 def leader_first(G: FiniteGroup, items, r: int, inner: bool = False):
     """The r-tuples over ``items``, a list aligned with ``G.elements()``,
-    whose first entry sits at a leader's position (``orbit_leaders``), in
+    that are least in their orbits under simultaneous conjugation, in
     canonical order, each with its 1-based position among all
-    ``len(items) ** r`` tuples: the leader at position i with tail j is at
-    i * len(items) ** (r - 1) + j + 1.
+    ``len(items) ** r`` tuples: the tuple of the elements at positions
+    i_1, ..., i_r is at i_1 * n ** (r - 1) + ... + i_r * n ** 0 + 1.
 
-    If a set of tuples is closed under simultaneous conjugation, its
-    canonically first member is among these: conjugating its first entry
-    to the leader gives a member that is no later.
+    The conjugations are those of ``orbit_leaders``.  Tuples compare entry
+    by entry, so a tuple is least in its orbit iff its first entry is a
+    leader and each later entry is least in its orbit under the
+    conjugations that fix the entries before it.  If a set of tuples is
+    closed under simultaneous conjugation, its canonically first member is
+    among these.  The orbits are memoized on G (``_Leaders``), so a group
+    shared between commands (``store.share``) forms them once.
     """
     if not r:
         yield 1, ()
         return
+    by_sym = G.kind == "symmetric" or (G.kind == "alternating" and not inner)
+    root = G._orbits.get(by_sym)
+    if root is None:
+        root = G._orbits[by_sym] = _Leaders(G, by_sym, orbit_leaders(G, inner))
+    yield from _canonical_tuples(root, items, r, 0, ())
+
+
+def _canonical_tuples(node, items, r, offset, head):
+    """(position, tuple) for the canonical tuples ``head + t``, t an r-tuple
+    whose first entry is one of ``node.minima``; ``offset`` is the position
+    of ``head`` followed by r copies of the first element, less 1."""
+    if r == 1:
+        for i in node.minima:
+            yield offset + i + 1, head + (items[i],)
+        return
     block = len(items) ** (r - 1)
-    for i in orbit_leaders(G, inner):
-        head = (items[i],)
-        for position, tail in enumerate(iter_product(items, repeat=r - 1), start=i * block + 1):
-            yield position, head + tail
+    for i in node.minima:
+        tail = _canonical_tuples(node.child(i), items, r - 1, offset + i * block, head + (items[i],))
+        yield from tail
+
+
+class _Orbits:
+    """The positions in ``G.elements()`` of the elements least in their
+    orbits under conjugation by a group K, sorted, and the same for the
+    stabilizer in K of each (``child``), formed when first asked for.
+
+    K is given by ``conjugators``, pairs (g, g^-1): every element of K
+    when ``closed``, else generators of K.  An orbit is formed from its
+    least element, in canonical order, by conjugating it by every element
+    of K, or, breadth first, by the generators; so S_m is never listed
+    for A_m.
+    """
+
+    def __init__(self, G: FiniteGroup, conjugators, closed: bool, minima=None):
+        self.group = G
+        self.conjugators = conjugators
+        self.closed = closed
+        self.children = {}
+        if minima is None:
+            els, where = G.elements(), G.positions()
+            moving = [pair for pair in conjugators if not pair[0].is_identity()]
+            seen = bytearray(len(els))
+            minima = []
+            for i in range(len(els)):
+                if seen[i]:
+                    continue
+                minima.append(i)
+                seen[i] = 1
+                orbit = [i]
+                for k in orbit:  # grows while it is walked, unless K is listed
+                    x = els[k]
+                    for g, g_inv in moving:
+                        j = where[tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))]  # g^-1 x g
+                        if not seen[j]:
+                            seen[j] = 1
+                            if not closed:
+                                orbit.append(j)
+        self.minima = minima
+
+    def child(self, i: int) -> "_Orbits":
+        node = self.children.get(i)
+        if node is None:
+            y = self.group.elements()[i]
+            fixed = all(commutes(y, g) for g, _ in self.conjugators)
+            node = self.children[i] = self if fixed else self._stabilizer(y)
+        return node
+
+    def _stabilizer(self, y: Permutation) -> "_Orbits":
+        """The orbits of the elements of K that commute with y."""
+        K = self.conjugators
+        if not self.closed:
+            G = self.group
+            K = paired_images(_closure([g for g, _ in K], G.degree, DEFAULT_ELEMENT_CAP, G.name))
+        return _Orbits(self.group, tuple(pair for pair in K if commutes(y, pair[0])), True)
+
+
+class _Leaders(_Orbits):
+    """The root of ``leader_first``'s orbits: K is ``S_m`` when ``by_sym``,
+    else G, given by its generators, and the minima are ``orbit_leaders``.
+
+    A leader's stabilizer is its centralizer.  In ``S_m`` it is generated
+    from the leader's cycles (``_centralizer_generators``); in G it is
+    G's memoized ``_centralizer`` of the leader's class, as the leaders
+    are then G's class representatives.
+    """
+
+    def __init__(self, G: FiniteGroup, by_sym: bool, leaders):
+        gens = FiniteGroup.symmetric(G.degree).generators if by_sym else G.generators
+        super().__init__(G, paired_images(gens), False, leaders)
+        self.by_sym = by_sym
+
+    def _stabilizer(self, y: Permutation) -> _Orbits:
+        G = self.group
+        if self.by_sym:
+            return _Orbits(G, paired_images(_centralizer_generators(y)), False)
+        return _Orbits(G, G._centralizer(G.class_index_of(y)), True)
+
+
+def _centralizer_generators(y: Permutation) -> list[Permutation]:
+    """Generators of the centralizer of y in ``S_m``.
+
+    It permutes the cycles of each length, fixed points being the cycles
+    of length 1, and rotates each cycle.  So for each length it is
+    generated by the rotation of one cycle, the shift of each cycle onto
+    the next and the swap of the first two, each cycle matched point for
+    point from its start.
+    """
+    m = len(y)
+    by_length = {}
+    for cycle in y.cycles() + [(p,) for p, q in enumerate(y) if p == q]:
+        by_length.setdefault(len(cycle), []).append(cycle)
+    gens = []
+    for cycles in by_length.values():
+        first = cycles[0]
+        moves = [(first, first[1:] + first[:1])]
+        if len(cycles) > 1:
+            moves.append((sum(cycles, ()), sum(cycles[1:] + cycles[:1], ())))
+        if len(cycles) > 2:
+            moves.append((first + cycles[1], cycles[1] + first))
+        for sources, targets in moves:
+            if sources != targets:
+                images = list(range(m))
+                for p, q in zip(sources, targets):
+                    images[p] = q
+                gens.append(Permutation(images))
+    return gens
 
 
 def _other_half(rep: Permutation) -> Permutation:

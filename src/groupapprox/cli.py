@@ -243,9 +243,7 @@ def _cmd_approx_check(args):
 def _cmd_approx_search(args):
     p = approx.parse_presentation(read_text(args.presentation), source=args.presentation)
     groups = _catalog_groups(args.catalog)
-    outcome = approx.search_separating_hom(
-        p, args.n, groups, budget=args.budget, prune_conjugates=args.prune
-    )
+    outcome = approx.search_separating_hom(p, args.n, groups, budget=args.budget)
     params = {
         "presentation": os.path.basename(args.presentation),
         "n": args.n,

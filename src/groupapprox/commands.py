@@ -86,7 +86,9 @@ _COMMANDS = {
         ("--n", dict(type=int, required=True)),
         ("--catalog", dict(action="append", default=[], required=True)),
         ("--budget", dict(type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)),
-        ("--prune", dict(action="store_true", help="skip conjugate image tuples")),
+        ("--prune", dict(
+            action="store_true", help="reported only: every search skips conjugate image tuples"
+        )),
     )),
     "sofic-search": ("search for a long-outside/short-inside homomorphism", _OUT + (
         ("--presentation", dict(required=True)),

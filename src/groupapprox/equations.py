@@ -117,15 +117,15 @@ def solvable_in(
     tuple, so an unsolvable system surfaces its canonically least failing
     constant tuple.  When the worst-case scan size |G|^r * |G|^k exceeds
     the budget the verdict is unknown.  Without witnesses only the tuples
-    led by an orbit leader are scanned (``_constant_tuples``); with
-    witnesses every tuple is, as each records its first solution.
+    least in their conjugation orbits are scanned (``_constant_tuples``);
+    with witnesses every tuple is, as each records its first solution.
 
     constants_up_to_conjugacy scans only the canonically least tuple of
-    each orbit under G's own conjugation, with or without witnesses.  Such
-    a tuple is led by a class representative of G, so only the tuples led
-    by one are listed and tested.  The verdict and the counterexample are
-    unchanged (the least failing tuple overall is always orbit-canonical);
-    witnesses are recorded for the orbit representatives only.
+    each orbit under G's own conjugation, with or without witnesses.  So
+    it changes the orbits (G's own, not those of ``S_m``, on ``A_m``), the
+    ``reason``, which says how many tuples, and the witnesses, recorded for
+    the orbit representatives only.  The verdict and the counterexample
+    are unchanged (the least failing tuple overall is always canonical).
 
     A witness-free power word over ``S_m`` or ``A_m`` is decided per
     constant tuple from cycle types (``_root_types``), in process.
@@ -141,13 +141,11 @@ def solvable_in(
         return SolvabilityReport(
             verdict="unknown", reason=f"worst-case scan {worst} exceeds budget {budget}", **domains
         )
+    every = want_witnesses and not constants_up_to_conjugacy
+    constant_tuples = list(_constant_tuples(G, els, r, every, inner=constants_up_to_conjugacy))
     reason = ""
     if constants_up_to_conjugacy:
-        led = _constant_tuples(G, els, r, every=False, inner=True)
-        constant_tuples = [t for t in led if G.is_conjugation_canonical(t)]
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
-    else:
-        constant_tuples = list(_constant_tuples(G, els, r, every=want_witnesses))
     workers = worker_count(jobs, len(constant_tuples))
     roots = _root_types(G, system, want_witnesses)
     scan_args = (system, constant_tuples, els, G.degree, want_witnesses)
@@ -166,10 +164,10 @@ def solvable_in(
 
 def _constant_tuples(G, els, r, every, inner=False):
     """The constant r-tuples over ``els`` to scan, in canonical order: all
-    of them when ``every`` tuple records a witness, else those led by an
-    orbit leader (``leader_first``).  Solvability of a tuple does not change
-    when the whole tuple is conjugated, by ``S_m`` too when G is ``A_m``
-    unless ``inner``, so the least failing tuple is among them.
+    of them when ``every`` tuple records a witness, else those least in
+    their conjugation orbits (``leader_first``).  Solvability of a tuple
+    does not change when the whole tuple is conjugated, by ``S_m`` too when
+    G is ``A_m`` unless ``inner``, so the least failing tuple is among them.
     """
     if every:
         return iter_product(els, repeat=r)
@@ -456,7 +454,7 @@ def solvable_over_bounded(
             continue
         # Canonical order only fixes which solution is reported first, so a
         # witness-free scan streams S_m and A_m instead of listing them, and
-        # scans only the constant tuples led by an orbit leader of G: each
+        # scans only the constant tuples canonical under G's conjugation: each
         # g in G maps to an element of H, so G's own conjugation keeps the
         # verdict, which an outer automorphism of A_m need not.
         domain = H.elements() if want_witnesses else H.iter_elements()

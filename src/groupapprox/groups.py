@@ -26,7 +26,7 @@ from math import factorial, prod
 from operator import eq
 
 from .errors import CapExceeded
-from .perm import Permutation, check_degree, conjugate, direct_sum, identity, is_even
+from .perm import Permutation, check_degree, commutes, conjugate, direct_sum, identity, is_even
 from .records import Record
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -53,6 +53,7 @@ class FiniteGroup:
         self._class_products = {}  # (i, j) with i <= j -> frozenset of class indices
         self._centralizers = {}  # class index -> (g, g^-1) for g centralizing its rep
         self._positions = None  # element -> index in canonical order
+        self._orbits = {}  # conjugation by S_m or not -> characters._Leaders
 
     # -- constructors ---------------------------------------------------
 
@@ -251,49 +252,25 @@ class FiniteGroup:
         self.conjugacy_classes()
         return self._class_index
 
-    def is_conjugation_canonical(self, items) -> bool:
-        """True when no simultaneous conjugate (g^-1 x g for each x, g in G) of
-        the tuple is smaller, comparing entries in canonical element order.
-
-        A conjugate that moves the first entry x is smaller iff it moves x to
-        a smaller element of its class, so x must be its class's canonical
-        representative.  Then only the centralizer of x keeps the first entry,
-        and it must not make the rest of the tuple smaller; when x is central
-        that is the same question for the rest.
-        """
-        if not items:
-            return True
-        first = items[0]
-        ci = self.class_map()[first]
-        if first != self._class_reps[ci]:
-            return False
-        rest = items[1:]
-        if len(self._classes[ci]) == 1:
-            return self.is_conjugation_canonical(rest)
-        centralizer = self._centralizer(ci)
-        position = self._positions
-        for g, g_inv in centralizer:
-            for x in rest:
-                y = tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))  # g^-1 x g
-                if y != x:
-                    if position[y] < position[x]:
-                        return False
-                    break
-        return True
+    def positions(self) -> dict:
+        """Element -> index in canonical order, memoized; a raw image tuple
+        indexes it too."""
+        if self._positions is None:
+            self._positions = {x: i for i, x in enumerate(self.elements())}
+        return self._positions
 
     def _centralizer(self, index: int) -> tuple:
         """(g, g^-1) for each g commuting with the representative of class
-        ``index``, memoized; also numbers the elements in canonical order."""
+        ``index``, memoized."""
         out = self._centralizers.get(index)
         if out is None:
             rep = self._class_reps[index]
-            els = self._elements  # built with the partition
-            if self._positions is None:
-                self._positions = {x: i for i, x in enumerate(els)}
+            p = next(i for i, j in enumerate(rep) if i != j)  # rep is not central
+            q = rep[p]
             out = tuple(
                 (g, g.inverse())
-                for g in els
-                if tuple(map(g.__getitem__, rep)) == tuple(map(rep.__getitem__, g))
+                for g in self._elements  # listed with the partition
+                if g[q] == rep[g[p]] and commutes(rep, g)  # at p first, a cheap test
             )
             self._centralizers[index] = out
         return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from operator import itemgetter, sub
+from operator import itemgetter, ne, sub
 
 from .groups import FiniteGroup, class_first_depths, iter_consequence_class_layers
 from .perm import Permutation, conjugate, hamming_length
@@ -106,8 +106,10 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     max_violations witnesses per axiom, in canonical (g, h) order, but
     any failure makes the report invalid.
 
-    Every ordered pair is settled on element indices, with values compared
-    as integers over their common denominator, so the check stays exact.
+    Every axiom is settled on element indices and the integer row
+    ``scaled``, the values over their common denominator D, so the check
+    stays exact; a ``Fraction`` is built only for a violation's message.
+    For Hamming the row is the moved-point counts, over D = m.
     The generator conjugations idx(s*x*s^-1) union into orbits, the
     classes, and x fails invariance iff its class is not constant.  If no
     class fails, ||k*r*k^-1 * h|| <= ||r|| + ||h|| is ||r*h'|| <= ||r|| +
@@ -121,10 +123,19 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     G = ell.group
     els = G.elements()
     n = len(els)
-    index = {x: i for i, x in enumerate(els)}
-    values = [ell(x) for x in els]
-    denominator = lcm(*(v.denominator for v in values))
-    scaled = tuple(v.numerator * (denominator // v.denominator) for v in values)
+    index = G.positions()
+    if ell._values is None:  # Hamming
+        points = range(G.degree)
+        denominator = G.degree or 1
+        scaled = tuple(sum(map(ne, x, points)) for x in els)
+    else:
+        values = [ell(x) for x in els]
+        denominator = lcm(*(v.denominator for v in values))
+        scaled = tuple(v.numerator * (denominator // v.denominator) for v in values)
+
+    def value(i):
+        return Fraction(scaled[i], denominator)
+
     gens = G.generators if n > 1 else ()  # an itemgetter of one item returns no tuple
     root = index[G.identity()]
     # idx(s x) and idx(x s) from image tuples: (s x)[i] = x[s[i]], (x s)[i] = s[x[i]].
@@ -160,12 +171,12 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     not_subadditive = failing if variant else [x for x, c in enumerate(orbit) if c in failed]
 
     identity = []
-    if values[root] != 0:
-        identity.append(AxiomViolation("identity", (els[root],), f"||1|| = {values[root]} != 0"))
+    if scaled[root]:
+        identity.append(AxiomViolation("identity", (els[root],), f"||1|| = {value(root)} != 0"))
     negative = [
-        AxiomViolation("nonnegative", (x,), f"||{x!r}|| = {v} < 0")
-        for x, v in zip(els, values)
-        if v < 0
+        AxiomViolation("nonnegative", (x,), f"||{x!r}|| = {value(i)} < 0")
+        for i, x in enumerate(els)
+        if scaled[i] < 0
     ]
     valid = not (identity or negative or not_subadditive or not_invariant)
     keep = max(max_violations, 0)
@@ -177,7 +188,7 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
             for h, y in enumerate(els):
                 gh = index[x * y]
                 if scaled[gh] > sg + scaled[h]:
-                    detail = f"||gh|| = {values[gh]} > {values[g]} + {values[h]}"
+                    detail = f"||gh|| = {value(gh)} > {value(g)} + {value(h)}"
                     yield AxiomViolation("subadditive", (x, y), detail)
 
     def variant_pairs():
@@ -186,7 +197,7 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
             for h, y in enumerate(els):
                 c = index[conjugate(x, y)]
                 if scaled[c] != sg:
-                    detail = f"||h^-1 g h|| = {values[c]} != {values[g]}"
+                    detail = f"||h^-1 g h|| = {value(c)} != {value(g)}"
                     yield AxiomViolation("invariant", (x, y), detail)
 
     violations += islice(superadditive_pairs(), keep)

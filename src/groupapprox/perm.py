@@ -135,6 +135,11 @@ def conjugate(x: Permutation, g: Permutation) -> Permutation:
     return Permutation(out)
 
 
+def commutes(x: Permutation, g: Permutation) -> bool:
+    """x * g == g * x, compared as image tuples."""
+    return tuple(map(g.__getitem__, x)) == tuple(map(x.__getitem__, g))
+
+
 def parity(h: Permutation) -> str:
     """'even' or 'odd' (sign of the permutation)."""
     return "even" if is_even(h) else "odd"

@@ -103,11 +103,12 @@ def _parse_scalar(t, line, source):
     a sign or a decimal digit a number or a plain string, anything else a keyword or a string."""
     first = t[:1]
     if first == '"':
-        if not t.endswith('"') or len(t) < 2:
-            raise ParseError(f"unterminated string {t!r}", line=line, source=source)
         # no escape but "\\" holds a second backslash, so once the body is
-        # split at each "\\" the other escapes cannot overlap
+        # split at each "\\" the other escapes cannot overlap, and a last
+        # part that ends in a backslash escapes the closing quote
         parts = t[1:-1].split("\\\\")
+        if len(t) < 2 or not t.endswith('"') or parts[-1].endswith("\\"):
+            raise ParseError(f"unterminated string {t!r}", line=line, source=source)
         for esc, c in _UNESCAPE:
             parts = [part.replace(esc, c) for part in parts]
         return "\\".join(parts)

@@ -4,7 +4,8 @@ The name resolvers (``catalog.builtin_group``, ``catalog.parse_catalog``
 and ``report.group_from_data``) pass each group they build through
 ``share``.  A later command that names the same group (same kind, degree,
 generators, components and name) gets the same instance, with its
-elements, class partition, class products and centralizers already built.
+elements, class partition, class products, centralizers and conjugation
+orbits already built.
 
 A stored group answers every query as a fresh one does.  ``cli`` calls
 ``trim`` after each command, to bound what stays stored between commands.

@@ -268,14 +268,37 @@ def every_tuple(G, items, r, inner=False):
     return enumerate(iter_product(items, repeat=r), start=1)
 
 
+def canonical_tuples(els, r, acting):
+    """``characters.leader_first`` by brute force: the r-tuples over
+    ``els``, in canonical order, that ``is_conjugation_canonical`` keeps
+    under conjugation by ``acting``, each with its 1-based position among
+    all ``len(els) ** r`` tuples.  Only the extensions of kept tuples are
+    tested, as a conjugation that lowers the first k entries of a tuple
+    lowers the tuple."""
+    kept = [(0, ())]
+    for _ in range(r):
+        kept = [
+            (position * len(els) + i, t + (x,))
+            for position, t in kept
+            for i, x in enumerate(els)
+            if is_conjugation_canonical(t + (x,), acting)
+        ]
+    return [(position + 1, t) for position, t in kept]
+
+
 def is_conjugation_canonical(items, elements) -> bool:
-    """The conjugation-canonical predicate before its class-aware form: no
-    simultaneous conjugate g^-1 x g (g in elements) of the tuple has a
-    smaller tuple of sort keys."""
-    keys = tuple(x.sort_key() for x in items)
+    """The conjugation-canonical predicate, by brute force over the acting
+    group: no simultaneous conjugate g^-1 x g (g in elements) of the tuple
+    has a smaller tuple of sort keys.  The keys are compared entry by entry,
+    up to the first that differs."""
+    keys = [x.sort_key() for x in items]
     for g in elements:
-        if tuple(conjugate(x, g).sort_key() for x in items) < keys:
-            return False
+        for x, key in zip(items, keys):
+            other = conjugate(x, g).sort_key()
+            if other != key:
+                if other < key:
+                    return False
+                break
     return True
 
 

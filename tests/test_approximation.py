@@ -3,7 +3,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from groupapprox import approximation
+from groupapprox import approximation, cli
 from groupapprox.approximation import (
     Certificate,
     ConsequenceMode,
@@ -26,6 +26,7 @@ from groupapprox.errors import BudgetExceeded, ParseError
 from groupapprox.groups import FiniteGroup, cyclic, is_n_separated
 from groupapprox.lengths import hamming
 from groupapprox.perm import hamming_length, identity, parse_cycles
+from groupapprox.report import load_report
 
 
 def s(text, degree):
@@ -192,11 +193,22 @@ class TestSearchSeparatingHom:
         with pytest.raises(BudgetExceeded):
             search_separating_hom(p, 1, [A4], budget=2)
 
-    def test_prune_agrees_on_verdict(self):
-        p = parse_presentation("generators a\nrelator a a a\ninside a a a\noutside a\n")
-        raw = search_separating_hom(p, 2, [Z3], budget=100)
-        pruned = search_separating_hom(p, 2, [Z3], budget=100, prune_conjugates=True)
-        assert isinstance(raw, FoundHomomorphism) == isinstance(pruned, FoundHomomorphism)
+    def test_prune_agrees_on_verdict(self, tmp_path):
+        """``--prune`` is accepted and reported, and changes nothing else."""
+        pres = tmp_path / "z3.pres"
+        pres.write_text("generators a\nrelator a a a\ninside a a a\noutside a\n")
+        catalog = tmp_path / "z3.catalog"
+        catalog.write_text("Z3 generated 3 (1 2 3)\n")
+        reports = []
+        for prune in ([], ["--prune"]):
+            out = tmp_path / "search.report"
+            argv = ["approx-search", "--presentation", str(pres), "--n", "2",
+                    "--catalog", str(catalog), "--budget", "100", *prune, "--out", str(out)]
+            assert cli.run(argv) == 0
+            reports.append(load_report(out.read_text(encoding="utf-8")))
+        assert [r["params"]["prune"] for r in reports] == [False, True]
+        assert reports[0]["result"] == reports[1]["result"]
+        assert reports[0]["result"]["status"] == "found"
 
 
 class TestSearchSoficInstance:

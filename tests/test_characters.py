@@ -6,7 +6,7 @@ from itertools import product as iter_product
 from math import factorial, prod
 
 import pytest
-from conftest import element_covering_constant, enumerated_alternating
+from conftest import canonical_tuples, element_covering_constant, enumerated_alternating
 
 from groupapprox import coverage
 from groupapprox.characters import (
@@ -59,13 +59,47 @@ def test_orbit_leaders_of_other_groups_are_their_class_representatives(name):
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_leader_first_positions_index_every_tuple(r):
+    """On A4, under S4: the yielded tuples are in canonical order, each at
+    its position in ``iter_product``, and are the canonical ones."""
     G = FiniteGroup.alternating(4)
     items = G.elements()
     every = list(iter_product(items, repeat=r))
     led = list(leader_first(G, items, r))
-    leaders = {items[i] for i in orbit_leaders(G)}
-    assert [every[position - 1] for position, _ in led] == [t for _, t in led]
-    assert [t for _, t in led] == [t for t in every if not t or t[0] in leaders]
+    positions = [position for position, _ in led]
+    assert positions == sorted(set(positions))
+    assert [every[position - 1] for position in positions] == [t for _, t in led]
+    assert led == canonical_tuples(items, r, FiniteGroup.symmetric(4).elements())
+
+
+def _s3_x_z2():
+    return FiniteGroup.direct_product([FiniteGroup.symmetric(3), cyclic(2)])
+
+
+LEADER_GROUPS = {
+    **{f"S{m}": (lambda m=m: FiniteGroup.symmetric(m)) for m in range(1, 6)},
+    **{f"A{m}": (lambda m=m: FiniteGroup.alternating(m)) for m in range(1, 7)},
+    "D4": lambda: FiniteGroup.generated(
+        4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4)], name="D4"
+    ),
+    "S3xZ2": _s3_x_z2,
+}
+
+
+@pytest.mark.parametrize("inner", [False, True])
+@pytest.mark.parametrize("name", sorted(LEADER_GROUPS))
+def test_leader_first_yields_exactly_the_canonical_tuples(name, inner):
+    """Against the brute-force predicate, over S_m for builtin S_m and A_m
+    unless ``inner``, else over the group itself: the same tuples in the
+    same order at the same positions, for r = 0..3 (0..2 past order 60).
+    Asked again, the group's memoized orbits give the same tuples."""
+    G = LEADER_GROUPS[name]()
+    els = G.elements()
+    by_sym = G.kind == "symmetric" or (G.kind == "alternating" and not inner)
+    acting = FiniteGroup.symmetric(G.degree).elements() if by_sym else els
+    for r in range(4 if len(els) <= 60 else 3):
+        expected = canonical_tuples(els, r, acting)
+        assert list(leader_first(G, els, r, inner)) == expected, r
+        assert list(leader_first(G, els, r, inner)) == expected, r
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "alternating"])

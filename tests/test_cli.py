@@ -195,6 +195,63 @@ def test_run_writes_the_same_report_to_out_and_stdout(command, tmp_path, capsys)
     )
 
 
+def _report(tmp_path, argv):
+    out = tmp_path / "same.report"
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+class TestFlagsThatChangeNoWork:
+    """Every scan tests only the tuples least in their conjugation orbits,
+    so ``--prune`` changes no report but its own param, and ``--jobs``
+    changes none."""
+
+    def test_prune_on_the_scan_catalogs(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        steps = workloads.build("scan", 1, str(tmp_path), str(ROOT))
+        searches = [
+            step.argv[:step.argv.index("--out")]
+            for step in steps
+            if step.argv[0] == "approx-search" and "--prune" not in step.argv
+        ]
+        assert len(searches) == 2
+        for argv in searches:
+            plain = _report(tmp_path, argv)
+            assert "  prune: false\n" in plain and "status: exhausted" in plain
+            pruned = _report(tmp_path, argv + ["--prune"])
+            assert pruned == plain.replace("  prune: false\n", "  prune: true\n")
+
+    def test_prune_on_a_found_map(self, tmp_path):
+        pres = tmp_path / "found.pres"
+        pres.write_text("generators a b\ninside a a\noutside a b\noutside b\n")
+        catalog = tmp_path / "found.catalog"
+        catalog.write_text("S3 symmetric 3\nD4 generated 4 (1 2 3 4), (1 3)\nA5 alternating 5\n")
+        argv = ["approx-search", "--presentation", str(pres), "--n", "1",
+                "--catalog", str(catalog)]
+        plain = _report(tmp_path, argv)
+        assert "status: found" in plain
+        pruned = _report(tmp_path, argv + ["--prune"])
+        assert pruned == plain.replace("  prune: false\n", "  prune: true\n")
+
+    @pytest.mark.parametrize("group", ["S3", "A4", "A5"])
+    def test_jobs_with_witnesses_on_two_constants(self, group, tmp_path, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # so that --jobs 2 starts two workers
+        texts = {
+            "conjugacy": "constants 2; variables 1;\nx1 a1 x1^-1 a2^-1\n",
+            "commuting product": "constants 2; variables 1;\nx1 a1 a2 x1^-1 a2^-1 a1^-1\n",
+        }
+        for key, text in texts.items():
+            system = tmp_path / "two.eqn"
+            system.write_text(text)
+            for reduce in ([], ["--reduce-constants"]):
+                argv = ["eq-solve", "--group", group, "--system", str(system), "--witnesses",
+                        *reduce]
+                one = _report(tmp_path, argv)
+                assert _report(tmp_path, argv + ["--jobs", "2"]) == one, (key, reduce)
+
+
 class TestExitCodes:
     def test_bad_cycle_notation_is_input_error(self):
         proc = run_cli("length", "--group", "A5", "--perm", "(1 2")
@@ -1052,17 +1109,23 @@ class TestScripts:
     def test_bench_pairs_toy(self, tmp_path):
         """One toy pair of the repository against itself: both sides run,
         every run is correct, and each metric gets its summary line and its
-        record in the JSON file, beside the workloads already there."""
+        record in the JSON file, beside the workloads already there.  A
+        second run on another seed goes under ``repeats`` and keeps the
+        first record."""
         record = tmp_path / "bench.json"
         record.write_text('{"workloads": {"scan": {"seed": 4}}}')
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
-             "--workload", "sweep", "--seed", "1", "--pairs", "1", "--seconds", "0.1", "--toy",
-             "--json", str(record)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+
+        def bench(seed):
+            return subprocess.run(
+                [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+                 "--workload", "sweep", "--seed", str(seed), "--pairs", "1", "--seconds", "0.1",
+                 "--toy", "--json", str(record)],
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+
+        proc = bench(1)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("pair 1, parent first: setup_s ")
@@ -1082,6 +1145,13 @@ class TestScripts:
             for side in ("parent", "change"):
                 assert set(metric[side]) == {"q1", "median", "q3", "runs"}
                 assert len(metric[side]["runs"]) == 1
+        assert "repeats" not in json.loads(record.read_text())
+
+        assert bench(2).returncode == 0
+        after = json.loads(record.read_text())
+        assert after["workloads"] == workloads
+        repeat = after["repeats"]["sweep"]
+        assert repeat["seed"] == 2 and set(repeat["metrics"]) == set(sweep["metrics"])
 
     def test_bench_pairs_refuses_paths_of_unequal_length(self, tmp_path):
         proc = subprocess.run(

@@ -7,10 +7,16 @@ words over ``S_m``/``A_m``, decided from cycle types, against both."""
 
 import hashlib
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from conftest import element_scan_constants, every_tuple
+from conftest import (
+    canonical_tuples,
+    element_scan_constants,
+    every_tuple,
+    is_conjugation_canonical,
+)
 
 from groupapprox import cli, equations, groups
 from groupapprox.characters import power_types
@@ -94,11 +100,24 @@ def _systems(G):
     return out
 
 
+@lru_cache(maxsize=None)
+def _own_canonical(G, r):
+    return canonical_tuples(G.elements(), r, G.elements())
+
+
+def _constant_tuples(G, items, r, inner=False):
+    """The constant tuples of the oracle: the canonical ones, by brute force,
+    where only G's own conjugation keeps the verdict (``inner``), else every
+    tuple."""
+    return _own_canonical(G, r) if inner else every_tuple(G, items, r)
+
+
 def _oracle(monkeypatch, fn, *args, scan=element_scan_constants, **kwargs):
-    """``fn`` with the element scan over every constant tuple."""
+    """``fn`` with the element scan over every constant tuple, or over the
+    canonical ones by brute force where only G's own conjugation counts."""
     with monkeypatch.context() as m:
         m.setattr(equations, "_scan_constants", scan)
-        m.setattr(equations, "leader_first", every_tuple)
+        m.setattr(equations, "leader_first", _constant_tuples)
         return fn(*args, **kwargs)
 
 
@@ -238,24 +257,24 @@ def test_one_constant_binds_only_the_leaders(monkeypatch, tmp_path):
     assert b"verdict: solvable" in out.read_bytes()
 
 
-def test_reduced_constants_check_only_tuples_led_by_a_class_representative(monkeypatch):
-    """--reduce-constants on A6 with two constants tests the 7 * 360 tuples
-    led by a class representative of A6 for canonicity, not all 360**2."""
-    checked = []
-
-    def counting(self, items):
-        if len(items) == 2:  # not the recursive call on the rest of a tuple
-            checked.append(items)
-        return canonical(self, items)
-
-    canonical = FiniteGroup.is_conjugation_canonical
-    monkeypatch.setattr(FiniteGroup, "is_conjugation_canonical", counting)
-    system = parse_equation_system(NOT_POWER_WORDS["conjugacy"])
+def test_reduced_constants_check_only_tuples_led_by_a_class_representative():
+    """--reduce-constants on A6 with two constants tests exactly the 400
+    constant pairs least in their orbits under A6's own conjugation, of
+    all 360**2: with witnesses, one per tested pair.  By Burnside's lemma
+    the orbits number sum_g |C(g)|^2 / |G|, the sum of the class
+    centralizer orders."""
+    G = FiniteGroup.alternating(6)
+    els = G.elements()
+    system = parse_equation_system("constants 2; variables 1;\nx1 a1 a2 x1^-1 a2^-1 a1^-1\n")
     report = solvable_in(
-        FiniteGroup.alternating(6), system, budget=10**8, constants_up_to_conjugacy=True
+        G, system, budget=10**8, want_witnesses=True, constants_up_to_conjugacy=True
     )
-    assert len(checked) == 2520
+    tested = [constants for constants, _ in report.witnesses]
+    orbits = sum(len(els) // len(K) for K in G.conjugacy_classes())
+    assert len(tested) == orbits == 400
     assert report.reason == "constants reduced to 400 orbit representatives"
+    assert tested == sorted(tested, key=lambda t: [els.index(x) for x in t])
+    assert all(is_conjugation_canonical(t, els) for t in tested)
 
 
 @pytest.mark.parametrize("name", ["S3", "A4", "Z3xK4"])

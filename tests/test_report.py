@@ -79,6 +79,21 @@ class TestScalars:
     def test_quoted_escapes_read_left_to_right(self, body, value):
         assert load_report(f"groupapprox-report 1\ns: {body}\n") == {"s": value}
 
+    @pytest.mark.parametrize("body", [r'"abc\"', r'"\"', r'"a\\\"', r'"\\\\\"'])
+    def test_an_escaped_closing_quote_leaves_the_string_unterminated(self, body):
+        for text, line in (
+            (f"groupapprox-report 1\nok: 1\ns: {body}\n", 3),
+            (f"groupapprox-report 1\ns:\n  - {body}\n", 3),
+        ):
+            with pytest.raises(ParseError, match="unterminated string") as exc:
+                load_report(text)
+            assert exc.value.line == line
+            assert exc.value.bare_message == f"unterminated string {body!r}"
+
+    @pytest.mark.parametrize("body, value", [(r'"abc\\"', "abc\\"), (r'"\\\\"', "\\\\")])
+    def test_an_escaped_backslash_before_the_closing_quote_loads(self, body, value):
+        assert load_report(f"groupapprox-report 1\ns: {body}\n") == {"s": value}
+
     def test_escape_lookalikes_keep_their_bytes(self):
         assert dump_report({"s": "\\n", "t": " \\u2028"}) == (
             'groupapprox-report 1\ns: \\n\nt: " \\\\u2028"\n'

@@ -452,6 +452,26 @@ def test_subclasses_render_as_their_first_base():
         assert messages[0] == messages[1]
 
 
+# Expected divergence: the oracle shares a fault the library mends.  A quoted
+# scalar whose closing quote is escaped loads in the oracle as a string that
+# ends in a backslash; the library refuses it as unterminated, at its line.
+ESCAPED_CLOSING_QUOTE = {  # text, line of the bad scalar, the oracle's value
+    "after text": ('groupapprox-report 1\ns: "abc\\"\n', 2, {"s": "abc\\"}),
+    "after an escaped backslash": (
+        'groupapprox-report 1\na: 1\ns: "a\\\\\\"\n', 3, {"a": 1, "s": "a\\\\"}
+    ),
+    "in a list": ('groupapprox-report 1\ns:\n  - x\n  - "\\"\n', 4, {"s": ["x", "\\"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPED_CLOSING_QUOTE))
+def test_an_escaped_closing_quote_is_refused_where_the_oracle_loads_it(case):
+    text, line, oracle_value = ESCAPED_CLOSING_QUOTE[case]
+    scalar = text.splitlines()[line - 1].split()[-1]
+    assert outcome(load_report, text) == ("error", f"unterminated string {scalar!r}", line)
+    assert outcome(oracle_load, text) == ("value", repr(oracle_value))
+
+
 def test_oracle_cannot_load_a_line_break_the_library_escapes():
     data = {"system": "dir/a\nb.eqn"}
     with pytest.raises(ParseError, match="unterminated string"):

@@ -1,7 +1,9 @@
-"""Differential tests: the raw-tuple kernels of ``search_separating_hom``,
-``search_sofic_instance`` and ``FiniteGroup.is_conjugation_canonical``
-against the loops they replaced (conftest.py).  The searches test only
-the assignments led by an orbit leader; the loops test every assignment."""
+"""Differential tests: the raw-tuple kernels of ``search_separating_hom``
+and ``search_sofic_instance``, and the canonical tuples of
+``characters.leader_first``, against the loops they replaced
+(conftest.py).  The searches test only the assignments least in their
+conjugation orbits; the loops test every assignment, or, pruned, those
+that ``conftest.is_conjugation_canonical`` keeps."""
 
 import random
 from fractions import Fraction
@@ -25,7 +27,7 @@ from groupapprox.approximation import (
     search_sofic_instance,
     verify_sofic_certificate,
 )
-from groupapprox.characters import cycle_type, orbit_leaders
+from groupapprox.characters import cycle_type, leader_first, orbit_leaders
 from groupapprox.errors import BudgetExceeded
 from groupapprox.groups import FiniteGroup, cyclic
 from groupapprox.perm import parse_cycles
@@ -114,7 +116,9 @@ def _hard_presentation(seed):
 
 
 def _same_separating(p, n, catalog, budget, prune):
-    got = outcome(search_separating_hom, p, n, catalog, budget=budget, prune_conjugates=prune)
+    """The search against the loop over every assignment, or over the
+    canonical ones when ``prune``: both find the same first map."""
+    got = outcome(search_separating_hom, p, n, catalog, budget=budget)
     want = outcome(element_search_separating_hom, p, n, catalog, budget, prune_conjugates=prune)
     assert got == want
     return got
@@ -326,8 +330,9 @@ SCAN_SOFIC = "generators a b\ninside a b a b^-1\noutside b a b^-1 a\n"
 
 
 def test_sofic_scan_tests_only_leader_assignments(monkeypatch, tmp_path):
-    """The scan's sofic search tests 5 * 24 + 4 * 60 = 360 of the
-    24**2 + 60**2 = 4176 assignments and reports all 4176."""
+    """The scan's sofic search tests the 43 + 44 = 87 assignments into S4
+    and A5 that are least in their orbits under conjugation by S4 and S5,
+    of the 24**2 + 60**2 = 4176 assignments, and reports all 4176."""
     pres = tmp_path / "sofic.pres"
     pres.write_text(SCAN_SOFIC)
     cat = tmp_path / "sofic.catalog"
@@ -345,38 +350,50 @@ def test_sofic_scan_tests_only_leader_assignments(monkeypatch, tmp_path):
     argv = ["sofic-search", "--presentation", str(pres), "--eps", "1/2",
             "--catalog", str(cat), "--out", str(out)]
     assert cli.run(argv) == 0
-    assert len(tested) == 360
+    assert len(tested) == 87
     text = out.read_text()
     assert "status: exhausted" in text and "assignments: 4176" in text
 
 
+def _canonical(G, r):
+    """``leader_first``'s r-tuples over G under G's own conjugation."""
+    return {t for _, t in leader_first(G, G.elements(), r, inner=True)}
+
+
 class TestConjugationCanonical:
+    """Tuples are kept by ``leader_first`` iff the brute-force predicate
+    holds, over G's own conjugation."""
+
     @pytest.mark.parametrize("name", ["S3", "S4", "A4", "Z3xK4"])
     def test_every_short_tuple(self, name):
         G = GROUPS[name]()
         els = G.elements()
         for k in (0, 1, 2):
+            canonical = _canonical(G, k)
             for items in iter_product(els, repeat=k):
-                assert G.is_conjugation_canonical(items) == is_conjugation_canonical(items, els)
+                assert (items in canonical) == is_conjugation_canonical(items, els)
 
     def test_a5_singletons_and_seeded_pairs(self):
         G = GROUPS["A5"]()
         els = G.elements()
+        singletons = _canonical(G, 1)
         for x in els:
-            assert G.is_conjugation_canonical((x,)) == is_conjugation_canonical((x,), els)
+            assert ((x,) in singletons) == is_conjugation_canonical((x,), els)
         rng = random.Random("A5 pairs")
         pairs = [(rng.choice(els), rng.choice(els)) for _ in range(300)]
-        # pairs led by a class representative reach the centralizer scan
+        # pairs led by a class representative reach the centralizer's orbits
         reps = [G.class_representative(i) for i in range(len(G.conjugacy_classes()))]
         pairs += [(r, y) for r in reps for y in rng.sample(els, 20)]
+        canonical = _canonical(G, 2)
         for items in pairs:
-            assert G.is_conjugation_canonical(items) == is_conjugation_canonical(items, els)
+            assert (items in canonical) == is_conjugation_canonical(items, els)
 
     @pytest.mark.parametrize("name", ["S4", "D4"])
     def test_seeded_triples(self, name):
         G = GROUPS[name]()
         els = G.elements()
+        canonical = _canonical(G, 3)
         rng = random.Random(f"{name} triples")
         for _ in range(400):
             items = tuple(rng.choice(els) for _ in range(3))
-            assert G.is_conjugation_canonical(items) == is_conjugation_canonical(items, els)
+            assert (items in canonical) == is_conjugation_canonical(items, els)

@@ -223,14 +223,22 @@ def leader_first(G: FiniteGroup, items, r: int, inner: bool = False):
 def _canonical_tuples(node, items, r, offset, head):
     """(position, tuple) for the canonical tuples ``head + t``, t an r-tuple
     whose first entry is one of ``node.minima``; ``offset`` is the position
-    of ``head`` followed by r copies of the first element, less 1."""
+    of ``head`` followed by r copies of the first element, less 1.
+
+    The identity, first in canonical order, is alone in its orbit, so a
+    block's first tuple ends in identities.  It is yielded before the
+    block's orbits are formed (``child``), so a scan that stops there forms
+    none of them."""
     if r == 1:
         for i in node.minima:
             yield offset + i + 1, head + (items[i],)
         return
     block = len(items) ** (r - 1)
     for i in node.minima:
-        tail = _canonical_tuples(node.child(i), items, r - 1, offset + i * block, head + (items[i],))
+        start, first = offset + i * block, head + (items[i],)
+        yield start + 1, first + (items[0],) * (r - 1)
+        tail = _canonical_tuples(node.child(i), items, r - 1, start, first)
+        next(tail)  # the tuple just yielded
         yield from tail
 
 
@@ -294,9 +302,10 @@ class _Leaders(_Orbits):
     else G, given by its generators, and the minima are ``orbit_leaders``.
 
     A leader's stabilizer is its centralizer.  In ``S_m`` it is generated
-    from the leader's cycles (``_centralizer_generators``); in G it is
-    G's memoized ``_centralizer`` of the leader's class, as the leaders
-    are then G's class representatives.
+    from the leader's cycles (``_centralizer_generators``); in G, whose
+    class representatives the leaders then are, it is filtered from G's
+    elements.  Each leader's node is memoized (``child``), so its
+    centralizer is formed once.
     """
 
     def __init__(self, G: FiniteGroup, by_sym: bool, leaders):
@@ -308,7 +317,14 @@ class _Leaders(_Orbits):
         G = self.group
         if self.by_sym:
             return _Orbits(G, paired_images(_centralizer_generators(y)), False)
-        return _Orbits(G, G._centralizer(G.class_index_of(y)), True)
+        p = next(i for i, j in enumerate(y) if i != j)  # y is not central
+        q = y[p]
+        K = tuple(
+            (g, g.inverse())
+            for g in G.elements()  # listed with the partition
+            if g[q] == y[g[p]] and commutes(y, g)  # at p first, a cheap test
+        )
+        return _Orbits(G, K, True)
 
 
 def _centralizer_generators(y: Permutation) -> list[Permutation]:

@@ -6,8 +6,11 @@ class power covers the support, and the ball of Hamming radius
 (n-1)*eps/16 sits inside the depth-n consequence set) and tabulates
 empirical covering ratios.  All three read classes, sizes and layers off
 the character table of ``characters.alternating_table``, so A_m is never
-listed; only a class that a check finds missing has its elements listed,
-to report them.  Degrees below 5 are rejected: in A_4 the
+listed, and the table's own cap (``characters.partitions``) bounds the
+degree.  Only a class that a check finds missing has its elements listed,
+to report them, and that listing is refused first when the even
+permutations it would filter pass ``DEFAULT_ELEMENT_CAP``.  Degrees below
+5 are rejected: in A_4 the
 double-transposition class generates only the Klein subgroup, so no
 coverage statement of this shape can hold there.
 """
@@ -19,8 +22,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .characters import AlternatingTable, alternating_table
+from .errors import CapExceeded
 from .groups import (
-    FiniteGroup,
+    DEFAULT_ELEMENT_CAP,
     class_first_depths,
     consequences,  # patched by name in perfbench/tracing.py
     exact_depth_layers,
@@ -31,15 +35,6 @@ from .perm import Permutation, cycle_string, hamming_length, is_even
 from .records import Record
 
 
-def _group_and_table(m: int) -> tuple[FiniteGroup, AlternatingTable]:
-    """A_m, never listed, and its class table.  The order is checked against
-    the element cap first, so a degree past it is refused before anything
-    is built."""
-    G = FiniteGroup.alternating(m)
-    G.order()
-    return G, alternating_table(m)
-
-
 def _layer(table: AlternatingTable, letters, n: int) -> frozenset:
     """Class indices of the exact n-fold product set of the letter classes."""
     return exact_depth_layers(iter_class_layers(letters, table.step(letters)), n)[-1]
@@ -48,9 +43,15 @@ def _layer(table: AlternatingTable, letters, n: int) -> frozenset:
 def _class_members(table: AlternatingTable, classes, points) -> tuple[Permutation, ...]:
     """The elements of ``classes`` that move only ``points``, in canonical
     order: the even permutations of ``points`` filtered by class.  None are
-    formed when ``classes`` is empty."""
+    formed when ``classes`` is empty, or when there are more than
+    ``DEFAULT_ELEMENT_CAP`` even permutations of ``points`` to filter."""
     if not classes:
         return ()
+    s = len(points)
+    if math.factorial(s) // 2 > DEFAULT_ELEMENT_CAP:
+        raise CapExceeded(
+            f"listing the even permutations of {s} points passes cap {DEFAULT_ELEMENT_CAP}"
+        )
     out = []
     for images in permutations(points):
         h = list(range(table.degree))
@@ -90,9 +91,9 @@ def verify_support_cover(m: int, x: Permutation) -> SupportCoverReport:
     x = Permutation(x)
     if x.is_identity():
         raise ValueError("x must be nontrivial")
-    G, table = _group_and_table(m)
-    if x not in G:
-        raise ValueError(f"{x!r} is not an element of {G.name}")
+    if len(x) != m or not is_even(x):
+        raise ValueError(f"{x!r} is not an element of A{m}")
+    table = alternating_table(m)
     covered = _layer(table, (table.class_index(x),), 4)
     support = x.support()
     missing = {
@@ -137,12 +138,12 @@ def verify_brenner_bound(m: int, X, n: int) -> BrennerReport:
     base = tuple(sorted((Permutation(x) for x in X), key=lambda p: p.sort_key()))
     if not base:
         raise ValueError("base set must be nonempty")
-    G, table = _group_and_table(m)
     for x in base:
         if x.is_identity():
             raise ValueError("base set must not contain the identity")
-        if x not in G:
-            raise ValueError(f"{x!r} is not an element of {G.name}")
+        if len(x) != m or not is_even(x):
+            raise ValueError(f"{x!r} is not an element of A{m}")
+    table = alternating_table(m)
     eps = max(hamming_length(x) for x in base)
     threshold = Fraction(n - 1) * eps / 16
     ball = [
@@ -210,8 +211,7 @@ def support_cover_sweep(m: int) -> tuple[SupportCoverReport, ...]:
     """Run verify_support_cover for every nontrivial class representative."""
     if m < 5:
         raise ValueError("support coverage requires degree >= 5")
-    _, table = _group_and_table(m)
-    return tuple(verify_support_cover(m, x) for x in table.representatives[1:])
+    return tuple(verify_support_cover(m, x) for x in alternating_table(m).representatives[1:])
 
 
 def covering_csv(table: CoveringTable) -> str:

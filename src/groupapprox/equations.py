@@ -98,10 +98,6 @@ class SolvabilityReport(Record):
     variables_domain: int = 0
     budget: int = 0
 
-    @property
-    def solvable(self):
-        return self.verdict == "solvable"
-
 
 def solvable_in(
     G: FiniteGroup,

@@ -26,7 +26,7 @@ from math import factorial, prod
 from operator import eq
 
 from .errors import CapExceeded
-from .perm import Permutation, check_degree, commutes, conjugate, direct_sum, identity, is_even
+from .perm import Permutation, check_degree, conjugate, direct_sum, identity, is_even
 from .records import Record
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -51,7 +51,6 @@ class FiniteGroup:
         self._class_index = None
         self._class_reps = None
         self._class_products = {}  # (i, j) with i <= j -> frozenset of class indices
-        self._centralizers = {}  # class index -> (g, g^-1) for g centralizing its rep
         self._positions = None  # element -> index in canonical order
         self._orbits = {}  # conjugation by S_m or not -> characters._Leaders
 
@@ -237,13 +236,6 @@ class FiniteGroup:
             self._class_reps = tuple(reps)
         return self._classes
 
-    def class_of(self, x: Permutation) -> frozenset:
-        """Full conjugacy class {g^-1 x g : g in G}; raises if x outside G."""
-        if x not in self:
-            raise ValueError(f"{x!r} is not an element of {self.name}")
-        classes = self.conjugacy_classes()
-        return classes[self._class_index[x]]
-
     def class_index_of(self, x: Permutation) -> int:
         return self.class_map()[x]
 
@@ -258,22 +250,6 @@ class FiniteGroup:
         if self._positions is None:
             self._positions = {x: i for i, x in enumerate(self.elements())}
         return self._positions
-
-    def _centralizer(self, index: int) -> tuple:
-        """(g, g^-1) for each g commuting with the representative of class
-        ``index``, memoized."""
-        out = self._centralizers.get(index)
-        if out is None:
-            rep = self._class_reps[index]
-            p = next(i for i, j in enumerate(rep) if i != j)  # rep is not central
-            q = rep[p]
-            out = tuple(
-                (g, g.inverse())
-                for g in self._elements  # listed with the partition
-                if g[q] == rep[g[p]] and commutes(rep, g)  # at p first, a cheap test
-            )
-            self._centralizers[index] = out
-        return out
 
     def class_representative(self, index: int) -> Permutation:
         self.conjugacy_classes()
@@ -413,7 +389,7 @@ class ConsequenceSet(Record):
     """Exact-depth n-fold product of conjugates of a base set (or inverses).
 
     ``class_layers[j-1]`` holds the class indices of the depth-j set; the
-    element views, formed when read, are ``layers`` and ``elements`` (depth n).
+    element view of depth n, formed when read, is ``elements``.
     The cumulative union over depths 1..n is reported separately because
     exact depth surfaces parity artifacts that the union would hide.
     """
@@ -426,10 +402,6 @@ class ConsequenceSet(Record):
     def _union(self, class_indices) -> frozenset:
         classes = self.group.conjugacy_classes()
         return frozenset().union(*(classes[ci] for ci in class_indices))
-
-    @property
-    def layers(self) -> tuple[frozenset, ...]:
-        return tuple(map(self._union, self.class_layers))
 
     @property
     def elements(self) -> frozenset:
@@ -544,25 +516,6 @@ def class_first_depths(layers) -> dict:
     return first
 
 
-def min_consequence_depth(G: FiniteGroup, X, y: Permutation, max_n: int) -> int | None:
-    """Least depth n <= max_n with y in C_n(X, G); None when not reached.
-
-    Layer growth is eventually periodic with period two, so the scan also
-    stops early once no new class can ever appear; a None verdict then
-    holds for every depth, not just max_n.
-    """
-    y = Permutation(y)
-    if y not in G:
-        raise ValueError(f"{y!r} is not an element of {G.name}")
-    target = G.class_index_of(y)
-    for depth, layer in iter_consequence_class_layers(G, X):
-        if depth > max_n:
-            return None
-        if target in layer:
-            return depth
-    return None
-
-
 class SeparationReport(Record):
     """Verdict of the query "is Y disjoint from C_n(X, G)?".
 
@@ -607,47 +560,3 @@ def is_n_separated(G: FiniteGroup, Y, X, n: int) -> SeparationReport:
         witness=witness,
         violated_depths=violated,
     )
-
-
-# --- quotients ---------------------------------------------------------------
-
-
-def quotient(G: FiniteGroup, N):
-    """Quotient G/N realized by the right coset action, plus the quotient map.
-
-    N must be a normal subgroup given as an element set.  The returned
-    group is a generated permutation group on the coset space, and the map
-    is a dict sending each element of G to its image permutation.
-    """
-    n_set = frozenset(Permutation(x) for x in N)
-    els = G.elements()
-    if G.identity() not in n_set or not n_set <= G.element_set():
-        raise ValueError("N is not a subgroup of G containing the identity")
-    for x in n_set:
-        if x.inverse() not in n_set:
-            raise ValueError("N is not closed under inverses")
-        for y in n_set:
-            if x * y not in n_set:
-                raise ValueError("N is not closed under products")
-        for g in G.generators:
-            if conjugate(x, g) not in n_set:
-                raise ValueError("N is not normal in G")
-    cosets = []
-    coset_of = {}
-    for x in els:
-        if x in coset_of:
-            continue
-        coset = frozenset(y * x for y in n_set)
-        ci = len(cosets)
-        cosets.append(coset)
-        for y in coset:
-            coset_of[y] = ci
-    k = len(cosets)
-    reps = [min(c, key=lambda p: p.sort_key()) for c in cosets]
-    qmap = {}
-    for x in els:
-        images = tuple(coset_of[reps[i] * x] for i in range(k))
-        qmap[x] = Permutation(images)
-    gens = [qmap[g] for g in G.generators]
-    Q = FiniteGroup.generated(k, gens, name=f"{G.name}/N")
-    return Q, qmap

@@ -230,9 +230,3 @@ def _search(maps, seeds, n):
                         reached.append(h)
             order += reached
     return order, label, edge
-
-
-def ball(ell: LengthFunction, radius) -> frozenset:
-    """Open ball {h : ||h|| < radius} in the carrier."""
-    r = Fraction(radius)
-    return frozenset(h for h in ell.group.elements() if ell(h) < r)

@@ -14,7 +14,6 @@ since fixed points are invisible in cycle notation).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from operator import ne
 
 from .errors import CapExceeded, ParseError
@@ -25,16 +24,11 @@ DEFAULT_DEGREE_CAP = 10**6
 class Permutation(tuple):
     """Tuple of images under a right action; index i holds the image of i.
 
-    Constructors coming from user input should go through ``permutation``
-    or ``parse_cycles``, which validate; arithmetic here assumes the
-    images already form a bijection.
+    Text from user input should go through ``parse_cycles``, which
+    validates; arithmetic here assumes the images already form a bijection.
     """
 
     __slots__ = ()
-
-    @property
-    def degree(self) -> int:
-        return len(self)
 
     def __mul__(self, other) -> "Permutation":
         # self acts first: i -> (i self) other
@@ -104,14 +98,6 @@ class Permutation(tuple):
         return f"Permutation[{cycle_string(self)}, deg={len(self)}]"
 
 
-def permutation(images) -> Permutation:
-    """Validating constructor from a 0-based image sequence."""
-    imgs = tuple(images)
-    if sorted(imgs) != list(range(len(imgs))):
-        raise ValueError(f"images are not a bijection of 0..{len(imgs) - 1}: {imgs}")
-    return Permutation(imgs)
-
-
 def check_degree(degree: int) -> None:
     """Refuse a degree past ``DEFAULT_DEGREE_CAP`` before anything that size is allocated."""
     if degree > DEFAULT_DEGREE_CAP:
@@ -138,11 +124,6 @@ def conjugate(x: Permutation, g: Permutation) -> Permutation:
 def commutes(x: Permutation, g: Permutation) -> bool:
     """x * g == g * x, compared as image tuples."""
     return tuple(map(g.__getitem__, x)) == tuple(map(x.__getitem__, g))
-
-
-def parity(h: Permutation) -> str:
-    """'even' or 'odd' (sign of the permutation)."""
-    return "even" if is_even(h) else "odd"
 
 
 def is_even(h: Permutation) -> bool:
@@ -182,39 +163,6 @@ def replicate(p: Permutation, copies: int) -> Permutation:
     """p (+) p (+) ... (+) p with ``copies`` blocks, built in one pass."""
     m = len(p)
     return Permutation([j + k * m for k in range(copies) for j in p])
-
-
-def tensor_power(h: Permutation, r: int, cap: int = DEFAULT_DEGREE_CAP) -> Permutation:
-    """Coordinatewise action of h on m^r tuples, enumerated lexicographically.
-
-    Materializes a permutation of degree m^r, so callers with large r
-    should use ``length_of_tensor_power`` instead; the fixed points of the
-    result satisfy 1 - ||h^(x)r|| == (1 - ||h||)^r exactly.
-    """
-    if r < 1:
-        raise ValueError("power must be >= 1")
-    m = len(h)
-    deg = m**r
-    if deg > cap:
-        raise CapExceeded(
-            f"tensor power degree {m}^{r} = {deg} exceeds cap {cap}"
-        )
-    # lexicographic rank of (j_1,...,j_r) is sum j_t * m^(r-1-t)
-    weights = [m ** (r - 1 - t) for t in range(r)]
-    out = [0] * deg
-    for idx, coords in enumerate(product(range(m), repeat=r)):
-        out[idx] = sum(h[j] * w for j, w in zip(coords, weights))
-    return Permutation(out)
-
-
-def length_of_tensor_power(length: Fraction, r: int) -> Fraction:
-    """1 - (1 - length)^r, exact; the coordinatewise-power length formula."""
-    if r < 1:
-        raise ValueError("power must be >= 1")
-    length = Fraction(length)
-    if not 0 <= length <= 1:
-        raise ValueError(f"length {length} outside [0, 1]")
-    return 1 - (1 - length) ** r
 
 
 def embed_sym_in_alt(s: Permutation) -> Permutation:

@@ -4,8 +4,8 @@ The name resolvers (``catalog.builtin_group``, ``catalog.parse_catalog``
 and ``report.group_from_data``) pass each group they build through
 ``share``.  A later command that names the same group (same kind, degree,
 generators, components and name) gets the same instance, with its
-elements, class partition, class products, centralizers and conjugation
-orbits already built.
+elements, class partition, class products and conjugation orbits (the
+orbit tree of ``characters.leader_first``) already built.
 
 A stored group answers every query as a fresh one does.  ``cli`` calls
 ``trim`` after each command, to bound what stays stored between commands.
@@ -41,15 +41,6 @@ def trim() -> None:
     total = sum(map(_listed, _groups.values()))
     while total > STORE_ELEMENTS:
         total -= _listed(_groups.popitem(last=False)[1])
-
-
-def clear() -> None:
-    _groups.clear()
-
-
-def stored(G: FiniteGroup) -> bool:
-    """Whether G itself is the stored group of its key."""
-    return _groups.get(_key(G)) is G
 
 
 def _key(G):

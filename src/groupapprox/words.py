@@ -28,10 +28,6 @@ def reduce_word(symbols) -> Word:
     return tuple(out)
 
 
-def invert_word(word) -> Word:
-    return tuple(-s for s in reversed(word))
-
-
 def concat(*parts) -> Word:
     merged = []
     for p in parts:

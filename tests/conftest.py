@@ -19,10 +19,17 @@ from groupapprox.approximation import (
     SoficCertificate,
     amplification_exponent,
 )
-from groupapprox.errors import BudgetExceeded
+from groupapprox.errors import BudgetExceeded, CapExceeded
 from groupapprox.groups import FiniteGroup, SeparationReport, consequences, is_n_separated
-from groupapprox.lengths import AxiomReport, AxiomViolation
-from groupapprox.perm import Permutation, conjugate, embed_sym_in_alt, hamming_length, is_even
+from groupapprox.lengths import AxiomReport, AxiomViolation, LengthFunction
+from groupapprox.perm import (
+    DEFAULT_DEGREE_CAP,
+    Permutation,
+    conjugate,
+    embed_sym_in_alt,
+    hamming_length,
+    is_even,
+)
 from groupapprox.words import evaluate_word
 
 # Child processes (``python -m groupapprox``, the scripts) import the package
@@ -31,11 +38,22 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
+def clear_store() -> None:
+    """Drop every stored group, so the next command builds its groups as a
+    fresh process does."""
+    store._groups.clear()
+
+
+def stored(G) -> bool:
+    """Whether G itself is the stored group of its key."""
+    return store._groups.get(store._key(G)) is G
+
+
 @pytest.fixture(autouse=True)
 def _fresh_store():
     """Each test starts with no stored groups, so a test that patches a
     group method sees the groups it names built afresh."""
-    store.clear()
+    clear_store()
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +132,9 @@ def element_is_n_separated(G, Y, X, n):
         if y not in G:
             raise ValueError(f"{y!r} is not an element of {G.name}")
     cons = consequences(G, X, n)
-    violated = tuple(j for j, layer in enumerate(cons.layers, start=1) if y_set & layer)
+    classes = G.conjugacy_classes()
+    layers = [frozenset().union(*(classes[c] for c in l)) for l in cons.class_layers]
+    violated = tuple(j for j, layer in enumerate(layers, start=1) if y_set & layer)
     hits = y_set & cons.elements
     witness = min(hits, key=lambda p: p.sort_key()) if hits else None
     return SeparationReport(
@@ -521,3 +541,86 @@ def element_covering_constant(m: int) -> coverage.CoveringTable:
             rows.append(coverage.CoveringRow(x=x, y=y, depth=depth, steps=steps, ratio=ratio))
     ratios = [r.ratio for r in rows if r.ratio is not None]
     return coverage.CoveringTable(m=m, rows=tuple(rows), max_ratio=max(ratios) if ratios else None)
+
+
+# --- library code that no command reaches, kept for the tests that use it ----
+
+
+def quotient(G: FiniteGroup, N):
+    """Quotient G/N realized by the right coset action, plus the quotient map.
+
+    N must be a normal subgroup given as an element set.  The returned
+    group is a generated permutation group on the coset space, and the map
+    is a dict sending each element of G to its image permutation.
+    """
+    n_set = frozenset(Permutation(x) for x in N)
+    els = G.elements()
+    if G.identity() not in n_set or not n_set <= G.element_set():
+        raise ValueError("N is not a subgroup of G containing the identity")
+    for x in n_set:
+        if x.inverse() not in n_set:
+            raise ValueError("N is not closed under inverses")
+        for y in n_set:
+            if x * y not in n_set:
+                raise ValueError("N is not closed under products")
+        for g in G.generators:
+            if conjugate(x, g) not in n_set:
+                raise ValueError("N is not normal in G")
+    cosets = []
+    coset_of = {}
+    for x in els:
+        if x in coset_of:
+            continue
+        coset = frozenset(y * x for y in n_set)
+        ci = len(cosets)
+        cosets.append(coset)
+        for y in coset:
+            coset_of[y] = ci
+    k = len(cosets)
+    reps = [min(c, key=lambda p: p.sort_key()) for c in cosets]
+    qmap = {}
+    for x in els:
+        images = tuple(coset_of[reps[i] * x] for i in range(k))
+        qmap[x] = Permutation(images)
+    gens = [qmap[g] for g in G.generators]
+    Q = FiniteGroup.generated(k, gens, name=f"{G.name}/N")
+    return Q, qmap
+
+
+def tensor_power(h: Permutation, r: int, cap: int = DEFAULT_DEGREE_CAP) -> Permutation:
+    """Coordinatewise action of h on m^r tuples, enumerated lexicographically.
+
+    Materializes a permutation of degree m^r, so callers with large r
+    should use ``length_of_tensor_power`` instead; the fixed points of the
+    result satisfy 1 - ||h^(x)r|| == (1 - ||h||)^r exactly.
+    """
+    if r < 1:
+        raise ValueError("power must be >= 1")
+    m = len(h)
+    deg = m**r
+    if deg > cap:
+        raise CapExceeded(
+            f"tensor power degree {m}^{r} = {deg} exceeds cap {cap}"
+        )
+    # lexicographic rank of (j_1,...,j_r) is sum j_t * m^(r-1-t)
+    weights = [m ** (r - 1 - t) for t in range(r)]
+    out = [0] * deg
+    for idx, coords in enumerate(iter_product(range(m), repeat=r)):
+        out[idx] = sum(h[j] * w for j, w in zip(coords, weights))
+    return Permutation(out)
+
+
+def length_of_tensor_power(length: Fraction, r: int) -> Fraction:
+    """1 - (1 - length)^r, exact; the coordinatewise-power length formula."""
+    if r < 1:
+        raise ValueError("power must be >= 1")
+    length = Fraction(length)
+    if not 0 <= length <= 1:
+        raise ValueError(f"length {length} outside [0, 1]")
+    return 1 - (1 - length) ** r
+
+
+def ball(ell: LengthFunction, radius) -> frozenset:
+    """Open ball {h : ||h|| < radius} in the carrier."""
+    r = Fraction(radius)
+    return frozenset(h for h in ell.group.elements() if ell(h) < r)

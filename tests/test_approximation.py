@@ -301,7 +301,7 @@ class TestMergeHomomorphisms:
         h2 = (6, (s("(1 2 3)(4 5 6)", 6),))
         degree, images = merge_homomorphisms([h1, h2])
         assert degree == 24  # lcm 12, two blocks
-        assert images[0].degree == 24
+        assert len(images[0]) == 24
         # block-weighted average of 1 and 1
         assert hamming_length(images[0]) == 1
 

@@ -9,10 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_cayley_distances, element_is_n_separated
+from conftest import brute_cayley_distances, brute_consequences, clear_store, element_is_n_separated
 
 import groupapprox
-from groupapprox import cli, groups, store
+from groupapprox import cli, groups
 from groupapprox.errors import CapExceeded
 from groupapprox.groups import FiniteGroup, consequences, cyclic, is_n_separated
 from groupapprox.lengths import cayley_conjugation_length, hamming
@@ -121,9 +121,10 @@ def _refuses_the_default(G):
 def test_consequences_honour_an_explicit_cap(default_cap_100):
     G = FiniteGroup.symmetric(5)
     G.elements(1000)
-    cons = consequences(G, [parse_cycles("(1 2)", 5)], 2)
+    X = [parse_cycles("(1 2)", 5)]
+    cons = consequences(G, X, 2)
     assert cons.layer_sizes == (10, 36)
-    assert len(cons.elements) == 36 and cons.layers[-1] == cons.elements
+    assert len(cons.elements) == 36 and cons.elements == brute_consequences(G, X, 2)
     assert len(cons.cumulative) == 46
     _refuses_the_default(G)
 
@@ -169,7 +170,7 @@ def test_axioms_check_honours_a_cap_above_the_default(monkeypatch, tmp_path, cap
         assert cli.run([*check, *kind, "--cap", "1000", "--out", str(tmp_path / name)]) == 0
     _lower_the_default_cap(monkeypatch)
     for name, kind in kinds.items():
-        store.clear()
+        clear_store()
         out = tmp_path / f"{name}-lowered"
         assert cli.run([*check, *kind, "--cap", "1000", "--out", str(out)]) == 0, capsys.readouterr().err
         assert out.read_text() == (tmp_path / name).read_text()

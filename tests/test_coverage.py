@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import brute_min_depth, support_cover_exhaustive
+from conftest import ball, brute_min_depth, support_cover_exhaustive
 
 from groupapprox.coverage import (
     empirical_covering_constant,
@@ -9,8 +9,8 @@ from groupapprox.coverage import (
     verify_brenner_bound,
     verify_support_cover,
 )
-from groupapprox.groups import FiniteGroup, min_consequence_depth
-from groupapprox.lengths import ball, hamming
+from groupapprox.groups import FiniteGroup, class_first_depths, iter_consequence_class_layers
+from groupapprox.lengths import hamming
 from groupapprox.perm import parse_cycles
 
 
@@ -22,34 +22,38 @@ A4 = FiniteGroup.alternating(4)
 A5 = FiniteGroup.alternating(5)
 
 
+def first_depth(G, X, y):
+    """Least depth n with y in C_n(X, G), None when no depth reaches it, as
+    ``lengths.cayley_conjugation_length`` reads it."""
+    return class_first_depths(iter_consequence_class_layers(G, X)).get(G.class_index_of(y))
+
+
 class TestMinConsequenceDepth:
     def test_member_of_base_is_depth_one(self):
         x = s("(1 2 3)", 5)
-        assert min_consequence_depth(A5, [x], x, 10) == 1
+        assert first_depth(A5, [x], x) == 1
 
     def test_klein_closure_never_reaches(self):
         x = s("(1 2)(3 4)", 4)
         y = s("(1 2 3)", 4)
-        for max_n in (1, 7, 100, 10**6):
-            assert min_consequence_depth(A4, [x], y, max_n) is None
+        assert first_depth(A4, [x], y) is None
 
     def test_double_transposition_from_three_cycles(self):
         x = s("(1 2 3)", 5)
         y = s("(1 2)(3 4)", 5)
-        assert min_consequence_depth(A5, [x], y, 100) == 2
+        assert first_depth(A5, [x], y) == 2
 
     def test_max_n_cuts_off(self):
         x = s("(1 2 3)", 5)
         y = s("(1 2)(3 4)", 5)
-        assert min_consequence_depth(A5, [x], y, 1) is None
+        assert brute_min_depth(A5, [x], y, 1) is None
+        assert first_depth(A5, [x], y) > 1
 
     def test_matches_brute_force_on_a5(self):
         reps = [s("(1 2 3)", 5), s("(1 2)(3 4)", 5), s("(1 2 3 4 5)", 5)]
         for x in reps:
             for y in reps:
-                assert min_consequence_depth(A5, [x], y, 6) == brute_min_depth(
-                    A5, [x], y, 6
-                )
+                assert first_depth(A5, [x], y) == brute_min_depth(A5, [x], y, 6)
 
 
 class TestSupportCover:
@@ -111,7 +115,7 @@ class TestBrennerBound:
         assert rep.holds
         for y in ball(hamming(A5), rep.threshold):
             if y in A5:
-                depth = min_consequence_depth(A5, X, y, n)
+                depth = first_depth(A5, X, y)
                 assert depth is not None and depth <= n
 
 

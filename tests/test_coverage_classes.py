@@ -13,9 +13,9 @@ from conftest import (
     enumerated_alternating,
 )
 
-from groupapprox import cli, coverage, groups
+from groupapprox import characters, cli, coverage, groups
 from groupapprox.characters import alternating_table
-from groupapprox.coverage import support_cover_sweep, verify_brenner_bound, verify_support_cover
+from groupapprox.coverage import verify_brenner_bound, verify_support_cover
 from groupapprox.errors import CapExceeded
 from groupapprox.groups import FiniteGroup
 from groupapprox.perm import Permutation, conjugate, parse_cycles
@@ -62,25 +62,30 @@ def test_brenner_matches_element_path(m):
 
 
 def test_a_degree_past_the_cap_is_refused_before_the_table(monkeypatch, capsys):
-    def refuse(m):
-        raise AssertionError(f"the A{m} table was built")
+    """The table answers past the element cap; only the table's own cap and
+    a listing of violations past the element cap are refused, each before
+    anything is formed."""
+    for argv, verdict in (
+        (["support-cover", "--m", "10"], "all-hold: true"),
+        (["brenner-verify", "--m", "10", "--X", "(1 2 3)", "--n", "17"], "holds: true"),
+    ):
+        assert cli.run(argv) == 0
+        assert verdict in capsys.readouterr().out
 
-    monkeypatch.setattr(coverage, "alternating_table", refuse)
-    x = parse_cycles("(1 2 3)", 10)
-    message = "A10 has more than 1000000 elements"
-    for check in (
-        lambda: verify_brenner_bound(10, [x], 2),
-        lambda: verify_support_cover(10, x),
-        lambda: support_cover_sweep(10),
+    def refuse(*args):
+        raise AssertionError("formed past the cap")
+
+    monkeypatch.setattr(characters, "_least_element", refuse)
+    assert cli.run(["support-cover", "--m", "22"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "cap exceeded: the S22 character table passes cap 1000000 entries"
+    )
+
+    monkeypatch.setattr(coverage, "permutations", refuse)
+    with pytest.raises(
+        CapExceeded, match="^listing the even permutations of 10 points passes cap 1000000$"
     ):
-        with pytest.raises(CapExceeded, match=message):
-            check()
-    for argv in (
-        ["brenner-verify", "--m", "10", "--X", "(1 2 3)", "--n", "2"],
-        ["support-cover", "--m", "10"],
-    ):
-        assert cli.run(argv) == 2
-        assert capsys.readouterr().err == f"cap exceeded: {message}\n"
+        coverage._class_members(alternating_table(10), {1}, range(10))
 
 
 # sha256 and length of the reports the element path wrote
@@ -153,7 +158,7 @@ def test_brenner_violations_match(m, base, n, dropped, monkeypatch):
     x = parse_cycles(base, m)
     G, _ = enumerated_alternating(m)
     dropped_element = x if dropped == "base" else G.identity()
-    gone = G.class_of(dropped_element)
+    gone = G.conjugacy_classes()[G.class_index_of(dropped_element)]
     gone_index = alternating_table(m).class_index(dropped_element)
     exact, full = coverage.exact_depth_layers, groups.consequences
 

@@ -1,4 +1,5 @@
 import pytest
+from conftest import quotient
 
 from groupapprox import equations, perm
 from groupapprox.equations import (
@@ -12,7 +13,7 @@ from groupapprox.equations import (
     sys_membership,
 )
 from groupapprox.errors import ParseError
-from groupapprox.groups import FiniteGroup, cyclic, quotient
+from groupapprox.groups import FiniteGroup, cyclic
 from groupapprox.perm import identity, parse_cycles
 from groupapprox.words import evaluate_word
 

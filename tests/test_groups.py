@@ -2,7 +2,7 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 import pytest
-from conftest import brute_consequences
+from conftest import brute_consequences, quotient
 
 from groupapprox import groups
 from groupapprox.errors import CapExceeded
@@ -11,7 +11,6 @@ from groupapprox.groups import (
     consequences,
     cyclic,
     is_n_separated,
-    quotient,
 )
 from groupapprox.perm import (
     Permutation,
@@ -184,28 +183,28 @@ class TestCanonicalOrderAndMembership:
         assert G.element_set() == frozenset(G.elements())
 
 
+def class_of(G, x):
+    return G.conjugacy_classes()[G.class_index_of(x)]
+
+
 class TestConjugacyClasses:
     def test_identity_class(self):
-        assert S3.class_of(identity(3)) == frozenset({identity(3)})
+        assert class_of(S3, identity(3)) == frozenset({identity(3)})
 
     def test_three_cycles_in_s3(self):
-        cls = S3.class_of(s("(1 2 3)", 3))
+        cls = class_of(S3, s("(1 2 3)", 3))
         assert cls == frozenset({s("(1 2 3)", 3), s("(1 3 2)", 3)})
 
     def test_three_cycles_split_in_a4(self):
-        cls = A4.class_of(s("(1 2 3)", 4))
+        cls = class_of(A4, s("(1 2 3)", 4))
         assert len(cls) == 4
-
-    def test_error_outside_group(self):
-        with pytest.raises(ValueError):
-            A4.class_of(s("(1 2)", 4))
 
     def test_partition_matches_brute_force(self):
         for G in (S3, A4, KLEIN):
             els = G.elements()
             for x in els:
                 direct = frozenset(conjugate(x, g) for g in els)
-                assert G.class_of(x) == direct
+                assert class_of(G, x) == direct
 
 
 class TestConsequences:
@@ -247,7 +246,7 @@ class TestConsequences:
     def test_identity_in_base_gives_cumulative_layers(self):
         base = [identity(3), s("(1 2)", 3)]
         cons = consequences(S3, base, 3)
-        for earlier, later in zip(cons.layers, cons.layers[1:]):
+        for earlier, later in zip(cons.class_layers, cons.class_layers[1:]):
             assert earlier <= later
 
     def test_conjugation_saturated_on_s4(self):
@@ -259,7 +258,7 @@ class TestConsequences:
         for X in ([s("(1 2)", 4)], [s("(1 2 3 4)", 4)]):
             deep = consequences(S4, X, 6)
             for n in (1, 2, 3, 4):
-                assert deep.layers[n - 1] <= deep.layers[n + 1]
+                assert deep.class_layers[n - 1] <= deep.class_layers[n + 1]
 
     def test_projection_commutes_on_products(self):
         P = FiniteGroup.direct_product([A4, S3])

@@ -1,11 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from conftest import brute_cayley_distances
+from conftest import ball, brute_cayley_distances
 
 from groupapprox.groups import FiniteGroup, is_n_separated
 from groupapprox.lengths import (
-    ball,
     cayley_conjugation_length,
     from_table,
     hamming,

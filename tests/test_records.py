@@ -181,7 +181,8 @@ def test_defaults():
         "unknown", None, (), "", constants_domain=0, variables_domain=0, budget=0
     )
     assert SolvabilityReport("solvable", budget=9).budget == 9
-    assert not SolvabilityReport("unknown").solvable and SolvabilityReport("solvable").solvable
+    assert SolvabilityReport("unknown").verdict != "solvable"
+    assert SolvabilityReport("solvable").verdict == "solvable"
     assert CheckResult(True, "ok") == CheckResult(True, "ok", None, ())
     with pytest.raises(TypeError, match="missing required argument 'reason'"):
         CheckResult(True)

@@ -16,7 +16,7 @@ from conftest import (
     is_conjugation_canonical,
 )
 
-from groupapprox import approximation, cli
+from groupapprox import approximation, characters, cli
 from groupapprox.approximation import (
     Exhausted,
     FoundHomomorphism,
@@ -214,6 +214,27 @@ class TestSeparatingSearch:
             _same_separating(_presentation(f"catalog/{k}", inside=1), 2, catalog, 10**6, prune)
         got = _same_separating(_hard_presentation("catalog"), 2, catalog, 10**6, prune)
         assert [name for name, _ in got.stats.per_group] == [G.name for G in catalog]
+
+    def test_budget_past_a_leader_block_forms_none_of_its_orbits(self, monkeypatch):
+        """Into S8 the budget runs out at the 3-cycle leader's first tuple,
+        just past the transposition's block: the search forms the orbits of
+        leaders 0 and 1, whose blocks it scans, and not those of leader 29."""
+        asked = []
+        child = characters._Orbits.child
+
+        def spy(node, i):
+            asked.append(i)
+            return child(node, i)
+
+        monkeypatch.setattr(characters._Orbits, "child", spy)
+        p = _text("a b", ["a a b^-1"], ["a a b^-1 a a b^-1"])
+        got = outcome(search_separating_hom, p, 2, [FiniteGroup.symmetric(8)], budget=80645)
+        assert got == (
+            "budget exceeded",
+            "assignment budget 80645 exhausted",
+            {"assignments": 80645, "group": "S8"},
+        )
+        assert asked == [0, 1]
 
 
 def _same_sofic(p, eps, catalog, budget):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import clear_store, stored
 
 from groupapprox import cli, store
 from groupapprox.approximation import Certificate, MetricMode, window_from_texts
@@ -70,7 +71,7 @@ def _seeded_steps(seed, tmp_path):
     fresh = parse_catalog(CATALOG)
     for name in ("A5", "S4", "Z4"):
         fresh[name] = builtin_group(name)
-    store.clear()
+    clear_store()
     certs = [
         _certificate(tmp_path / "a4.report", fresh["A4"], ["()", "(1 2 3)", "(1 3 2)"]),
         _certificate(tmp_path / "q.report", fresh["Q"], ["()", "(1 2)(3 4)", "()"]),
@@ -117,7 +118,7 @@ def _replay(steps, out_dir, fresh_each_step):
     results = []
     for i, argv in enumerate(steps):
         if fresh_each_step:
-            store.clear()
+            clear_store()
         out_path = out_dir / f"{i}.report"
         if "--out" not in argv:
             argv = [*argv, "--out", str(out_path)]
@@ -136,7 +137,7 @@ def test_shared_groups_give_the_bytes_of_fresh_ones(seed, tmp_path):
     for fresh in (False, True):
         out_dir = tmp_path / f"fresh{fresh}"
         out_dir.mkdir()
-        store.clear()
+        clear_store()
         manifest = _manifest_steps(out_dir)
         runs[fresh] = _replay(manifest + steps, out_dir, fresh)
         runs[fresh].extend(sorted((p.name, p.read_text()) for p in out_dir.iterdir()))
@@ -184,7 +185,7 @@ def test_a_listed_group_refuses_a_lower_cap_as_a_fresh_one_does():
     for name, G in listed.items():
         els = G.elements()
         for cap in (len(els) - 1, 3, 0):
-            store.clear()
+            clear_store()
             messages = []
             for H in (G, parse_catalog(text)[name]):
                 with pytest.raises(CapExceeded) as refused:
@@ -201,9 +202,9 @@ def test_trim_evicts_the_least_recently_used_past_the_bound(monkeypatch):
         G.elements()
     assert builtin_group("S5") is S5  # now the most recently used
     store.trim()  # 204 listed: A5 goes, then 144 remain
-    assert store.stored(S5) and store.stored(S4) and not store.stored(A5)
+    assert stored(S5) and stored(S4) and not stored(A5)
     store.trim()
-    assert store.stored(S5) and store.stored(S4)
+    assert stored(S5) and stored(S4)
 
 
 def test_a_command_leaves_at_most_the_bound_stored(monkeypatch, tmp_path):

@@ -305,7 +305,6 @@ def _cmd_eq_solve(args):
         system,
         budget=args.budget,
         want_witnesses=args.witnesses,
-        jobs=args.jobs or 1,
         constants_up_to_conjugacy=args.reduce_constants,
     )
     params = {
@@ -392,8 +391,6 @@ def _cmd_manifest_replay(args):
                     "every manifest step needs --out", line=ln, source=args.manifest
                 )
             _rebase(step, manifest_dir, args.out_dir)
-            if "jobs" in vars(step) and step.jobs is None:
-                step.jobs = args.jobs
             code = _execute(step)
         if code == 1:
             sys.stderr.write(f"{args.manifest}:{ln}: step failed with input error\n")

@@ -15,20 +15,15 @@ from .equations import DEFAULT_EQ_BUDGET
 from .groups import DEFAULT_ELEMENT_CAP
 
 
-def _int_at_least(low):
-    """An argparse type for integers >= low: 0 is a real cap or budget,
-    while a worker count must be positive."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+def _non_negative(text):
+    """An argparse type for a cap or budget: an integer, 0 included."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 _OUT = (("--out", dict(help="write the report to this file")),)
@@ -50,13 +45,13 @@ _COMMANDS = {
     "consequences": ("exact-depth consequence set of a base set", _GROUP + (
         ("--X", dict(action="append", default=[], required=False)),
         ("--n", dict(type=int, required=True)),
-        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
+        ("--cap", dict(type=_non_negative, default=DEFAULT_ELEMENT_CAP)),
     )),
     "separate": ("is Y disjoint from the depth-n consequences of X?", _GROUP + (
         ("--X", dict(action="append", default=[])),
         ("--Y", dict(action="append", default=[], required=True)),
         ("--n", dict(type=int, required=True)),
-        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
+        ("--cap", dict(type=_non_negative, default=DEFAULT_ELEMENT_CAP)),
     )),
     "brenner-verify": ("ball of radius (n-1)*eps/16 inside the depth-n set", _OUT + (
         ("--m", dict(type=int, required=True)),
@@ -76,7 +71,7 @@ _COMMANDS = {
         ("--X", dict(action="append", default=[])),
         ("--n", dict(type=int)),
         ("--table", dict(help="length-table report file")),
-        ("--cap", dict(type=_int_at_least(0), default=DEFAULT_ELEMENT_CAP)),
+        ("--cap", dict(type=_non_negative, default=DEFAULT_ELEMENT_CAP)),
     )),
     "approx-check": ("re-verify a stored certificate", _OUT + (
         ("--certificate", dict(required=True)),
@@ -85,7 +80,7 @@ _COMMANDS = {
         ("--presentation", dict(required=True)),
         ("--n", dict(type=int, required=True)),
         ("--catalog", dict(action="append", default=[], required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)),
+        ("--budget", dict(type=_non_negative, default=DEFAULT_SEARCH_BUDGET)),
         ("--prune", dict(
             action="store_true", help="reported only: every search skips conjugate image tuples"
         )),
@@ -94,14 +89,12 @@ _COMMANDS = {
         ("--presentation", dict(required=True)),
         ("--eps", dict(required=True, help="rational threshold p/q")),
         ("--catalog", dict(action="append", default=[], required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)),
+        ("--budget", dict(type=_non_negative, default=DEFAULT_SEARCH_BUDGET)),
     )),
     "eq-solve": ("universal-existential solvability in one group", _GROUP + (
         ("--system", dict(required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=DEFAULT_EQ_BUDGET)),
+        ("--budget", dict(type=_non_negative, default=DEFAULT_EQ_BUDGET)),
         ("--witnesses", dict(action="store_true")),
-        # None, read as 1, lets manifest-replay tell a step that gives none
-        ("--jobs", dict(type=_int_at_least(1), default=None)),
         ("--reduce-constants", dict(
             action="store_true", help="scan one constant tuple per conjugation orbit"
         )),
@@ -109,7 +102,7 @@ _COMMANDS = {
     "eq-sys": ("solvability across a whole catalog", _OUT + (
         ("--catalog", dict(action="append", default=[], required=True)),
         ("--system", dict(required=True)),
-        ("--budget", dict(type=_int_at_least(0), default=DEFAULT_EQ_BUDGET)),
+        ("--budget", dict(type=_non_negative, default=DEFAULT_EQ_BUDGET)),
     )),
     "eq-over": ("solvability over a group via supplied overgroup embeddings", _GROUP + (
         ("--system", dict(required=True)),
@@ -120,14 +113,13 @@ _COMMANDS = {
             required=True,
             help="diagonal embedding with this many copies (repeatable)",
         )),
-        ("--budget", dict(type=_int_at_least(0), default=DEFAULT_EQ_BUDGET)),
+        ("--budget", dict(type=_non_negative, default=DEFAULT_EQ_BUDGET)),
         ("--witnesses", dict(action="store_true")),
     )),
     # no --out: replay writes into --out-dir
     "manifest-replay": ("re-run a pinned list of subcommands", (
         ("manifest", dict()),
         ("--out-dir", dict(required=True)),
-        ("--jobs", dict(type=_int_at_least(1), default=None)),
     )),
 }
 

@@ -17,9 +17,8 @@ one word per line after the header.
 
 from __future__ import annotations
 
-import os
 import re
-from itertools import chain, repeat
+from itertools import chain
 from itertools import product as iter_product
 
 from .characters import cycle_type, leader_first, power_types
@@ -104,7 +103,6 @@ def solvable_in(
     system: EquationSystem,
     budget: int = DEFAULT_EQ_BUDGET,
     want_witnesses: bool = False,
-    jobs: int = 1,
     constants_up_to_conjugacy: bool = False,
 ) -> SolvabilityReport:
     """Exact universal-existential verdict by exhaustion.
@@ -124,7 +122,8 @@ def solvable_in(
     are unchanged (the least failing tuple overall is always canonical).
 
     A witness-free power word over ``S_m`` or ``A_m`` is decided per
-    constant tuple from cycle types (``_root_types``), in process.
+    constant tuple from cycle types (``_root_types``).  Every scan runs in
+    this process, one constant tuple after another.
     """
     els = G.elements()
     size = len(els)
@@ -138,17 +137,15 @@ def solvable_in(
             verdict="unknown", reason=f"worst-case scan {worst} exceeds budget {budget}", **domains
         )
     every = want_witnesses and not constants_up_to_conjugacy
-    constant_tuples = list(_constant_tuples(G, els, r, every, inner=constants_up_to_conjugacy))
+    constant_tuples = _constant_tuples(G, els, r, every, inner=constants_up_to_conjugacy)
     reason = ""
     if constants_up_to_conjugacy:
+        constant_tuples = list(constant_tuples)
         reason = f"constants reduced to {len(constant_tuples)} orbit representatives"
-    workers = worker_count(jobs, len(constant_tuples))
-    roots = _root_types(G, system, want_witnesses)
-    scan_args = (system, constant_tuples, els, G.degree, want_witnesses)
-    if workers > 1 and roots is None:
-        failing, witnesses = _scan_parallel(*scan_args, workers)
-    else:
-        failing, witnesses = _scan_constants(*scan_args, roots)
+    failing, witnesses = _scan_constants(
+        system, constant_tuples, els, G.degree, want_witnesses,
+        _root_types(G, system, want_witnesses),
+    )
     return SolvabilityReport(
         verdict="solvable" if failing is None else "unsolvable",
         counterexample=failing,
@@ -175,7 +172,8 @@ def _scan_constants(system, constant_tuples, domain, degree, want_witnesses, roo
 
     Returns the first constant tuple that no variable tuple over ``domain``
     (in ``iter_product`` order) satisfies, or None and the first solution
-    of every tuple.  The words are bound once per constant tuple
+    of every tuple.  ``constant_tuples`` is read once, in order, and not
+    past the first failing tuple, so it may be a generator.  The words are bound once per constant tuple
     (``_bind_words``), and each assignment is tested by composing raw image
     tuples with ``map``.  When some variable appears inverted, the domain
     is paired with its inverses (``paired_images``) and an assignment is
@@ -309,44 +307,6 @@ def _first_solution(words, blocks, items, variables, paired):
     return None
 
 
-def worker_count(jobs: int, tasks: int) -> int:
-    """Processes to start for ``tasks`` independent tasks under ``--jobs``.
-
-    Rejects jobs below 1 and clamps to the CPU count and the task count,
-    so no worker is started without a task or a CPU to run it.
-    """
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, os.cpu_count() or 1, tasks))
-
-
-def _scan_parallel(system, constant_tuples, els, degree, want_witnesses, workers):
-    """Scan round-robin slices of the constant tuples in worker processes;
-    the least failing tuple wins, so the result does not depend on
-    ``workers``.
-
-    Every worker gets the listed elements, so none enumerates the group
-    again.  The pool is imported here, so only a scan that starts one pays
-    for loading it.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    slices = [constant_tuples[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                _scan_constants,
-                repeat(system), slices, repeat(els), repeat(degree), repeat(want_witnesses),
-            )
-        )
-    failing = [f for f, _ in results if f is not None]
-    if failing:
-        return min(failing, key=lambda t: tuple(p.sort_key() for p in t)), []
-    witnesses = [w for _, found in results for w in found]
-    witnesses.sort(key=lambda cw: tuple(p.sort_key() for p in cw[0]))
-    return None, witnesses
-
-
 class MembershipTable(Record):
     """Per-group verdict table for one system across a catalog."""
 
@@ -396,8 +356,8 @@ class Embedding(Record):
         Membership in a symmetric or alternating target is structural, so
         such a target is not enumerated here; ``solvable_over_bounded``
         checks its element cap and its scan budget against its order m! or
-        m!/2 before scanning it.  Any other target is listed by its
-        membership test.
+        m!/2 before it checks the embedding.  Any other target is listed by
+        its membership test.
         """
         mapping = self.mapping()
         els = self.source.elements()
@@ -439,15 +399,15 @@ def solvable_over_bounded(
     """
     skipped = []
     for emb in embeddings:
-        emb.check()
         H = emb.target
-        mapping = emb.mapping()
         h_order = H.order()
         source_els = G.elements()
         worst = len(source_els) ** system.constants * h_order ** system.variables
         if worst > budget:
             skipped.append((H.name, worst))
             continue
+        emb.check()  # forms |G|^2 products, so only for an overgroup that is scanned
+        mapping = emb.mapping()
         # Canonical order only fixes which solution is reported first, so a
         # witness-free scan streams S_m and A_m instead of listing them, and
         # scans only the constant tuples canonical under G's conjugation: each

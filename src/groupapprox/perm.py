@@ -3,7 +3,7 @@
 A permutation of degree m is a bijection of the points 0..m-1, stored as
 the tuple of images: ``p[i]`` is the image of point ``i``.  All products
 use the right-action convention, so ``(i)(a*b) == ((i)a)b``: ``a`` acts
-first.  Conjugation is ``x**g == g^-1 * x * g``.
+first.
 
 Lengths are exact ``fractions.Fraction`` values in [0, 1]; no floating
 point anywhere.  Text I/O uses 1-based cycle notation, ``"(1 2 3)(4 5)"``,
@@ -45,24 +45,6 @@ class Permutation(tuple):
         for i, j in enumerate(self):
             inv[j] = i
         return Permutation(inv)
-
-    def __pow__(self, other) -> "Permutation":
-        # x ** g is conjugation g^-1 x g; x ** k is the k-th power
-        if isinstance(other, Permutation):
-            return conjugate(self, other)
-        if isinstance(other, int):
-            if other < 0:
-                return self.inverse() ** (-other)
-            result = identity(len(self))
-            base = self
-            k = other
-            while k:
-                if k & 1:
-                    result = result * base
-                base = base * base
-                k >>= 1
-            return result
-        return NotImplemented
 
     def is_identity(self) -> bool:
         return self == tuple(range(len(self)))

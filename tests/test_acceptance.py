@@ -6,6 +6,7 @@ wall-clock bound; nothing is calibrated after the fact.
 """
 
 import filecmp
+import shlex
 import subprocess
 import sys
 import time
@@ -13,8 +14,15 @@ from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
 
-from conftest import length_of_tensor_power, quotient, support_cover_exhaustive, tensor_power
+from conftest import (
+    clear_store,
+    length_of_tensor_power,
+    quotient,
+    support_cover_exhaustive,
+    tensor_power,
+)
 
+from groupapprox import cli
 from groupapprox.approximation import (
     Certificate,
     ConsequenceMode,
@@ -296,37 +304,35 @@ def test_criterion_10_solvable_over_via_diagonal():
     )
 
 
-def test_criterion_11_manifest_replay_bytes(tmp_path):
-    runs = {}
-    for jobs in ("1", "8"):
-        out_dir = tmp_path / f"jobs{jobs}"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "groupapprox",
-                "manifest-replay",
-                str(MANIFESTS / "acceptance.manifest"),
-                "--out-dir",
-                str(out_dir),
-                "--jobs",
-                jobs,
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs[jobs] = out_dir
-    names = sorted(p.name for p in runs["1"].iterdir())
-    ok = bool(names) and names == sorted(p.name for p in runs["8"].iterdir())
-    identical = []
+def test_criterion_11_manifest_replay_bytes(tmp_path, monkeypatch):
+    manifest = MANIFESTS / "acceptance.manifest"
+    replay = tmp_path / "replay"
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupapprox", "manifest-replay", str(manifest),
+         "--out-dir", str(replay)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # each step again, typed alone from the manifest's directory into a fresh store
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    monkeypatch.chdir(MANIFESTS)
+    for line in manifest.read_text().splitlines()[1:]:
+        argv = shlex.split(line, comments=True)
+        for k, flag in enumerate(argv[:-1]):
+            if flag in ("--out", "--csv"):
+                argv[k + 1] = str(alone / argv[k + 1])
+        if argv:
+            clear_store()
+            assert cli.run(argv) == 0, line
+    names = sorted(p.name for p in replay.iterdir())
+    ok = len(names) == 21 and names == sorted(p.name for p in alone.iterdir())
     for name in names:
-        same = filecmp.cmp(runs["1"] / name, runs["8"] / name, shallow=False)
-        identical.append(same)
-        ok = ok and same
+        ok = ok and filecmp.cmp(replay / name, alone / name, shallow=False)
     _line(
         11,
         ok,
-        f"acceptance manifest replays byte-identically at --jobs 1 and "
-        f"--jobs 8 ({len(names)} report files)",
+        f"each of the {len(names)} files of the acceptance replay equals its "
+        "step run alone after clearing the store",
     )

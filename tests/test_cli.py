@@ -203,8 +203,7 @@ def _report(tmp_path, argv):
 
 class TestFlagsThatChangeNoWork:
     """Every scan tests only the tuples least in their conjugation orbits,
-    so ``--prune`` changes no report but its own param, and ``--jobs``
-    changes none."""
+    so ``--prune`` changes no report but its own param."""
 
     def test_prune_on_the_scan_catalogs(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -234,23 +233,6 @@ class TestFlagsThatChangeNoWork:
         assert "status: found" in plain
         pruned = _report(tmp_path, argv + ["--prune"])
         assert pruned == plain.replace("  prune: false\n", "  prune: true\n")
-
-    @pytest.mark.parametrize("group", ["S3", "A4", "A5"])
-    def test_jobs_with_witnesses_on_two_constants(self, group, tmp_path, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)  # so that --jobs 2 starts two workers
-        texts = {
-            "conjugacy": "constants 2; variables 1;\nx1 a1 x1^-1 a2^-1\n",
-            "commuting product": "constants 2; variables 1;\nx1 a1 a2 x1^-1 a2^-1 a1^-1\n",
-        }
-        for key, text in texts.items():
-            system = tmp_path / "two.eqn"
-            system.write_text(text)
-            for reduce in ([], ["--reduce-constants"]):
-                argv = ["eq-solve", "--group", group, "--system", str(system), "--witnesses",
-                        *reduce]
-                one = _report(tmp_path, argv)
-                assert _report(tmp_path, argv + ["--jobs", "2"]) == one, (key, reduce)
-
 
 class TestExitCodes:
     def test_bad_cycle_notation_is_input_error(self):
@@ -883,32 +865,13 @@ class TestManifests:
         assert proc.returncode == 2
         assert (out_dir / "unknown.report").exists()
 
-    def test_jobs_is_injected_only_where_it_exists(self, tmp_path):
-        manifest = tmp_path / "m.manifest"
-        manifest.write_text(
-            "groupapprox-manifest 1\n"
-            "support-cover --m 5 --out support.report\n"
-            "covering-constant --m 5 --out covering.report\n"
-        )
-        out_dir = tmp_path / "o"
-        code = cli.run(["manifest-replay", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"])
-        assert code == 0
-        assert load_report((out_dir / "support.report").read_text())["result"]["all-hold"] is True
-
-    def test_flag_equals_value_steps(self, tmp_path, monkeypatch):
+    def test_flag_equals_value_steps(self, tmp_path):
         """``--flag=path`` steps write what ``--flag path`` steps write, and
-        a step's own ``--jobs=N`` is kept as ``--jobs N`` is."""
+        a step's own ``--budget=N`` is kept as ``--budget N`` is."""
         (tmp_path / "sq.eqn").write_text("constants 1; variables 1;\nx1 x1 a1^-1\n")
-        solvable_in, jobs = cli.equations.solvable_in, []
-
-        def recording(*args, **kwargs):
-            jobs.append(kwargs["jobs"])
-            return solvable_in(*args, **kwargs)
-
-        monkeypatch.setattr(cli.equations, "solvable_in", recording)
         steps = [
             "covering-constant --m 5 --out{}covering.report --csv{}covering.csv",
-            "eq-solve --group S3 --system{}sq.eqn --jobs{}1 --out{}eq.report",
+            "eq-solve --group S3 --system{}sq.eqn --budget{}1000 --out{}eq.report",
         ]
         written = []
         for k, sep in enumerate(["=", " "]):
@@ -916,12 +879,11 @@ class TestManifests:
             lines = [step.replace("{}", sep) for step in steps]
             manifest.write_text("\n".join(["groupapprox-manifest 1", *lines, ""]))
             out_dir = tmp_path / f"o{k}"
-            argv = ["manifest-replay", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"]
-            assert cli.run(argv) == 0
+            assert cli.run(["manifest-replay", str(manifest), "--out-dir", str(out_dir)]) == 0
             written.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
         assert written[0] == written[1]
         assert sorted(written[0]) == ["covering.csv", "covering.report", "eq.report"]
-        assert jobs == [1, 1]
+        assert b"  budget: 1000\n" in written[0]["eq.report"]
 
     # (step, the same step with every flag spelled out)
     SHORT_STEPS = [
@@ -967,31 +929,6 @@ class TestManifests:
             written.append({p.name: p.read_bytes() for p in (elsewhere / f"o{k}").iterdir()})
         assert capsys.readouterr() == ("", "")
         assert written[0] == written[1] and "a.report" in written[0]
-
-    def test_a_steps_own_jobs_wins(self, tmp_path, monkeypatch):
-        """The replay's ``--jobs`` fills only the ``eq-solve`` steps that
-        give none, however a step spells its own."""
-        (tmp_path / "sq.eqn").write_text((MANIFESTS / "sq.eqn").read_text())
-        solvable_in, jobs = cli.equations.solvable_in, []
-
-        def recording(*args, **kwargs):
-            jobs.append(kwargs["jobs"])
-            return solvable_in(*args, **{**kwargs, "jobs": 1})
-
-        monkeypatch.setattr(cli.equations, "solvable_in", recording)
-        manifest = tmp_path / "m.manifest"
-        manifest.write_text(
-            "groupapprox-manifest 1\n"
-            "eq-solve --group S3 --system sq.eqn --job 1 --out a.report\n"
-            "eq-solve --group S3 --system sq.eqn --jobs=3 --out b.report\n"
-            "eq-solve --group S3 --system sq.eqn --out c.report\n"
-            "covering-constant --m 5 --out d.report\n"
-        )
-        for replay_jobs, filled in ((["--jobs", "2"], 2), ([], 1)):
-            argv = ["manifest-replay", str(manifest), "--out-dir", str(tmp_path / "o")]
-            assert cli.run([*argv, *replay_jobs]) == 0
-            assert jobs == [1, 3, filled]
-            jobs.clear()
 
     def test_a_step_is_parsed_before_its_out_is_checked(self, tmp_path, capsys):
         """A malformed step exits 1 with argparse's error and the step's

@@ -183,7 +183,6 @@ LEADER_GROUPS = {
 @pytest.mark.parametrize("name", sorted(LEADER_GROUPS))
 def test_leader_scan_matches_the_full_scan(name, monkeypatch):
     G = LEADER_GROUPS[name]()
-    monkeypatch.setattr("os.cpu_count", lambda: 2)  # so that --jobs 2 starts two workers
     verdicts = set()
     for key, text in NOT_POWER_WORDS.items():
         if key == "common centralizer" and G.order() > 120:
@@ -195,8 +194,7 @@ def test_leader_scan_matches_the_full_scan(name, monkeypatch):
                 budget=10**8, constants_up_to_conjugacy=reduce, want_witnesses=witnesses
             )
             expected = _oracle(monkeypatch, solvable_in, G, system, **kw)
-            for jobs in (2,) if witnesses else (1, 2):
-                assert solvable_in(G, system, jobs=jobs, **kw) == expected, (key, kw, jobs)
+            assert solvable_in(G, system, **kw) == expected, (key, kw)
             verdicts.add(expected.verdict)
     assert "unsolvable" in verdicts or G.order() == 1
     assert "solvable" in verdicts or G.order() > 120
@@ -278,12 +276,12 @@ def test_reduced_constants_check_only_tuples_led_by_a_class_representative():
 
 
 @pytest.mark.parametrize("name", ["S3", "A4", "Z3xK4"])
-def test_parallel_scan_matches_element_scan(name, monkeypatch):
+def test_witnessed_scan_matches_element_scan(name, monkeypatch):
     G = GROUPS[name]()
     for text in ("square", "inverted variables", "adjacent and inverted constants"):
         system = parse_equation_system(FIXED[text])
         expected = _oracle(monkeypatch, solvable_in, G, system, want_witnesses=True)
-        assert solvable_in(G, system, want_witnesses=True, jobs=2) == expected
+        assert solvable_in(G, system, want_witnesses=True) == expected
 
 
 @pytest.mark.parametrize("witnesses", [False, True])
@@ -451,18 +449,22 @@ def test_witnesses_still_scan_the_overgroup(monkeypatch, tmp_path):
         cli.run(argv + ["--out", str(tmp_path / "report")])
 
 
-def test_power_word_with_jobs_starts_no_pool(monkeypatch, tmp_path):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+def test_an_embedding_is_checked_only_for_a_scanned_overgroup(monkeypatch, tmp_path, capsys):
+    """The element cap and the budget are read off the overgroup's order
+    before the embedding's |G|^2 products are formed, so an overgroup that
+    is refused or skipped is never checked."""
 
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(equations, "_scan_parallel", no_pool)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        argv = ["eq-solve", "--group", "S4", "--system", SQ, "--jobs", jobs, "--out", str(out)]
-        assert cli.run(argv) == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
-    assert b"verdict: unsolvable" in reports[0]
+    def refuse(self):
+        raise AssertionError("embedding checked")
+
+    monkeypatch.setattr(Embedding, "check", refuse)
+    system = tmp_path / "commutator.eqn"
+    system.write_text("constants 1; variables 2;\nx1 x2 x1^-1 x2^-1 a1^-1\n")
+    argv = ["eq-over", "--group", "A6", "--system", str(system), "--diagonal", "2"]
+    assert cli.run(argv + ["--out", str(tmp_path / "report")]) == 2
+    assert capsys.readouterr().err == "cap exceeded: S12 has more than 1000000 elements\n"
+    S3, square = GROUPS["S3"](), parse_equation_system(FIXED["square"])
+    report = solvable_over_bounded(S3, square, [diagonal_embedding(S3, 2)], budget=5)
+    assert report.reason.endswith("skipped over budget: S6 (scan 4320)")
+    with pytest.raises(AssertionError, match="embedding checked"):
+        solvable_over_bounded(S3, square, [diagonal_embedding(S3, 2)])

@@ -120,11 +120,16 @@ class TestSolvableIn:
         for constants, variables in report.witnesses:
             assert evaluate_word(SQUARE.words[0], constants + variables, 5).is_identity()
 
-    def test_parallel_scan_matches_sequential(self):
-        for sys_ in (SQUARE, COMMUTE):
-            seq = solvable_in(S3, sys_, want_witnesses=True)
-            par = solvable_in(S3, sys_, want_witnesses=True, jobs=3)
-            assert seq == par
+    def test_witnessed_scan_on_s3(self):
+        """A witnessed scan records one solution per constant, in canonical
+        order, and none once a constant fails."""
+        square = solvable_in(S3, SQUARE, want_witnesses=True)
+        assert square.verdict == "unsolvable" and square.witnesses == ()
+        assert square.counterexample == (s("(1 2)", 3),)
+        commute = solvable_in(S3, COMMUTE, want_witnesses=True)
+        assert [c for c, _ in commute.witnesses] == [(g,) for g in S3.elements()]
+        for constants, variables in commute.witnesses:
+            assert evaluate_word(COMMUTE.words[0], constants + variables, 3).is_identity()
 
     def test_conjugacy_reduction_keeps_verdicts(self):
         for G in (S3, A4):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupapprox import cli
+from groupapprox import cli, commands
 from groupapprox.approximation import (
     Certificate,
     MetricMode,
@@ -18,7 +18,7 @@ from groupapprox.approximation import (
     search_sofic_instance,
     window_from_texts,
 )
-from groupapprox.equations import parse_equation_system, solvable_in, worker_count
+from groupapprox.equations import parse_equation_system, solvable_in
 from groupapprox.errors import ParseError
 from groupapprox.groups import FiniteGroup
 from groupapprox.lengths import hamming
@@ -396,19 +396,6 @@ def test_manifest_with_non_integer_version_exits_1(tmp_path, capsys):
     assert f"{manifest}:1: bad manifest version" in err
 
 
-@pytest.mark.parametrize("command", [
-    ["covering-constant", "--m", "5"],
-    ["support-cover", "--m", "5"],
-    ["eq-solve", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn")],
-])
-@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
-def test_jobs_below_one_exits_1(command, jobs, tmp_path, capsys):
-    code, err = _run(capsys, *command, "--jobs", jobs, "--out", str(tmp_path / "r"))
-    assert code == 1
-    assert "--jobs" in err
-    assert not (tmp_path / "r").exists()
-
-
 LIMITED = {
     "--budget": [
         ["eq-solve", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn")],
@@ -443,55 +430,36 @@ def test_zero_budget_or_cap_is_a_limit(flag, command, tmp_path, capsys):
     assert "must be at least" not in err
 
 
-WITH_JOBS = [
-    ["eq-solve", "--group", "S3", "--system", str(MANIFESTS / "sq.eqn")],
-    ["manifest-replay", str(MANIFESTS / "acceptance.manifest")],
-]
-
-
-@pytest.mark.parametrize("flag, command", [
-    *((f, c) for f, cs in LIMITED.items() for c in cs),
-    *(("--jobs", c) for c in WITH_JOBS),
-])
+@pytest.mark.parametrize("flag, command", [(f, c) for f, cs in LIMITED.items() for c in cs])
 @pytest.mark.parametrize("value", ["x", "two", "1.5", ""])
 def test_non_integer_budget_cap_or_jobs_exits_1(flag, command, value, tmp_path, capsys):
-    out = "--out-dir" if command[0] == "manifest-replay" else "--out"
-    code, err = _run(capsys, *command, flag, value, out, str(tmp_path / "r"))
+    code, err = _run(capsys, *command, flag, value, "--out", str(tmp_path / "r"))
     assert code == 1
     assert f"argument {flag}: expected an integer, got {value!r}" in err
     assert re.search(r"\b_[a-z]\w*", err) is None, err
     assert not (tmp_path / "r").exists()
 
 
-class TestWorkerCount:
-    def test_clamps_to_cpus_and_tasks(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        assert worker_count(1, 10) == 1
-        assert worker_count(3, 10) == 3
-        assert worker_count(64, 10) == 4
-        assert worker_count(64, 2) == 2
-        assert worker_count(8, 0) == 1
+EVERY_COMMAND = [
+    ["length", "--group", "S3", "--perm", "(1 2)"],
+    ["brenner-verify", "--m", "5", "--X", "(1 2 3)", "--n", "1"],
+    ["support-cover", "--m", "5"],
+    ["covering-constant", "--m", "5"],
+    ["approx-check", "--certificate", str(MANIFESTS / "missing.cert")],
+    *(c for cs in LIMITED.values() for c in cs),
+    ["manifest-replay", str(MANIFESTS / "acceptance.manifest")],
+]
 
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert worker_count(8, 8) == 1
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="--jobs"):
-            worker_count(jobs, 5)
-
-    def test_one_worker_runs_in_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        G = FiniteGroup.symmetric(3)
-        system = parse_equation_system((MANIFESTS / "sq.eqn").read_text())
-        assert solvable_in(G, system, want_witnesses=True, jobs=8) == solvable_in(
-            G, system, want_witnesses=True
-        )
+def test_every_command_refuses_jobs(tmp_path, capsys):
+    """Every command runs in one process and has no ``--jobs``."""
+    assert sorted({c[0] for c in EVERY_COMMAND}) == sorted(commands._COMMANDS)
+    for command in EVERY_COMMAND:
+        out = "--out-dir" if command[0] == "manifest-replay" else "--out"
+        code, err = _run(capsys, *command, "--jobs", "2", out, str(tmp_path / "r"))
+        assert code == 1, command
+        assert "unrecognized arguments: --jobs 2" in err, command
+        assert not (tmp_path / "r").exists()
 
 
 def _mutate(text, edits):

@@ -79,13 +79,6 @@ class TestConjugate:
             for g in all_perms(4):
                 assert conjugate(x, g) == (g.inverse() * x) * g
 
-    def test_pow_notation(self):
-        x, g = s("(1 2)", 3), s("(1 3)", 3)
-        assert x**g == s("(2 3)", 3)
-        assert s("(1 2 3)", 3) ** 3 == identity(3)
-        assert s("(1 2 3)", 3) ** -1 == s("(1 3 2)", 3)
-        assert s("(1 2 3)", 3) ** 0 == identity(3)
-
     def test_preserves_hamming_on_s4(self):
         for x in all_perms(4):
             for g in all_perms(4):

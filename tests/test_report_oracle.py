@@ -297,11 +297,10 @@ def test_benchmark_workload_reports(workload, seed, tmp_path, compared, monkeypa
     _check_texts(compared)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_acceptance_replay_reports(jobs, tmp_path, compared):
+def test_acceptance_replay_reports(tmp_path, compared):
     out = tmp_path / "out"
     argv = ["manifest-replay", str(ROOT / "manifests" / "acceptance.manifest"),
-            "--out-dir", str(out), "--jobs", jobs]
+            "--out-dir", str(out)]
     assert _run_quietly(argv) == 0
     texts = [path.read_text(encoding="utf-8") for path in sorted(out.glob("*.report"))]
     assert len(texts) == 19 and len(compared) == 19

@@ -173,12 +173,13 @@ def _scan_constants(system, constant_tuples, domain, degree, want_witnesses, roo
     Returns the first constant tuple that no variable tuple over ``domain``
     (in ``iter_product`` order) satisfies, or None and the first solution
     of every tuple.  ``constant_tuples`` is read once, in order, and not
-    past the first failing tuple, so it may be a generator.  The words are bound once per constant tuple
-    (``_bind_words``), and each assignment is tested by composing raw image
-    tuples with ``map``.  When some variable appears inverted, the domain
-    is paired with its inverses (``paired_images``) and an assignment is
-    the flattened pairs.  ``domain`` is rescanned for every constant tuple,
-    so a streamed domain must be re-iterable, never a one-shot iterator.
+    past the first failing tuple, so it may be a generator.  The words are
+    bound once per constant tuple (``_bind_words``), and each assignment is
+    tested by composing raw image tuples with ``map``.  When some variable
+    appears inverted, the domain is paired with its inverses
+    (``paired_images``) and an assignment is the flattened pairs.
+    ``domain`` is rescanned for every constant tuple, so a streamed domain
+    must be re-iterable, never a one-shot iterator.
 
     ``roots``, from ``_root_types``, replaces the scan for a power word
     x^k = t: a tuple is solvable iff the cycle type of its target t is in

@@ -18,7 +18,6 @@ from groupapprox.approximation import (
     search_sofic_instance,
     window_from_texts,
 )
-from groupapprox.equations import parse_equation_system, solvable_in
 from groupapprox.errors import ParseError
 from groupapprox.groups import FiniteGroup
 from groupapprox.lengths import hamming

@@ -429,16 +429,6 @@ def test_zero_budget_or_cap_is_a_limit(flag, command, tmp_path, capsys):
     assert "must be at least" not in err
 
 
-@pytest.mark.parametrize("flag, command", [(f, c) for f, cs in LIMITED.items() for c in cs])
-@pytest.mark.parametrize("value", ["x", "two", "1.5", ""])
-def test_non_integer_budget_cap_or_jobs_exits_1(flag, command, value, tmp_path, capsys):
-    code, err = _run(capsys, *command, flag, value, "--out", str(tmp_path / "r"))
-    assert code == 1
-    assert f"argument {flag}: expected an integer, got {value!r}" in err
-    assert re.search(r"\b_[a-z]\w*", err) is None, err
-    assert not (tmp_path / "r").exists()
-
-
 EVERY_COMMAND = [
     ["length", "--group", "S3", "--perm", "(1 2)"],
     ["brenner-verify", "--m", "5", "--X", "(1 2 3)", "--n", "1"],
@@ -450,15 +440,38 @@ EVERY_COMMAND = [
 ]
 
 
-def test_every_command_refuses_jobs(tmp_path, capsys):
-    """Every command runs in one process and has no ``--jobs``."""
+def _refused(capsys, tmp_path, command, *flag):
+    out = "--out-dir" if command[0] == "manifest-replay" else "--out"
+    code, err = _run(capsys, *command, *flag, out, str(tmp_path / "r"))
+    assert code == 1
+    assert re.search(r"\b_[a-z]\w*", err) is None, err
+    assert not (tmp_path / "r").exists()
+    return err
+
+
+@pytest.mark.parametrize("flag, command", [
+    *((f, c) for f, cs in LIMITED.items() for c in cs),
+    *(("--jobs", c) for c in (LIMITED["--budget"][0], EVERY_COMMAND[-1])),
+])
+@pytest.mark.parametrize("value", ["x", "two", "1.5", ""])
+def test_non_integer_budget_cap_or_jobs_exits_1(flag, command, value, tmp_path, capsys):
+    err = _refused(capsys, tmp_path, command, flag, value)
+    if flag == "--jobs":  # no command has it: every command runs in one process
+        assert f"unrecognized arguments: --jobs {value}" in err
+    else:
+        assert f"argument {flag}: expected an integer, got {value!r}" in err
+
+
+def test_every_command_is_listed():
     assert sorted({c[0] for c in EVERY_COMMAND}) == sorted(commands._COMMANDS)
-    for command in EVERY_COMMAND:
-        out = "--out-dir" if command[0] == "manifest-replay" else "--out"
-        code, err = _run(capsys, *command, "--jobs", "2", out, str(tmp_path / "r"))
-        assert code == 1, command
-        assert "unrecognized arguments: --jobs 2" in err, command
-        assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_exits_1(command, jobs, tmp_path, capsys):
+    """Every command runs in one process and refuses ``--jobs``, whatever its value."""
+    err = _refused(capsys, tmp_path, command, "--jobs", jobs)
+    assert f"unrecognized arguments: --jobs {jobs}" in err
 
 
 def _mutate(text, edits):

@@ -297,13 +297,21 @@ def test_benchmark_workload_reports(workload, seed, tmp_path, compared, monkeypa
     _check_texts(compared)
 
 
-def test_acceptance_replay_reports(tmp_path, compared):
+@pytest.mark.parametrize("replays", [1, 2])
+def test_acceptance_replay_reports(replays, tmp_path, compared):
+    """A second replay into the same directory, after the first has filled
+    the store, rewrites the same bytes."""
     out = tmp_path / "out"
     argv = ["manifest-replay", str(ROOT / "manifests" / "acceptance.manifest"),
             "--out-dir", str(out)]
-    assert _run_quietly(argv) == 0
-    texts = [path.read_text(encoding="utf-8") for path in sorted(out.glob("*.report"))]
-    assert len(texts) == 19 and len(compared) == 19
+    runs = []
+    for _ in range(replays):
+        assert _run_quietly(argv) == 0
+        runs.append({path.name: path.read_text(encoding="utf-8")
+                     for path in sorted(out.glob("*.report"))})
+    assert all(run == runs[0] for run in runs)
+    texts = list(runs[0].values())
+    assert len(texts) == 19 and len(compared) == 19 * replays
     _check_texts(texts)
 
 

@@ -179,7 +179,8 @@ def check_metric_instance(cert: Certificate) -> CheckResult:
     if len(mode.alpha) != len(cert.window.words):
         raise ValueError("alpha must assign a floor to every window word")
     ell = mode.length
-    if ell.group is not cert.target and ell.group.element_set() != cert.target.element_set():
+    G, H = ell.group, cert.target
+    if G is not H and G.positions().keys() != H.positions().keys():
         raise ValueError("length function lives on a different group")
     idx = cert.window.identity_index
     if Fraction(mode.alpha[idx]) != 0:
@@ -305,19 +306,19 @@ def search_separating_hom(
     per_group = []
     for H in catalog:
         points = tuple(range(H.degree))
-        class_of = None  # partition H only once its first assignment is in budget
+        labels = None  # partition H only once its first assignment is in budget
         layers = {}  # classes of the inside images -> classes of the depth-n layer
         for position, combo in _assignments(H, rank, count, budget):
-            if class_of is None:
-                class_of = H.class_map()
+            if labels is None:
+                where, labels = H.positions(), H.class_labels()
             vals = tuple(chain.from_iterable(combo))
-            key = frozenset([class_of[evaluate_compiled(w, vals, points)] for w in inside])
+            key = frozenset([labels[where[evaluate_compiled(w, vals, points)]] for w in inside])
             layer = layers.get(key)
             if layer is None:
                 reps = [H.class_representative(ci) for ci in key]
                 layer = layers[key] = consequence_class_layers(H, reps, n)[-1]
             for w in outside:
-                if class_of[evaluate_compiled(w, vals, points)] in layer:
+                if labels[where[evaluate_compiled(w, vals, points)]] in layer:
                     break
             else:
                 per_group.append((H.name, position - count))

@@ -116,7 +116,8 @@ def builtin_group(name: str) -> FiniteGroup | None:
 
 
 def resolve_group(name: str, catalogs=()) -> FiniteGroup:
-    """Builtin names first, then explicit catalogs, then the env directory."""
+    """Explicit catalogs first, then builtin names, then the env directory;
+    so a catalog given on the command line may shadow a builtin name."""
     for cat in catalogs:
         if name in cat:
             return cat[name]

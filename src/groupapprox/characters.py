@@ -39,7 +39,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import CapExceeded
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, _closure
+from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup, _closure, conjugation_orbits
 from .perm import Permutation, commutes, is_even
 from .words import paired_images
 
@@ -183,16 +183,15 @@ def orbit_leaders(G: FiniteGroup, inner: bool = False):
     conjugation, for a verdict that an outer automorphism may change.  Any
     other group, and ``A_m`` with ``inner``, gives its class representatives.
     """
-    els = G.elements()
-    m = G.degree
     if G.kind == "symmetric" or (G.kind == "alternating" and not inner):
-        even = G.kind == "alternating"
+        m, even = G.degree, G.kind == "alternating"
         leaders = [
             _least_element(m, mu) for mu in _partitions(m, m) if not (even and (m - len(mu)) % 2)
         ]
-    else:
-        leaders = map(G.class_representative, range(len(G.conjugacy_classes())))
-    return sorted(bisect_left(els, x.sort_key(), key=Permutation.sort_key) for x in leaders)
+        els = G.elements()
+        return sorted(bisect_left(els, x.sort_key(), key=Permutation.sort_key) for x in leaders)
+    where = G.positions()  # the representatives are ascending, as the classes are numbered
+    return [where[G.class_representative(c)] for c in range(len(G.conjugacy_classes()))]
 
 
 def leader_first(G: FiniteGroup, items, r: int, inner: bool = False):
@@ -248,10 +247,8 @@ class _Orbits:
     stabilizer in K of each (``child``), formed when first asked for.
 
     K is given by ``conjugators``, pairs (g, g^-1): every element of K
-    when ``closed``, else generators of K.  An orbit is formed from its
-    least element, in canonical order, by conjugating it by every element
-    of K, or, breadth first, by the generators; so S_m is never listed
-    for A_m.
+    when ``closed``, else generators of K, so S_m is never listed for
+    A_m.  The minima come from ``groups.conjugation_orbits``.
     """
 
     def __init__(self, G: FiniteGroup, conjugators, closed: bool, minima=None):
@@ -260,24 +257,7 @@ class _Orbits:
         self.closed = closed
         self.children = {}
         if minima is None:
-            els, where = G.elements(), G.positions()
-            moving = [pair for pair in conjugators if not pair[0].is_identity()]
-            seen = bytearray(len(els))
-            minima = []
-            for i in range(len(els)):
-                if seen[i]:
-                    continue
-                minima.append(i)
-                seen[i] = 1
-                orbit = [i]
-                for k in orbit:  # grows while it is walked, unless K is listed
-                    x = els[k]
-                    for g, g_inv in moving:
-                        j = where[tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))]  # g^-1 x g
-                        if not seen[j]:
-                            seen[j] = 1
-                            if not closed:
-                                orbit.append(j)
+            minima = conjugation_orbits(G, conjugators, closed)[0]
         self.minima = minima
 
     def child(self, i: int) -> "_Orbits":

@@ -15,6 +15,10 @@ working at conjugacy-class granularity: every layer is a union of classes,
 so a layer step is the union of the class products K_a K_c over letter
 classes a and layer classes c.  Each group memoizes them lazily, forming
 a pair once, from its smaller class (``FiniteGroup.class_product``).
+
+A listed group has one hash index, ``positions``; its conjugacy partition
+is a class label per position, from the orbit walk (``conjugation_orbits``)
+that ``characters`` also runs for its orbit trees.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from math import factorial, prod
 from operator import eq
 
 from .errors import CapExceeded
-from .perm import Permutation, check_degree, conjugate, direct_sum, identity, is_even
+from .perm import Permutation, check_degree, direct_sum, identity, is_even
 from .records import Record
+from .words import paired_images
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -46,9 +51,8 @@ class FiniteGroup:
         self.components = tuple(components) if components is not None else None
         self.name = name or self._default_name()
         self._elements = None
-        self._element_set = None
         self._classes = None
-        self._class_index = None
+        self._labels = None  # class index of each element, aligned with _elements
         self._class_reps = None
         self._class_products = {}  # (i, j) with i <= j -> frozenset of class indices
         self._positions = None  # element -> index in canonical order
@@ -165,11 +169,6 @@ class FiniteGroup:
             self.order(cap)  # refuses S_m, A_m and products as _enumerate does
         return self._elements
 
-    def element_set(self) -> frozenset:
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements())
-        return self._element_set
-
     def iter_elements(self):
         """Every element once, for a scan whose outcome does not depend on order.
 
@@ -200,49 +199,32 @@ class FiniteGroup:
             return set(x) == set(range(self.degree))
         if self.kind == "alternating":
             return set(x) == set(range(self.degree)) and is_even(x)
-        return x in self.element_set()
+        return x in self.positions()
 
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_classes(self):
-        """Partition into classes; each is a frozenset, ordered by least rep."""
+        """Partition into classes, frozensets of listed elements ordered by
+        least rep, with a class label per element (``class_labels``)."""
         if self._classes is None:
             els = self.elements()
-            gens = self.generators or (self.identity(),)
-            index = {}
-            classes = []
-            reps = []
-            for x in els:  # canonical order, so reps are canonical minima
-                if x in index:
-                    continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for g in gens:
-                            z = conjugate(y, g)
-                            if z not in orbit:
-                                orbit.add(z)
-                                nxt.append(z)
-                    frontier = nxt
-                ci = len(classes)
-                classes.append(frozenset(orbit))
-                reps.append(x)
-                for y in orbit:
-                    index[y] = ci
-            self._classes = tuple(classes)
-            self._class_index = index
-            self._class_reps = tuple(reps)
+            minima, labels = conjugation_orbits(self, paired_images(self.generators), False)
+            members = [[] for _ in minima]
+            for x, c in zip(els, labels):
+                members[c].append(x)
+            self._classes = tuple(map(frozenset, members))
+            self._labels = labels
+            self._class_reps = tuple(els[i] for i in minima)
         return self._classes
 
-    def class_index_of(self, x: Permutation) -> int:
-        return self.class_map()[x]
-
-    def class_map(self) -> dict:
-        """Element -> class index; a raw image tuple indexes it too."""
+    def class_labels(self) -> list:
+        """The class index of each element, aligned with ``elements()``."""
         self.conjugacy_classes()
-        return self._class_index
+        return self._labels
+
+    def class_index_of(self, x: Permutation) -> int:
+        """The class index of x; a raw image tuple is looked up too."""
+        return self.class_labels()[self.positions()[x]]
 
     def positions(self) -> dict:
         """Element -> index in canonical order, memoized; a raw image tuple
@@ -265,13 +247,44 @@ class FiniteGroup:
         out = self._class_products.get(key)
         if out is None:
             classes = self.conjugacy_classes()
-            index, reps = self._class_index, self._class_reps
+            labels, where, reps = self._labels, self.positions(), self._class_reps
             if len(classes[i]) <= len(classes[j]):
-                out = frozenset(index[x * reps[j]] for x in classes[i])
+                out = frozenset(labels[where[x * reps[j]]] for x in classes[i])
             else:
-                out = frozenset(index[reps[i] * y] for y in classes[j])
+                out = frozenset(labels[where[reps[i] * y]] for y in classes[j])
             self._class_products[key] = out
         return out
+
+
+def conjugation_orbits(G: FiniteGroup, conjugators, closed: bool):
+    """Orbits of G's elements under conjugation by a group K, walked over
+    positions in ``G.elements()``: the ascending positions of the orbits'
+    least elements, and each position's orbit number, in that order.
+
+    K is given by ``conjugators``, pairs (g, g^-1): every element of K
+    when ``closed`` (an orbit is its least element's conjugates), else
+    generators of K (an orbit is walked breadth first).
+    """
+    els, where = G.elements(), G.positions()
+    moving = [pair for pair in conjugators if not pair[0].is_identity()]
+    labels = [None] * len(els)
+    minima = []
+    for i in range(len(els)):
+        if labels[i] is not None:
+            continue
+        c = len(minima)
+        minima.append(i)
+        labels[i] = c
+        orbit = [i]
+        for k in orbit:  # grows while it is walked, unless K is listed
+            x = els[k]
+            for g, g_inv in moving:
+                j = where[tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))]  # g^-1 x g
+                if labels[j] is None:
+                    labels[j] = c
+                    if not closed:
+                        orbit.append(j)
+    return minima, labels
 
 
 class _Lexicographic:
@@ -546,8 +559,7 @@ def is_n_separated(G: FiniteGroup, Y, X, n: int) -> SeparationReport:
         if y not in G:
             raise ValueError(f"{y!r} is not an element of {G.name}")
     cons = consequences(G, X, n)
-    class_of = G.class_map()
-    y_classes = {y: class_of[y] for y in y_set}
+    y_classes = {y: G.class_index_of(y) for y in y_set}
     layers = cons.class_layers
     violated = tuple(
         j for j, layer in enumerate(layers, start=1) if not layer.isdisjoint(y_classes.values())

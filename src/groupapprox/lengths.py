@@ -57,7 +57,7 @@ def from_table(group: FiniteGroup, values) -> LengthFunction:
     table = {}
     for x, v in dict(values).items():
         table[Permutation(x)] = Fraction(v)
-    missing = group.element_set() - table.keys()
+    missing = group.positions().keys() - table.keys()
     if missing:
         raise ValueError(f"table misses {len(missing)} elements of {group.name}")
     return LengthFunction(group, "table", values=table)
@@ -80,8 +80,7 @@ def cayley_conjugation_length(G: FiniteGroup, X, n: int) -> LengthFunction:
     one = Fraction(1)
     first = class_first_depths(iter_consequence_class_layers(G, base))
     scaled = {ci: min(Fraction(d, n), one) for ci, d in first.items()}
-    class_of = G.class_map()
-    values = {h: scaled.get(class_of[h], one) for h in G.elements()}
+    values = {h: scaled.get(c, one) for h, c in zip(G.elements(), G.class_labels())}
     values[G.identity()] = Fraction(0)
     return LengthFunction(G, "cayley-conjugation", values=values, params={"base": base, "scale": n})
 

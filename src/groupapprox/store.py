@@ -4,11 +4,12 @@ The name resolvers (``catalog.builtin_group``, ``catalog.parse_catalog``
 and ``report.group_from_data``) pass each group they build through
 ``share``.  A later command that names the same group (same kind, degree,
 generators, components and name) gets the same instance, with its
-elements, class partition, class products and conjugation orbits (the
-orbit tree of ``characters.leader_first``) already built.
+elements, their ``positions`` index, class labels and partition, class
+products and conjugation orbits (``characters.leader_first``) built.
 
 A stored group answers every query as a fresh one does.  ``cli`` calls
-``trim`` after each command, to bound what stays stored between commands.
+``trim`` after each command, which bounds the elements listed by the
+stored groups; what a group built from its elements goes with them.
 """
 
 from __future__ import annotations

@@ -555,7 +555,7 @@ def quotient(G: FiniteGroup, N):
     """
     n_set = frozenset(Permutation(x) for x in N)
     els = G.elements()
-    if G.identity() not in n_set or not n_set <= G.element_set():
+    if G.identity() not in n_set or not n_set <= frozenset(G.elements()):
         raise ValueError("N is not a subgroup of G containing the identity")
     for x in n_set:
         if x.inverse() not in n_set:

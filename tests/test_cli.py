@@ -280,14 +280,6 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "budget exceeded" in proc.stderr
 
-    def test_support_cover_has_no_jobs_flag(self, capsys):
-        assert cli.run(["support-cover", "--m", "5", "--jobs", "2"]) == 1
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-
-    def test_covering_constant_has_no_jobs_flag(self, capsys):
-        assert cli.run(["covering-constant", "--m", "5", "--jobs", "2"]) == 1
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-
     def test_not_enough_arguments(self):
         proc = run_cli("length")
         assert proc.returncode == 1

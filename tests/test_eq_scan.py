@@ -357,7 +357,7 @@ def test_iter_elements_yields_each_element_once(kind, degrees):
         G = getattr(FiniteGroup, kind)(m)
         view = G.iter_elements()
         first = list(view)
-        assert len(first) == G.order() and set(first) == G.element_set(), m
+        assert len(first) == G.order() and set(first) == frozenset(G.elements()), m
         assert first == sorted(first), m  # lexicographic image order
         assert list(view) == first, m  # each pass starts again
     with pytest.raises(CapExceeded):  # 10! and 10!/2 pass the default cap

@@ -148,7 +148,7 @@ class TestCanonicalOrderAndMembership:
     def test_structural_membership_matches_element_set(self, m):
         for kind in (FiniteGroup.symmetric, FiniteGroup.alternating):
             G = kind(m)
-            els = G.element_set()
+            els = frozenset(G.elements())
             assert G.order() == len(els)
             for images in iter_product(range(m), repeat=m):
                 x = Permutation(images)
@@ -176,11 +176,26 @@ class TestCanonicalOrderAndMembership:
                 G.order()
             assert G._elements is None
 
-    def test_element_set_is_built_on_demand(self):
-        G = FiniteGroup.symmetric(4)
-        G.elements()
-        assert G._element_set is None
-        assert G.element_set() == frozenset(G.elements())
+    @pytest.mark.parametrize("kind", ["generated", "product"])
+    def test_membership_builds_no_second_index(self, kind):
+        if kind == "generated":
+            G, outside = FiniteGroup.generated(4, A4.generators, name="A4'"), s("(1 2)", 4)
+        else:
+            G, outside = FiniteGroup.direct_product([S3, cyclic(4)]), s("(3 4)", 7)
+
+        def indexes():
+            """The hash structures G holds with an entry per element."""
+            return [
+                v
+                for v in vars(G).values()
+                if isinstance(v, (dict, set, frozenset)) and len(v) >= len(G.elements())
+            ]
+
+        assert G.elements()[-1] in G and outside not in G
+        assert G._classes is None
+        assert len(indexes()) == 1 and indexes()[0] is G.positions()
+        G.conjugacy_classes()
+        assert len(indexes()) == 1 and indexes()[0] is G.positions()
 
 
 def class_of(G, x):
@@ -198,6 +213,23 @@ class TestConjugacyClasses:
     def test_three_cycles_split_in_a4(self):
         cls = class_of(A4, s("(1 2 3)", 4))
         assert len(cls) == 4
+
+    @pytest.mark.parametrize(
+        "G",
+        [S4, A5, KLEIN, cyclic(6), FiniteGroup.direct_product([S3, cyclic(2)])],
+        ids=lambda G: G.name,
+    )
+    def test_classes_hold_and_label_the_listed_elements(self, G):
+        els, where = G.elements(), G.positions()
+        classes = G.conjugacy_classes()
+        for c, K in enumerate(classes):
+            assert all(x is els[where[x]] for x in K)
+            rep = G.class_representative(c)
+            assert rep is els[where[rep]]
+            assert rep == min(K, key=Permutation.sort_key)
+        for x, c in zip(els, G.class_labels(), strict=True):
+            assert x in classes[c]
+            assert G.class_index_of(x) == G.class_index_of(tuple(x)) == c
 
     def test_partition_matches_brute_force(self):
         for G in (S3, A4, KLEIN):
@@ -228,7 +260,7 @@ class TestConsequences:
     def test_klein_stays_in_klein(self):
         for n in (1, 2, 3, 5, 8):
             cons = consequences(A4, [s("(1 2)(3 4)", 4)], n)
-            assert cons.elements <= KLEIN.element_set()
+            assert cons.elements <= frozenset(KLEIN.elements())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_brute_force(self, n):

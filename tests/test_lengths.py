@@ -113,7 +113,7 @@ class TestBall:
         assert got == transpositions | {identity(5)}
 
     def test_radius_past_one_is_everything(self):
-        assert ball(hamming(S5), Fraction(3, 2)) == S5.element_set()
+        assert ball(hamming(S5), Fraction(3, 2)) == frozenset(S5.elements())
 
 
 class TestBallSeparationLemma:

@@ -467,7 +467,7 @@ def test_every_command_is_listed():
 
 
 @pytest.mark.parametrize("command", EVERY_COMMAND)
-@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two", "2"])
 def test_jobs_below_one_exits_1(command, jobs, tmp_path, capsys):
     """Every command runs in one process and refuses ``--jobs``, whatever its value."""
     err = _refused(capsys, tmp_path, command, "--jobs", jobs)

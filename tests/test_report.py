@@ -123,7 +123,7 @@ class TestGroupSerialization:
     def test_round_trip_same_elements(self, G):
         data = load_report(dump_report(group_to_data(G)))
         H = group_from_data(data)
-        assert H.element_set() == G.element_set()
+        assert frozenset(H.elements()) == frozenset(G.elements())
         assert H.name == G.name
 
 

@@ -16,9 +16,9 @@ so a layer step is the union of the class products K_a K_c over letter
 classes a and layer classes c.  Each group memoizes them lazily, forming
 a pair once, from its smaller class (``FiniteGroup.class_product``).
 
-A listed group has one hash index, ``positions``; its conjugacy partition
-is a class label per position, from the orbit walk (``conjugation_orbits``)
-that ``characters`` also runs for its orbit trees.
+A listed group has one hash index, ``positions``, and one conjugation walk,
+``conjugation_orbits``: its class labels, which every class function reads
+(``lengths`` too).  A class is a tuple of elements, in canonical order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial, prod
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import CapExceeded
 from .perm import Permutation, check_degree, direct_sum, identity, is_even
@@ -204,15 +204,15 @@ class FiniteGroup:
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_classes(self):
-        """Partition into classes, frozensets of listed elements ordered by
-        least rep, with a class label per element (``class_labels``)."""
+        """Partition into classes, tuples of listed elements in canonical order,
+        ordered by least rep, with a class label per element (``class_labels``)."""
         if self._classes is None:
             els = self.elements()
             minima, labels = conjugation_orbits(self, paired_images(self.generators), False)
             members = [[] for _ in minima]
             for x, c in zip(els, labels):
                 members[c].append(x)
-            self._classes = tuple(map(frozenset, members))
+            self._classes = tuple(map(tuple, members))
             self._labels = labels
             self._class_reps = tuple(els[i] for i in minima)
         return self._classes
@@ -266,7 +266,8 @@ def conjugation_orbits(G: FiniteGroup, conjugators, closed: bool):
     generators of K (an orbit is walked breadth first).
     """
     els, where = G.elements(), G.positions()
-    moving = [pair for pair in conjugators if not pair[0].is_identity()]
+    # (g^-1 x g)[i] = g[x[g^-1[i]]]: itemgetter(*pick(x))(g), pick = itemgetter(*g^-1)
+    moving = [(itemgetter(*g_inv), g) for g, g_inv in conjugators if not g.is_identity()]
     labels = [None] * len(els)
     minima = []
     for i in range(len(els)):
@@ -278,8 +279,8 @@ def conjugation_orbits(G: FiniteGroup, conjugators, closed: bool):
         orbit = [i]
         for k in orbit:  # grows while it is walked, unless K is listed
             x = els[k]
-            for g, g_inv in moving:
-                j = where[tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))]  # g^-1 x g
+            for pick, g in moving:
+                j = where[itemgetter(*pick(x))(g)]
                 if labels[j] is None:
                     labels[j] = c
                     if not closed:

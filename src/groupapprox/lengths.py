@@ -16,7 +16,7 @@ from math import lcm
 from operator import itemgetter, ne, sub
 
 from .groups import FiniteGroup, class_first_depths, iter_consequence_class_layers
-from .perm import Permutation, conjugate, hamming_length
+from .perm import Permutation, conjugate, cycle_string, hamming_length
 from .records import Record
 
 
@@ -24,25 +24,23 @@ class LengthFunction:
     def __init__(self, group: FiniteGroup, kind: str, values=None, params=None):
         self.group = group
         self.kind = kind  # "hamming" | "cayley-conjugation" | "table"
-        self._values = dict(values) if values is not None else None
+        self._values = values  # a table's element -> value, a Cayley length's value per class
         self.params = params or {}
 
     def __call__(self, h: Permutation) -> Fraction:
         h = Permutation(h)
-        if self._values is not None:
-            try:
-                return self._values[h]
-            except KeyError:
-                raise ValueError(f"{h!r} is not in the domain of this length function")
-        if len(h) != self.group.degree:
-            raise ValueError(f"{h!r} does not live on {self.group.name}")
-        return hamming_length(h)
+        if self.kind == "hamming":
+            if len(h) != self.group.degree:
+                raise ValueError(f"{h!r} does not live on {self.group.name}")
+            return hamming_length(h)
+        try:
+            return self._values[h if self.kind == "table" else self.group.class_index_of(h)]
+        except KeyError:
+            raise ValueError(f"{h!r} is not in the domain of this length function")
 
     def table(self) -> dict:
         """Element -> value map over the whole carrier."""
-        if self._values is not None:
-            return dict(self._values)
-        return {x: hamming_length(x) for x in self.group.elements()}
+        return {x: self(x) for x in self.group.elements()}
 
     def __repr__(self):
         return f"LengthFunction({self.kind} on {self.group.name})"
@@ -53,13 +51,15 @@ def hamming(group: FiniteGroup) -> LengthFunction:
 
 
 def from_table(group: FiniteGroup, values) -> LengthFunction:
-    """Explicit table; must cover the whole carrier with rationals >= 0."""
-    table = {}
-    for x, v in dict(values).items():
-        table[Permutation(x)] = Fraction(v)
-    missing = group.positions().keys() - table.keys()
-    if missing:
-        raise ValueError(f"table misses {len(missing)} elements of {group.name}")
+    """Explicit table; must hold exactly the carrier, with rationals >= 0."""
+    table = {Permutation(x): Fraction(v) for x, v in dict(values).items()}
+    where = group.positions()
+    stray = sorted((x for x in table if x not in where), key=Permutation.sort_key)
+    if stray:
+        first = cycle_string(stray[0])
+        raise ValueError(f"table has {len(stray)} elements outside {group.name}, first {first}")
+    if len(table) < len(where):
+        raise ValueError(f"table misses {len(where) - len(table)} elements of {group.name}")
     return LengthFunction(group, "table", values=table)
 
 
@@ -79,10 +79,10 @@ def cayley_conjugation_length(G: FiniteGroup, X, n: int) -> LengthFunction:
     base = frozenset(Permutation(x) for x in X)
     one = Fraction(1)
     first = class_first_depths(iter_consequence_class_layers(G, base))
-    scaled = {ci: min(Fraction(d, n), one) for ci, d in first.items()}
-    values = {h: scaled.get(c, one) for h, c in zip(G.elements(), G.class_labels())}
-    values[G.identity()] = Fraction(0)
-    return LengthFunction(G, "cayley-conjugation", values=values, params={"base": base, "scale": n})
+    classes = range(len(G.conjugacy_classes()))
+    values = [min(Fraction(first[c], n), one) if c in first else one for c in classes]
+    values[G.class_index_of(G.identity())] = Fraction(0)
+    return LengthFunction(G, "cayley-conjugation", tuple(values), {"base": base, "scale": n})
 
 
 class AxiomViolation(Record):
@@ -109,11 +109,12 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     ``scaled``, the values over their common denominator D, so the check
     stays exact; a ``Fraction`` is built only for a violation's message.
     For Hamming the row is the moved-point counts, over D = m.
-    The generator conjugations idx(s*x*s^-1) union into orbits, the
-    classes, and x fails invariance iff its class is not constant.  If no
-    class fails, ||k*r*k^-1 * h|| <= ||r|| + ||h|| is ||r*h'|| <= ||r|| +
-    ||h'|| for h' = k^-1*h*k, so one row S_r[h] = ||r*h|| per class
-    decides the class; otherwise every row is tested.  Down a BFS spanning
+    The classes are the group's own (``FiniteGroup.class_labels``), and x
+    fails invariance iff its class is not constant.  If no class fails,
+    ||k*r*k^-1 * h|| <= ||r|| + ||h|| is ||r*h'|| <= ||r|| + ||h'|| for
+    h' = k^-1*h*k, so one row S_r[h] = ||r*h|| per class, at its first
+    element in the tree's order, decides the class; otherwise every row
+    is tested.  Down a BFS spanning
     tree of the right Cayley graph (g = p*s), S_g is S_p gathered by
     idx(s*h) in one ``operator.itemgetter`` call and tested by one C-level
     scan, walked depth first into the subtrees that hold a row to test.
@@ -123,7 +124,7 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     els = G.elements()
     n = len(els)
     index = G.positions()
-    if ell._values is None:  # Hamming
+    if ell.kind == "hamming":
         points = range(G.degree)
         denominator = G.degree or 1
         scaled = tuple(sum(map(ne, x, points)) for x in els)
@@ -140,15 +141,16 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
     # idx(s x) and idx(x s) from image tuples: (s x)[i] = x[s[i]], (x s)[i] = s[x[i]].
     lmul = [list(map(index.__getitem__, map(itemgetter(*s), els))) for s in gens]
     rmul = [[index[itemgetter(*x)(s)] for x in els] for s in gens]
-    rinv = [sorted(range(n), key=r.__getitem__) for r in rmul]  # idx(x s^-1)
-    conj = [list(map(ri.__getitem__, l)) for l, ri in zip(lmul, rinv)]  # idx(s x s^-1)
-    order, _, edge = _search(rmul, [root], n)  # the spanning tree
+    order, edge = _search(rmul, root, n)  # the spanning tree
     if len(order) != n:
         raise RuntimeError(f"generators reach {len(order)} of {n} elements")
-    _, orbit, _ = _search(conj, order, n)  # the classes, each labelled by its shallowest element
-    variant = {c for c, v in zip(orbit, scaled) if v != scaled[c]}
-    not_invariant = [x for x, c in enumerate(orbit) if c in variant]
-    needed = range(n) if variant else set(orbit)
+    labels = G.class_labels()
+    rows = {}  # class -> its first element in the tree's order
+    for x in order:
+        rows.setdefault(labels[x], x)
+    variant = {c for c, v in zip(labels, scaled) if v != scaled[rows[c]]}
+    not_invariant = [x for x, c in enumerate(labels) if c in variant]
+    needed = range(n) if variant else set(rows.values())
     children, walked = {}, {root}  # the tree edges (h, k), h = p*s_k, toward needed rows
     for h in needed:
         while h not in walked:
@@ -166,8 +168,8 @@ def verify_axioms(ell: LengthFunction, max_violations: int = 20) -> AxiomReport:
         if g in needed and _row_excess(srow, scaled) > scaled[g]:
             failing.append(g)
         stack.extend((h, k, srow) for h, k in children.get(g, ()))
-    failed = {orbit[g] for g in failing}
-    not_subadditive = failing if variant else [x for x, c in enumerate(orbit) if c in failed]
+    failed = {labels[g] for g in failing}
+    not_subadditive = failing if variant else [x for x, c in enumerate(labels) if c in failed]
 
     identity = []
     if scaled[root]:
@@ -209,23 +211,17 @@ def _row_excess(srow, scaled):
     return max(map(sub, srow, scaled))
 
 
-def _search(maps, seeds, n):
-    """Breadth first along the index maps from each seed not reached yet: the
-    visiting order; label[x], the seed that reached x; and edge[h] =
-    p*len(maps) + k when h = maps[k][p] was first reached so (None at a seed)."""
-    label = [None] * n
+def _search(maps, root, n):
+    """Breadth first along the index maps from root: the visiting order, and
+    edge[h] = p*len(maps) + k when h = maps[k][p] was first reached so (-1
+    at the root)."""
     edge = [None] * n
-    order = []
-    for x in seeds:
-        if label[x] is None:
-            label[x] = x
-            reached = [x]
-            for p in reached:
-                for k, step in enumerate(maps):
-                    h = step[p]
-                    if label[h] is None:
-                        label[h] = x
-                        edge[h] = p * len(maps) + k
-                        reached.append(h)
-            order += reached
-    return order, label, edge
+    edge[root] = -1
+    order = [root]
+    for p in order:
+        for k, step in enumerate(maps):
+            h = step[p]
+            if edge[h] is None:
+                edge[h] = p * len(maps) + k
+                order.append(h)
+    return order, edge

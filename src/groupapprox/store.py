@@ -4,7 +4,7 @@ The name resolvers (``catalog.builtin_group``, ``catalog.parse_catalog``
 and ``report.group_from_data``) pass each group they build through
 ``share``.  A later command that names the same group (same kind, degree,
 generators, components and name) gets the same instance, with its
-elements, their ``positions`` index, class labels and partition, class
+elements, their ``positions`` index, class labels and class tuples, class
 products and conjugation orbits (``characters.leader_first``) built.
 
 A stored group answers every query as a fresh one does.  ``cli`` calls

@@ -175,4 +175,4 @@ def test_brenner_violations_match(m, base, n, dropped, monkeypatch):
     monkeypatch.setattr(groups, "consequences", oracle_without_class)
     rep = verify_brenner_bound(m, [x], n)
     assert rep == element_verify_brenner_bound(m, [x], n)
-    assert set(rep.violations) == gone and not rep.holds
+    assert rep.violations == gone and not rep.holds

@@ -10,7 +10,7 @@ from groupapprox.lengths import (
     hamming,
     verify_axioms,
 )
-from groupapprox.perm import identity, parse_cycles
+from groupapprox.perm import Permutation, identity, parse_cycles
 
 
 def s(text, degree):
@@ -46,6 +46,11 @@ class TestVerifyAxioms:
         with pytest.raises(ValueError):
             from_table(S4, {identity(4): Fraction(0)})
 
+    def test_table_must_stay_inside_carrier(self):
+        A4 = FiniteGroup.alternating(4)
+        with pytest.raises(ValueError, match=r"^table has 12 elements outside A4, first \(1 2\)$"):
+            from_table(A4, hamming(S4).table())
+
     def test_negative_value_reported(self):
         values = {x: Fraction(0) for x in S4.elements()}
         values[s("(1 2)(3 4)", 4)] = Fraction(-1)
@@ -61,6 +66,26 @@ class TestCayleyConjugationLength:
         for x in S4.elements():
             if not x.is_identity():
                 assert ell(x) == 1
+
+    def test_holds_one_value_per_class(self):
+        """No container the length holds has an entry per element: it keeps
+        a value per class, read through the group's class labels."""
+        ell = cayley_conjugation_length(A5, [s("(1 2 3)", 5)], 4)
+
+        def containers(v):
+            """v, if a container, and the containers nested in it."""
+            if isinstance(v, dict):
+                yield v
+                for item in v.values():
+                    yield from containers(item)
+            elif isinstance(v, (tuple, list, set, frozenset)) and not isinstance(v, Permutation):
+                yield v
+                for item in v:
+                    yield from containers(item)
+
+        held = [c for k, v in vars(ell).items() if k != "group" for c in containers(v)]
+        assert max(map(len, held)) < len(A5.elements())
+        assert len(ell._values) == len(A5.conjugacy_classes())
 
     def test_base_elements_get_one_over_n(self):
         ell = cayley_conjugation_length(A5, [s("(1 2 3)", 5)], 4)

@@ -168,6 +168,17 @@ def test_malformed_length_table_exits_1(edit, message, tmp_path, capsys):
     assert f"{path}: {message}" in err
 
 
+def test_table_outside_the_group_exits_1(tmp_path, capsys):
+    """An S4 table checked on A4 holds the 12 odd permutations of S4 too."""
+    path = tmp_path / "s4.report"
+    path.write_text(dump_report(length_table_to_data(hamming(FiniteGroup.symmetric(4)))))
+    code, err = _run(
+        capsys, "axioms-check", "--group", "A4", "--length-kind", "table", "--table", str(path)
+    )
+    assert code == 1
+    assert err == "error: table has 12 elements outside A4, first (1 2)\n"
+
+
 def test_mistyped_table_entry_is_named_alone(tmp_path, capsys):
     """The message names the one bad entry, not the whole mapping."""
     data = length_table_to_data(hamming(FiniteGroup.symmetric(5)))

@@ -29,7 +29,7 @@ from groupapprox.equations import (
     SolvabilityReport,
 )
 from groupapprox.groups import ConsequenceSet, FiniteGroup, SeparationReport
-from groupapprox.lengths import AxiomReport, AxiomViolation, hamming
+from groupapprox.lengths import AxiomReport, AxiomViolation, cayley_conjugation_length, hamming
 from groupapprox.perm import parse_cycles
 from groupapprox.records import Record
 
@@ -237,6 +237,15 @@ def test_window_products_are_formed_once():
     assert window.products() is first
     assert window == Window(("a",), ((), (1,), (-1,)))
     assert pickle.loads(pickle.dumps(window)).products() == first
+
+
+def test_cayley_metric_mode_pickles_with_its_class_values():
+    ell = cayley_conjugation_length(S3, [parse_cycles("(1 2)", 3)], 2)
+    mode = MetricMode(ell, (Fraction(0), Fraction(1, 2)), Fraction(1, 2))
+    copy = pickle.loads(pickle.dumps(mode))
+    assert repr(copy) == repr(mode)
+    assert copy.length._values == (0, Fraction(1, 2), 1)  # identity, transpositions, 3-cycles
+    assert [copy.length(x) for x in S3.elements()] == [ell(x) for x in S3.elements()]
 
 
 def test_equation_system_pickles_with_its_names():

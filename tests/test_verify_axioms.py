@@ -22,7 +22,7 @@ S4_BY_TRANSPOSITIONS = FiniteGroup.generated(
 
 
 # The identity and a repeated generator give index maps that reach nothing
-# new, in the spanning tree and in the class orbits alike.
+# new, in the spanning tree and in the group's conjugation walk alike.
 S4_WITH_IDLE_GENERATORS = FiniteGroup.generated(
     4, [parse_cycles(c, 4) for c in ("()", "(1 2)", "(1 2 3 4)", "(1 2)")], name="S4i"
 )
@@ -152,3 +152,15 @@ def test_variant_table_tests_every_row(monkeypatch):
     rep, rows = _rows_tested(monkeypatch, CASES["spike-1"]())
     assert not rep.valid and rep.pairs_checked == 2 * 24**2
     assert rows == [24] * 24
+
+
+def test_classes_are_read_off_the_group(monkeypatch):
+    """The one breadth-first search is the spanning tree's: the classes come
+    from ``FiniteGroup.class_labels``, with no conjugation walk of its own."""
+    calls = []
+    search = lengths._search
+    monkeypatch.setattr(lengths, "_search", lambda *args: calls.append(args) or search(*args))
+    for ell in (hamming(FiniteGroup.symmetric(5)), CASES["spike-1"](), CASES["cayley-A5"]()):
+        calls.clear()
+        verify_axioms(ell)
+        assert len(calls) == 1
